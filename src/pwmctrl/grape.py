@@ -13,7 +13,15 @@ factors at the affected positions (the sorted order is held fixed during one
 gradient evaluation and re-established afterwards).  The only points of
 non-differentiability are sorting ties and sign changes at ``w = 0``, where
 the derivative is one-sided; a warning is emitted if a gradient is requested
-exactly there.
+exactly there.  :func:`objective` and :func:`gradient` reject ``|w| > tau``.
+
+All M subintervals are evaluated together: one argsort of the widths gives
+every step's dwell times and the cache entries of its cumulative
+Hamiltonians, the factors are gathered from the stacked eigendecompositions
+(at most ``3^K``, filled once), and the palindromic products and the
+derivative brackets run as batched matrix operations over the subinterval
+axis.  Only the forward/adjoint sweep steps through the subintervals one by
+one, and it is shared with the baseline below.
 
 A piecewise-constant GRAPE baseline (fresh eigendecomposition per
 subinterval, standard first-order gradient) is included for benchmarking the
@@ -108,24 +116,16 @@ class GrapeProblem:
     def n_controls(self) -> int:
         return self.system.n_controls
 
-    def __getstate__(self):
-        # the lazily attached engine holds locks and caches; rebuild per process
-        state = dict(self.__dict__)
-        state.pop("_engine", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-
 
 @dataclass(frozen=True)
 class GrapeOptions:
     """Knobs of the projected-gradient optimizer.
 
-    ``width_bound`` defaults to ``tau`` (the physical maximum); widths are
-    clipped to ``[-width_bound, +width_bound]`` after every update.  The line
-    search starts each iteration at twice the previously accepted step and
-    halves until the objective decreases, so the trace is non-increasing.
+    ``width_bound`` defaults to ``tau``, the physical maximum, which
+    :func:`optimize` does not let it exceed; widths are clipped to
+    ``[-width_bound, +width_bound]`` after every update.  The line search
+    starts each iteration at twice the previously accepted step and halves
+    until the objective decreases, so the trace is non-increasing.
     """
 
     max_iterations: int = 2000
@@ -172,145 +172,136 @@ def random_initial_widths(problem: GrapeProblem, rng: np.random.Generator) -> np
     return eps * problem.tau / problem.amplitudes[:, None]
 
 
-class _PwmEngine:
-    """Vectorized forward/adjoint passes under the PWM step propagator.
+def _sweep(steps: np.ndarray, psi_initial: np.ndarray, psi_target: np.ndarray):
+    """Forward and adjoint states through a stack of ``M`` step propagators.
 
-    Subintervals are grouped by their (sort order, sign) pattern; within a
-    group every step uses the same sequence of cached eigenbases and only the
-    dwell phases differ, so factor construction is batched.  Zero-width
-    pulses are kept in the order (sign convention +1) so each control always
-    occupies a definite sorted position.
+    Returns the kets ``phi`` (``M + 1`` rows, ``phi[m] = U_m ... U_1
+    |psi_i>``), the bras ``chi`` (``M`` rows, ``chi[m] = <psi_f| U_M ...
+    U_{m+2}``, so that ``chi[m] @ U_{m+1} @ phi[m]`` is the overlap for
+    every ``m``) and the overlap ``<psi_f|U|psi_i>`` itself.
+    """
+    m_count = steps.shape[0]
+    phi = np.empty((m_count + 1, steps.shape[1]), dtype=np.complex128)
+    phi[0] = psi_initial
+    for m in range(m_count):
+        phi[m + 1] = steps[m] @ phi[m]
+    chi = np.empty((m_count, steps.shape[1]), dtype=np.complex128)
+    chi[m_count - 1] = psi_target.conj()
+    for m in range(m_count - 1, 0, -1):
+        chi[m - 1] = chi[m] @ steps[m]
+    return phi, chi, complex(np.vdot(psi_target, phi[m_count]))
+
+
+def _chain(steps: np.ndarray) -> np.ndarray:
+    """Ordered product ``steps[-1] @ ... @ steps[0]`` by pairwise reduction."""
+    while steps.shape[0] > 1:
+        even = steps.shape[0] // 2 * 2
+        paired = steps[1:even:2] @ steps[0:even:2]
+        steps = np.concatenate([paired, steps[even:]]) if even < steps.shape[0] else paired
+    return steps[0]
+
+
+class _PwmEngine:
+    """Batched forward/adjoint passes under the PWM step propagator.
+
+    One stable argsort of ``-|w|`` lays out all subintervals at once as
+    ``K + 1`` sorted positions, each with a dwell time and the base-3 code
+    of its signed prefix set (digit 1 for ``+1``, 2 for ``-1`` at control
+    ``k``'s place).  Each distinct code names one ``HamiltonianCache``
+    entry, and the factors of every step are gathered from the stacked
+    entries, so no Python loop runs over subintervals.  Zero-width pulses
+    stay in the order with sign ``+1``, so every control has a definite
+    position.
     """
 
     def __init__(self, problem: GrapeProblem) -> None:
         self.problem = problem
         self.cache = HamiltonianCache(problem.system, problem.amplitudes)
+        self._place = 3 ** np.arange(problem.n_controls)
 
-    def _grouped(self, widths: np.ndarray):
-        k_count, m_count = widths.shape
+    def _prefix(self, code: int) -> tuple:
+        """Cache key ``((k, delta), ...)`` of a base-3 prefix code."""
+        digits = code // self._place % 3
+        return tuple((k, 1 if d == 1 else -1) for k, d in enumerate(digits) if d)
+
+    def _layout(self, widths: np.ndarray):
+        """Sorted order and signs ``(K, M)``, factors ``(K+1, M, N, N)``,
+        the distinct prefixes and each position's index into them."""
+        tau = self.problem.tau
         order = np.argsort(-np.abs(widths), axis=0, kind="stable")
-        signs = np.where(widths < 0, -1, 1)
-        keys: dict[tuple, list[int]] = {}
-        for m in range(m_count):
-            key = (tuple(order[:, m]), tuple(signs[:, m]))
-            keys.setdefault(key, []).append(m)
-        return keys
+        sorted_w = np.take_along_axis(widths, order, axis=0)
+        sorted_abs = np.abs(sorted_w)
+        signs = np.where(sorted_w < 0, -1, 1)
+        dwell = np.empty((order.shape[0] + 1, order.shape[1]))
+        dwell[0] = (tau - sorted_abs[0]) / 2
+        dwell[1:-1] = (sorted_abs[:-1] - sorted_abs[1:]) / 2
+        dwell[-1] = sorted_abs[-1]
+        codes = np.zeros(dwell.shape, dtype=np.int64)
+        np.cumsum(np.where(signs < 0, 2, 1) * self._place[order], axis=0, out=codes[1:])
+        unique, idx = np.unique(codes, return_inverse=True)
+        idx = idx.reshape(codes.shape)
+        prefixes = [self._prefix(int(c)) for c in unique]
+        entries = [self.cache.entry(p) for p in prefixes]
+        lam = np.stack([e[0] for e in entries])[idx]
+        basis = np.stack([e[1] for e in entries])[idx]
+        phases = np.exp(-1j * dwell[..., None] * lam)
+        factors = (basis * phases[..., None, :]) @ basis.conj().swapaxes(-1, -2)
+        return order, signs, factors, prefixes, idx
 
-    def _dwell(self, sorted_abs: np.ndarray, tau: float) -> np.ndarray:
-        # sorted_abs: (J, Mg) descending.  Returns (Mg, J+1).
-        j_count, m_count = sorted_abs.shape
-        dwell = np.empty((m_count, j_count + 1))
-        dwell[:, 0] = (tau - sorted_abs[0]) / 2
-        if j_count > 1:
-            dwell[:, 1:-1] = (sorted_abs[:-1] - sorted_abs[1:]).T / 2
-        dwell[:, -1] = sorted_abs[-1]
-        return dwell
-
-    def _prefixes(self, order: tuple[int, ...], signs: tuple[int, ...]) -> list[tuple]:
-        keys: list[tuple] = [()]
-        acc: list[tuple[int, int]] = []
-        for k in order:
-            acc.append((k, signs[k]))
-            keys.append(tuple(sorted(acc)))
-        return keys
-
-    def steps(self, widths: np.ndarray, keep_factors: bool = False):
-        """Stacked subinterval propagators ``(M, N, N)`` (plus factor groups)."""
-        problem = self.problem
-        n = problem.system.dim
-        m_count = problem.n_steps
-        out = np.empty((m_count, n, n), dtype=np.complex128)
-        groups = []
-        for (order, signs), members in self._grouped(widths).items():
-            idx = np.asarray(members)
-            sorted_abs = np.abs(widths[list(order)][:, idx])
-            dwell = self._dwell(sorted_abs, problem.tau)
-            prefixes = self._prefixes(order, signs)
-            factors = [
-                self.cache.factors(prefixes[j], dwell[:, j])
-                for j in range(len(prefixes))
-            ]
-            u = factors[0]
-            for f in factors[1:]:
-                u = u @ f
-            for f in factors[-2::-1]:
-                u = u @ f
-            out[idx] = u
-            if keep_factors:
-                groups.append((idx, order, signs, prefixes, factors))
-        return (out, groups) if keep_factors else out
-
-    def propagator(self, widths: np.ndarray) -> np.ndarray:
-        steps = self.steps(widths)
-        u = np.eye(self.problem.system.dim, dtype=np.complex128)
-        for m in range(steps.shape[0]):
-            u = steps[m] @ u
+    @staticmethod
+    def _product(factors: np.ndarray) -> np.ndarray:
+        """Palindromic products ``F_0 ... F_{K-1} F_K F_{K-1} ... F_0`` of all steps."""
+        u = factors[-1]
+        for f in factors[-2::-1]:
+            u = f @ u @ f
         return u
 
+    def steps(self, widths: np.ndarray) -> np.ndarray:
+        """Stacked subinterval propagators ``(M, N, N)``."""
+        return self._product(self._layout(widths)[2])
+
     def objective(self, widths: np.ndarray) -> float:
-        return infidelity(self.propagator(widths), self.problem.psi_initial, self.problem.psi_target)
+        problem = self.problem
+        return infidelity(_chain(self.steps(widths)), problem.psi_initial, problem.psi_target)
 
     def gradient(self, widths: np.ndarray) -> tuple[np.ndarray, float]:
         """Exact gradient of J and the objective value at ``widths``.
 
-        Width ``w`` of the control at sorted position ``r`` feeds two dwell
-        entries: ``d_r`` (rate -delta/2, applied at both palindromic copies)
-        and ``d_{r+1}`` (rate +delta/2 at both copies, or +delta at the
-        single centre factor when r+1 is the innermost position).  Each
-        affected factor position contributes ``-i <l_i| G_j |r_i>`` to
-        ``dc/dw`` through the left/right partial products around it.
+        Factor ``i`` of the palindrome (``0 .. 2K``) applies sorted position
+        ``j = min(i, 2K - i)``; differentiating its dwell inserts ``-i G_j``
+        there, giving the bracket ``<l_i| G_j |r_i>`` with the partial
+        products left and right of it.  Width ``w`` at sorted position ``r``
+        with sign ``delta`` feeds dwell ``d_r`` at rate ``-delta/2`` and
+        ``d_{r+1}`` at ``+delta/2`` (both on two palindromic copies), or at
+        ``+delta`` on the single centre factor when ``r + 1 = K``.
         """
         problem = self.problem
-        k_count, m_count = problem.n_controls, problem.n_steps
         self._warn_on_ties(widths)
-        steps, groups = self.steps(widths, keep_factors=True)
+        order, signs, factors, prefixes, idx = self._layout(widths)
+        phi, chi, overlap = _sweep(self._product(factors), problem.psi_initial, problem.psi_target)
 
-        psi_i, psi_f = problem.psi_initial, problem.psi_target
-        phi = np.empty((m_count + 1, problem.system.dim), dtype=np.complex128)
-        phi[0] = psi_i
-        for m in range(m_count):
-            phi[m + 1] = steps[m] @ phi[m]
-        chi = np.empty((m_count, problem.system.dim), dtype=np.complex128)
-        chi[m_count - 1] = psi_f
-        for m in range(m_count - 1, 0, -1):
-            chi[m - 1] = steps[m].conj().T @ chi[m]
-        overlap = complex(np.vdot(psi_f, phi[m_count]))
-
-        dc = np.zeros((k_count, m_count), dtype=np.complex128)
-        p_count = 2 * k_count + 1
-        for idx, order, signs, prefixes, factors in groups:
-            m_g = idx.size
-            seq = list(range(k_count + 1)) + list(range(k_count - 1, -1, -1))
-            # right states r_i = F_i ... F_{P-1} |phi_in>; left states
-            # l_i with l_i^dag = <chi| F_0 ... F_{i-1}.
-            r_states = np.empty((p_count + 1, m_g, problem.system.dim), dtype=np.complex128)
-            r_states[p_count] = phi[idx]
-            for i in range(p_count - 1, -1, -1):
-                f = factors[seq[i]]
-                r_states[i] = (f @ r_states[i + 1][:, :, None])[:, :, 0]
-            l_states = np.empty((p_count, m_g, problem.system.dim), dtype=np.complex128)
-            l_states[0] = chi[idx]
-            for i in range(p_count - 1):
-                f = factors[seq[i]]
-                l_states[i + 1] = (f.conj().transpose(0, 2, 1) @ l_states[i][:, :, None])[:, :, 0]
-
-            def bracket(i: int, j: int) -> np.ndarray:
-                g = self.cache.hamiltonian(prefixes[j])
-                return np.einsum(
-                    "mn,nq,mq->m", l_states[i].conj(), g, r_states[i], optimize=True
-                )
-
-            for r_pos, k in enumerate(order):
-                delta = signs[k]
-                term = np.zeros(m_g, dtype=np.complex128)
-                # dwell d_r shrinks as |w| grows: both copies at rate -1/2
-                term += (-delta / 2) * (bracket(r_pos, r_pos) + bracket(2 * k_count - r_pos, r_pos))
-                b = r_pos + 1
-                if b == k_count:
-                    term += delta * bracket(k_count, b)
-                else:
-                    term += (delta / 2) * (bracket(b, b) + bracket(2 * k_count - b, b))
-                dc[k, idx] = -1j * term
+        k_count = order.shape[0]
+        hams = np.stack([self.cache.hamiltonian(p) for p in prefixes])[idx]
+        seq = [*range(k_count + 1), *range(k_count - 1, -1, -1)]
+        # right states |r_i> = F_i ... F_2K |phi_in>
+        right = [None] * len(seq)
+        state = phi[:-1]
+        for i in range(len(seq) - 1, -1, -1):
+            state = (factors[seq[i]] @ state[..., None])[..., 0]
+            right[i] = state
+        # bras <l_i| = <chi| F_0 ... F_{i-1}
+        left = chi
+        brackets = np.empty((len(seq), order.shape[1]), dtype=np.complex128)
+        for i, j in enumerate(seq):
+            brackets[i] = np.sum(left * (hams[j] @ right[i][..., None])[..., 0], axis=-1)
+            left = (left[:, None, :] @ factors[j])[:, 0, :]
+        # i d<overlap>/d dwell_j times the dwell's rate per unit |w|
+        # (1/2 for the doubled outer dwells, 1 at the centre)
+        per_dwell = np.concatenate(
+            [(brackets[:k_count] + brackets[:k_count:-1]) / 2, brackets[k_count:k_count + 1]]
+        )
+        dc = np.empty(order.shape, dtype=np.complex128)
+        np.put_along_axis(dc, order, -1j * signs * (per_dwell[1:] - per_dwell[:-1]), axis=0)
         grad = -2.0 * np.real(np.conj(overlap) * dc)
         return grad, float(1.0 - abs(overlap) ** 2)
 
@@ -337,12 +328,12 @@ def _engine(problem: GrapeProblem) -> _PwmEngine:
 
 def objective(problem: GrapeProblem, widths) -> float:
     """Infidelity of the PWM propagator for the given widths."""
-    return _engine(problem).objective(_check_widths(problem, widths))
+    return _engine(problem).objective(_check_pulse_widths(problem, widths))
 
 
 def gradient(problem: GrapeProblem, widths) -> np.ndarray:
     """Exact gradient of :func:`objective` with respect to every width."""
-    return _engine(problem).gradient(_check_widths(problem, widths))[0]
+    return _engine(problem).gradient(_check_pulse_widths(problem, widths))[0]
 
 
 def _check_widths(problem: GrapeProblem, widths) -> np.ndarray:
@@ -353,6 +344,19 @@ def _check_widths(problem: GrapeProblem, widths) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ValueError("widths must be finite")
     return w
+
+
+def _check_pulse_widths(problem: GrapeProblem, widths) -> np.ndarray:
+    """Validated pulse widths; ``|w| <= tau`` up to 1e-9 relative, then clipped to it."""
+    w = _check_widths(problem, widths)
+    tau = problem.tau
+    if np.any(np.abs(w) > tau * (1 + 1e-9)):
+        k, m = np.unravel_index(np.argmax(np.abs(w)), w.shape)
+        raise ValueError(
+            f"|width| = {abs(w[k, m]):.6g} of control k={k} in subinterval {m} "
+            f"exceeds tau = {tau:.6g}"
+        )
+    return np.clip(w, -tau, tau)
 
 
 def _descend(evaluate, grad_fn, params, bound, options):
@@ -403,14 +407,20 @@ def optimize(
     """Minimize the infidelity over pulse widths with the PWM propagator.
 
     Starts from ``init_widths`` or, if omitted, from the widths of a random
-    uniform field seeded by ``options.rng_seed``.
+    uniform field seeded by ``options.rng_seed``; both are clipped to
+    ``options.width_bound``.  Raises ``ValueError`` when ``init_widths`` or
+    the width bound exceed ``tau``.
     """
     options = options or GrapeOptions()
     bound = options.width_bound if options.width_bound is not None else problem.tau
+    if bound > problem.tau:
+        raise ValueError(f"width_bound {bound!r} exceeds tau = {problem.tau!r}")
     engine = _engine(problem)
     if init_widths is None:
         init_widths = random_initial_widths(problem, np.random.default_rng(options.rng_seed))
-    params = np.clip(_check_widths(problem, init_widths), -bound, bound)
+    else:
+        init_widths = _check_pulse_widths(problem, init_widths)
+    params = np.clip(init_widths, -bound, bound)
     start = time.perf_counter()
     params, trace, iterations = _descend(
         engine.objective, engine.gradient, params, bound, options
@@ -448,31 +458,15 @@ class _PwcEngine:
         phases = np.exp(-1j * problem.tau * lam)
         return (basis * phases[:, None, :]) @ basis.conj().transpose(0, 2, 1)
 
-    def propagator(self, eps: np.ndarray) -> np.ndarray:
-        steps = self.steps(eps)
-        u = np.eye(self.problem.system.dim, dtype=np.complex128)
-        for m in range(steps.shape[0]):
-            u = steps[m] @ u
-        return u
-
     def objective(self, eps: np.ndarray) -> float:
-        return infidelity(self.propagator(eps), self.problem.psi_initial, self.problem.psi_target)
+        problem = self.problem
+        return infidelity(_chain(self.steps(eps)), problem.psi_initial, problem.psi_target)
 
     def gradient(self, eps: np.ndarray) -> tuple[np.ndarray, float]:
         problem = self.problem
-        m_count = problem.n_steps
-        steps = self.steps(eps)
-        phi = np.empty((m_count + 1, problem.system.dim), dtype=np.complex128)
-        phi[0] = problem.psi_initial
-        for m in range(m_count):
-            phi[m + 1] = steps[m] @ phi[m]
-        chi = np.empty((m_count, problem.system.dim), dtype=np.complex128)
-        chi[m_count - 1] = problem.psi_target
-        for m in range(m_count - 1, 0, -1):
-            chi[m - 1] = steps[m].conj().T @ chi[m]
-        overlap = complex(np.vdot(problem.psi_target, phi[m_count]))
+        phi, chi, overlap = _sweep(self.steps(eps), problem.psi_initial, problem.psi_target)
         dc = -1j * problem.tau * np.einsum(
-            "mn,knq,mq->km", chi.conj(), self._controls, phi[1:], optimize=True
+            "mn,knq,mq->km", chi, self._controls, phi[1:], optimize=True
         )
         grad = -2.0 * np.real(np.conj(overlap) * dc)
         return grad, float(1.0 - abs(overlap) ** 2)

@@ -26,7 +26,6 @@ subinterval.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,17 +95,16 @@ class HamiltonianCache:
 
     Entries are keyed by the *set* of signed active controls
     ``{(k, delta_k)}`` -- the cumulative sum does not depend on the order in
-    which pulses were added -- so at most ``3^K`` entries ever exist.  Reads
-    are lock-free; insertion happens under a lock, and because every entry is
-    computed deterministically from the key, concurrent duplicate computation
-    is harmless.
+    which pulses were added -- so at most ``3^K`` entries ever exist.  Each
+    entry is computed on first use.  The cache is not synchronized: share it
+    within one thread, and let each worker process build its own (a pickled
+    copy carries the entries filled so far).
     """
 
     def __init__(self, system: ControlSystem, amplitudes) -> None:
         self.system = system
         self.amplitudes = _as_amplitudes(amplitudes, system.n_controls)
         self._entries: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._lock = threading.Lock()
 
     def hamiltonian(self, prefix) -> np.ndarray:
         """The matrix ``H0 + sum_{(k, delta) in prefix} delta * xi_k * H_k``."""
@@ -120,21 +118,13 @@ class HamiltonianCache:
         key = tuple(sorted(prefix))
         found = self._entries.get(key)
         if found is None:
-            lam, basis = np.linalg.eigh(self.hamiltonian(key))
-            with self._lock:
-                found = self._entries.setdefault(key, (lam, basis))
+            found = self._entries[key] = np.linalg.eigh(self.hamiltonian(key))
         return found
 
     def factor(self, prefix, theta: float) -> np.ndarray:
         """``exp(-i * theta * G_prefix)`` assembled from the cached entry."""
         lam, basis = self.entry(prefix)
         return (basis * np.exp(-1j * theta * lam)) @ basis.conj().T
-
-    def factors(self, prefix, thetas: np.ndarray) -> np.ndarray:
-        """Stacked ``exp(-i * theta_m * G_prefix)`` for a batch of angles."""
-        lam, basis = self.entry(prefix)
-        phases = np.exp(-1j * np.outer(thetas, lam))
-        return (basis[None, :, :] * phases[:, None, :]) @ basis.conj().T
 
     @property
     def size(self) -> int:
@@ -151,16 +141,13 @@ class TermCache:
     def __init__(self, system: ControlSystem) -> None:
         self.system = system
         self._entries: dict[int | None, tuple[np.ndarray, np.ndarray]] = {}
-        self._lock = threading.Lock()
 
     def entry(self, index: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of the drift (``None``) or control ``index``."""
         found = self._entries.get(index)
         if found is None:
             h = self.system.drift if index is None else self.system.controls[index]
-            lam, basis = np.linalg.eigh(h)
-            with self._lock:
-                found = self._entries.setdefault(index, (lam, basis))
+            found = self._entries[index] = np.linalg.eigh(h)
         return found
 
     def factor(self, index: int | None, theta: float) -> np.ndarray:
@@ -216,6 +203,8 @@ def frame_from_widths(
     ``keep_zero_widths`` retains zero-width pulses in the order with sign
     ``+1`` (they contribute identity factors); gradient code uses this so
     every control has a definite position and a one-sided derivative at 0.
+    Widths beyond ``tau`` by at most 1e-9 relative are clipped to ``tau``;
+    larger ones raise ``ValueError``.
     """
     w = np.atleast_1d(np.asarray(widths, dtype=np.float64))
     if w.ndim != 1:
@@ -227,6 +216,7 @@ def frame_from_widths(
         raise ValueError(
             f"|width| = {abs(w[k]):.6g} of control k={k} exceeds tau = {tau:.6g}"
         )
+    w = np.clip(w, -tau, tau)
     signs = [0 if x == 0.0 else (1 if x > 0 else -1) for x in w]
     if keep_zero_widths:
         signs = [s if s else 1 for s in signs]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,10 @@ from pwmctrl.grape import (
     random_initial_widths,
     run_fig5_benchmark,
     ten_level_problem,
+    _PwmEngine,
 )
 from pwmctrl.model import ControlSystem, basis_state
-from pwmctrl.propagate import evolve
+from pwmctrl.propagate import evolve, frame_from_widths, step_pwm
 from pwmctrl.pwm import PWMSequence
 
 from conftest import SIGMA_X, random_hermitian
@@ -32,6 +35,21 @@ def two_level_problem(total_time: float = 5.0, tau: float = 0.25) -> GrapeProble
         total_time=total_time,
         tau=tau,
         amplitudes=np.array([1.0]),
+    )
+
+
+def random_problem(rng, dim: int, k_count: int, total_time: float, tau: float) -> GrapeProblem:
+    system = ControlSystem(
+        drift=random_hermitian(dim, rng),
+        controls=tuple(random_hermitian(dim, rng) for _ in range(k_count)),
+    )
+    return GrapeProblem(
+        system=system,
+        psi_initial=basis_state(dim, 0),
+        psi_target=basis_state(dim, dim - 1),
+        total_time=total_time,
+        tau=tau,
+        amplitudes=np.linspace(1.0, 1.5, k_count),
     )
 
 
@@ -137,6 +155,47 @@ class TestObjective:
             objective(problem, bad)
 
 
+class TestWidthBound:
+    def test_objective_and_gradient_reject_widths_beyond_tau(self):
+        problem = ten_level_problem(total_time=1.0)
+        widths = np.full((1, problem.n_steps), 1.5 * problem.tau)
+        for fn in (objective, gradient):
+            with pytest.raises(ValueError, match="exceeds tau"):
+                fn(problem, widths)
+
+    def test_width_within_tolerance_counts_as_tau(self):
+        problem = two_level_problem()
+        at_tau = np.full((1, problem.n_steps), problem.tau)
+        assert objective(problem, at_tau * (1 + 5e-10)) == objective(problem, at_tau)
+
+    def test_optimize_rejects_bound_or_start_beyond_tau(self):
+        problem = two_level_problem()
+        with pytest.raises(ValueError, match="width_bound"):
+            optimize(problem, options=GrapeOptions(width_bound=2 * problem.tau))
+        too_wide = np.full((1, problem.n_steps), 1.5 * problem.tau)
+        with pytest.raises(ValueError, match="exceeds tau"):
+            optimize(problem, init_widths=too_wide)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("k_count", [1, 2, 3])
+    def test_steps_match_frame_by_frame(self, rng, k_count):
+        """Negative and zero widths, a full-width pulse and exact ties."""
+        problem = random_problem(rng, 4, k_count, total_time=2.0, tau=0.2)
+        widths = rng.uniform(-0.2, 0.2, size=(k_count, problem.n_steps))
+        widths[:, 0] = 0.0
+        widths[0, 1] = 0.0
+        widths[0, 2] = -0.2
+        widths[:, 3] = 0.1
+        if k_count > 1:
+            widths[1, 4] = -widths[0, 4]
+        steps = _PwmEngine(problem).steps(widths)
+        for m in range(problem.n_steps):
+            frame = frame_from_widths(widths[:, m], problem.tau, keep_zero_widths=True)
+            expected = step_pwm(problem.system, problem.amplitudes, frame)
+            assert np.max(np.abs(steps[m] - expected)) <= 1e-12
+
+
 class TestGradient:
     def test_closed_form_single_rotation(self):
         """Zero drift, one sigma_x control: J = cos^2(sum w), so every entry of
@@ -184,6 +243,14 @@ class TestGradient:
         grad = gradient(problem, widths)
         fd = finite_difference(problem, widths)
         assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)) <= 1e-5
+
+    def test_finite_difference_three_controls(self, rng):
+        """Criterion 06's gate, max(1e-6 |fd|, 1e-10), on a K = 3 system."""
+        problem = random_problem(rng, 5, 3, total_time=1.0, tau=0.2)
+        widths = random_initial_widths(problem, rng)
+        grad = gradient(problem, widths)
+        fd = finite_difference(problem, widths)
+        assert np.all(np.abs(grad - fd) <= np.maximum(1e-6 * np.abs(fd), 1e-10))
 
     def test_warns_on_zero_width(self):
         problem = two_level_problem()
@@ -289,6 +356,13 @@ class TestBenchmark:
         b = run_fig5_benchmark(repeats=2, seed=5, problem=problem)
         key = lambda rep: [(r.run, r.scheme, r.iterations, r.final_j, r.converged) for r in rep.rows]
         assert key(a) == key(b)
+
+    def test_parallel_jobs_give_the_same_rows(self):
+        problem = two_level_problem()
+        serial = run_fig5_benchmark(repeats=2, seed=5, problem=problem, jobs=1)
+        parallel = run_fig5_benchmark(repeats=2, seed=5, problem=problem, jobs=2)
+        key = lambda rep: [dataclasses.replace(r, wall_seconds=0.0) for r in rep.rows]
+        assert key(parallel) == key(serial)
 
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,18 @@ class TestPulseFrame:
                 expected = np.abs(widths)[list(frame.order)]
                 assert np.max(np.abs(active - expected)) <= 1e-12
 
+    def test_width_within_tolerance_is_clipped_to_tau(self):
+        frame = frame_from_widths(np.array([0.1 * (1 + 5e-10), -0.05]), 0.1)
+        assert frame.widths[0] == 0.1
+        assert np.all(frame.dwell >= 0)
+        with pytest.raises(ValueError, match="exceeds tau"):
+            frame_from_widths(np.array([0.1 * (1 + 2e-9)]), 0.1)
+
+    def test_caller_widths_stay_writable(self):
+        widths = np.array([0.05, -0.02])
+        frame_from_widths(widths, 0.1)
+        assert widths.flags.writeable
+
     def test_prefixes_accumulate_signed_controls(self):
         frame = frame_from_widths(np.array([0.3, -0.9]), 1.0)
         assert frame.prefixes() == [(), ((1, -1),), ((0, 1), (1, -1))]
