@@ -304,7 +304,7 @@ def _cmd_optimize(options: _Options) -> int:
         psi_target=basis_state(system.dim, target),
         total_time=float(options.get("total_time", required=True)),
         tau=float(options.get("tau", required=True)),
-        amplitudes=xi if xi.size > 1 else np.full(system.n_controls, xi[0]),
+        amplitudes=xi,
     )
     grape_options = _grape_options(options)
     scheme = options.get("scheme", default="pwm")

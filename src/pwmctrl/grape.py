@@ -38,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ControlSystem, basis_state, build_ten_level_system
-from .propagate import HamiltonianCache, _as_amplitudes
+from .model import ControlSystem, _check_system, basis_state, build_ten_level_system
+from .propagate import HamiltonianCache
 from .pwm import PWMSequence, Spectrum, dominant_peaks, inverse_pwm_pwc, spectrum
+from .pwm import _as_amplitudes, _as_widths
 
 __all__ = [
     "BenchmarkReport",
@@ -75,7 +76,8 @@ class GrapeProblem:
     """A state-transfer problem on a fixed PWM time grid.
 
     ``total_time`` must be an integer number of subintervals ``tau``; the
-    endpoint states must be normalized.
+    endpoint states must be normalized and the system must pass
+    ``validate_system``.
     """
 
     system: ControlSystem
@@ -86,6 +88,7 @@ class GrapeProblem:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_system(self.system)
         psi_i = np.asarray(self.psi_initial, dtype=np.complex128).reshape(-1)
         psi_f = np.asarray(self.psi_target, dtype=np.complex128).reshape(-1)
         n = self.system.dim
@@ -162,14 +165,22 @@ class GrapeResult:
     converged: bool
 
 
+def _random_field(problem: GrapeProblem, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random field ``|eps_k| <= min(0.5, xi_k)`` per subinterval.
+
+    The cap at ``xi_k`` keeps the area-matched width ``eps * tau / xi`` within ``tau``.
+    """
+    bound = np.minimum(0.5, problem.amplitudes)[:, None]
+    return rng.uniform(-bound, bound, size=(problem.n_controls, problem.n_steps))
+
+
 def random_initial_widths(problem: GrapeProblem, rng: np.random.Generator) -> np.ndarray:
-    """Widths of a uniform random field ``eps in [-0.5, 0.5]`` per subinterval.
+    """Widths of a uniform random field ``|eps_k| <= min(0.5, xi_k)`` per subinterval.
 
     The field value converts to a width by area matching:
-    ``w = eps * tau / xi``.
+    ``w = eps * tau / xi``, so ``|w| <= tau``.
     """
-    eps = rng.uniform(-0.5, 0.5, size=(problem.n_controls, problem.n_steps))
-    return eps * problem.tau / problem.amplitudes[:, None]
+    return _random_field(problem, rng) * problem.tau / problem.amplitudes[:, None]
 
 
 def _sweep(steps: np.ndarray, psi_initial: np.ndarray, psi_target: np.ndarray):
@@ -318,22 +329,14 @@ class _PwmEngine:
             )
 
 
-def _engine(problem: GrapeProblem) -> _PwmEngine:
-    engine = getattr(problem, "_engine", None)
-    if engine is None:
-        engine = _PwmEngine(problem)
-        object.__setattr__(problem, "_engine", engine)
-    return engine
-
-
 def objective(problem: GrapeProblem, widths) -> float:
     """Infidelity of the PWM propagator for the given widths."""
-    return _engine(problem).objective(_check_pulse_widths(problem, widths))
+    return _PwmEngine(problem).objective(_check_pulse_widths(problem, widths))
 
 
 def gradient(problem: GrapeProblem, widths) -> np.ndarray:
     """Exact gradient of :func:`objective` with respect to every width."""
-    return _engine(problem).gradient(_check_pulse_widths(problem, widths))[0]
+    return _PwmEngine(problem).gradient(_check_pulse_widths(problem, widths))[0]
 
 
 def _check_widths(problem: GrapeProblem, widths) -> np.ndarray:
@@ -348,15 +351,7 @@ def _check_widths(problem: GrapeProblem, widths) -> np.ndarray:
 
 def _check_pulse_widths(problem: GrapeProblem, widths) -> np.ndarray:
     """Validated pulse widths; ``|w| <= tau`` up to 1e-9 relative, then clipped to it."""
-    w = _check_widths(problem, widths)
-    tau = problem.tau
-    if np.any(np.abs(w) > tau * (1 + 1e-9)):
-        k, m = np.unravel_index(np.argmax(np.abs(w)), w.shape)
-        raise ValueError(
-            f"|width| = {abs(w[k, m]):.6g} of control k={k} in subinterval {m} "
-            f"exceeds tau = {tau:.6g}"
-        )
-    return np.clip(w, -tau, tau)
+    return _as_widths(_check_widths(problem, widths), problem.tau)
 
 
 def _descend(evaluate, grad_fn, params, bound, options):
@@ -415,7 +410,7 @@ def optimize(
     bound = options.width_bound if options.width_bound is not None else problem.tau
     if bound > problem.tau:
         raise ValueError(f"width_bound {bound!r} exceeds tau = {problem.tau!r}")
-    engine = _engine(problem)
+    engine = _PwmEngine(problem)
     if init_widths is None:
         init_widths = random_initial_widths(problem, np.random.default_rng(options.rng_seed))
     else:
@@ -488,8 +483,7 @@ def optimize_pwc(
     bound = problem.amplitudes[:, None] * bound_w / problem.tau
     engine = _PwcEngine(problem)
     if init_field is None:
-        rng = np.random.default_rng(options.rng_seed)
-        init_field = rng.uniform(-0.5, 0.5, size=(problem.n_controls, problem.n_steps))
+        init_field = _random_field(problem, np.random.default_rng(options.rng_seed))
     eps = np.clip(_check_widths(problem, init_field), -bound, bound)
     start = time.perf_counter()
     eps, trace, iterations = _descend(engine.objective, engine.gradient, eps, bound, options)
@@ -549,7 +543,7 @@ class BenchmarkReport:
 def _fig5_single_run(args) -> tuple[BenchmarkRow, BenchmarkRow, np.ndarray]:
     problem, options, run, child_seed = args
     rng = np.random.default_rng(child_seed)
-    eps0 = rng.uniform(-0.5, 0.5, size=(problem.n_controls, problem.n_steps))
+    eps0 = _random_field(problem, rng)
     w0 = eps0 * problem.tau / problem.amplitudes[:, None]
     res_pwm = optimize(problem, w0, options)
     res_pwc = optimize_pwc(problem, eps0, options)

@@ -27,10 +27,9 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 
 
-def _as_locked_complex(matrix: np.ndarray) -> np.ndarray:
-    out = np.array(matrix, dtype=np.complex128, copy=True)
-    out.setflags(write=False)
-    return out
+def _locked(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +45,11 @@ class ControlSystem:
     controls: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        drift = _as_locked_complex(self.drift)
+        drift = _locked(np.array(self.drift, dtype=np.complex128))
         if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
             raise ValueError(f"drift must be a square matrix, got shape {drift.shape}")
         n = drift.shape[0]
-        controls = tuple(_as_locked_complex(h) for h in self.controls)
+        controls = tuple(_locked(np.array(h, dtype=np.complex128)) for h in self.controls)
         for k, h in enumerate(controls):
             if h.shape != (n, n):
                 raise ValueError(
@@ -105,6 +104,17 @@ def validate_system(system: ControlSystem) -> SystemValidation:
                 f"{name} is not Hermitian: max |H - H^dag| = {residual:.3e}"
             )
     return SystemValidation(ok=not issues, issues=tuple(issues), residuals=residuals)
+
+
+def _check_system(system: ControlSystem) -> None:
+    """Raise ``ValueError`` unless :func:`validate_system` passes.
+
+    Called where a system enters the numerics: ``eigh`` reads only one
+    triangle, so a non-Hermitian matrix would give a silently wrong propagator.
+    """
+    report = validate_system(system)
+    if not report.ok:
+        raise ValueError("; ".join(report.issues))
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:

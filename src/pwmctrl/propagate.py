@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ControlSystem
-from .pwm import PWMSequence, SampledField, pwm_approximate
+from .model import ControlSystem, _check_system, _locked
+from .pwm import PWMSequence, SampledField, _as_amplitudes, _as_widths, pwm_approximate
 
 __all__ = [
     "ErrorOrderFit",
@@ -79,17 +79,6 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-def _as_amplitudes(amplitudes, n_controls: int) -> np.ndarray:
-    xi = np.atleast_1d(np.asarray(amplitudes, dtype=np.float64))
-    if xi.size == 1:
-        xi = np.full(n_controls, xi[0])
-    if xi.shape != (n_controls,):
-        raise ValueError(f"expected {n_controls} amplitudes, got shape {xi.shape}")
-    if np.any(xi <= 0) or not np.all(np.isfinite(xi)):
-        raise ValueError("amplitudes must be positive and finite")
-    return xi
-
-
 class HamiltonianCache:
     """Lazily filled eigendecompositions of the signed cumulative Hamiltonians.
 
@@ -99,9 +88,16 @@ class HamiltonianCache:
     entry is computed on first use.  The cache is not synchronized: share it
     within one thread, and let each worker process build its own (a pickled
     copy carries the entries filled so far).
+
+    A cache belongs to one system object and one amplitude vector: the
+    constructor rejects a system that fails ``validate_system`` (such as a
+    non-Hermitian one), and the step functions that accept a cache raise
+    ``ValueError`` when it was built for another system object or other
+    amplitudes.
     """
 
     def __init__(self, system: ControlSystem, amplitudes) -> None:
+        _check_system(system)
         self.system = system
         self.amplitudes = _as_amplitudes(amplitudes, system.n_controls)
         self._entries: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -135,10 +131,15 @@ class TermCache:
     """Eigendecompositions of the drift and each control Hamiltonian alone.
 
     Used by the split-operator scheme, whose factors are single-term
-    exponentials with a per-step scalar in the exponent.
+    exponentials with a per-step scalar in the exponent.  Like
+    :class:`HamiltonianCache` it belongs to one system object (it holds no
+    amplitudes): the constructor rejects a system that fails
+    ``validate_system`` and :func:`step_spo` rejects a cache built for
+    another system object.
     """
 
     def __init__(self, system: ControlSystem) -> None:
+        _check_system(system)
         self.system = system
         self._entries: dict[int | None, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -195,34 +196,17 @@ class PulseFrame:
         return keys
 
 
-def frame_from_widths(
-    widths, tau: float, *, keep_zero_widths: bool = False
-) -> PulseFrame:
+def frame_from_widths(widths, tau: float) -> PulseFrame:
     """Sort one subinterval's signed widths into a :class:`PulseFrame`.
 
-    ``keep_zero_widths`` retains zero-width pulses in the order with sign
-    ``+1`` (they contribute identity factors); gradient code uses this so
-    every control has a definite position and a one-sided derivative at 0.
-    Widths beyond ``tau`` by at most 1e-9 relative are clipped to ``tau``;
-    larger ones raise ``ValueError``.
+    Zero widths are left out of the order.  Widths beyond ``tau`` by at most
+    1e-9 relative are clipped to ``tau``; larger ones raise ``ValueError``.
     """
-    w = np.atleast_1d(np.asarray(widths, dtype=np.float64))
+    w = _as_widths(np.atleast_1d(widths), tau)
     if w.ndim != 1:
         raise ValueError("widths must be one-dimensional")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("widths must be finite")
-    if np.any(np.abs(w) > tau * (1 + 1e-9)):
-        k = int(np.argmax(np.abs(w)))
-        raise ValueError(
-            f"|width| = {abs(w[k]):.6g} of control k={k} exceeds tau = {tau:.6g}"
-        )
-    w = np.clip(w, -tau, tau)
     signs = [0 if x == 0.0 else (1 if x > 0 else -1) for x in w]
-    if keep_zero_widths:
-        signs = [s if s else 1 for s in signs]
-        active = list(range(w.size))
-    else:
-        active = [k for k in range(w.size) if w[k] != 0.0]
+    active = [k for k in range(w.size) if w[k] != 0.0]
     # descending |w|; ties broken by ascending control index
     order = tuple(sorted(active, key=lambda k: (-abs(w[k]), k)))
     if not order:
@@ -238,11 +222,6 @@ def frame_from_widths(
     )
 
 
-def _locked(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def build_frame(seq: PWMSequence, m: int) -> PulseFrame:
     """Frame for subinterval ``m`` (1-based) of a pulse sequence."""
     if not 1 <= m <= seq.n_pulses:
@@ -250,21 +229,28 @@ def build_frame(seq: PWMSequence, m: int) -> PulseFrame:
     return frame_from_widths(seq.widths[:, m - 1], seq.tau)
 
 
-def pwm_step_factors(
-    system: ControlSystem,
-    amplitudes,
-    frame: PulseFrame,
-    cache: HamiltonianCache | None = None,
-) -> list[np.ndarray]:
+def _checked_cache(cache, system: ControlSystem, amplitudes=None):
+    """``cache`` if it was built for this system object (and amplitudes)."""
+    if cache.system is not system:
+        raise ValueError("cache was built for another system object")
+    if amplitudes is not None and not np.array_equal(
+        cache.amplitudes, _as_amplitudes(amplitudes, system.n_controls)
+    ):
+        raise ValueError("cache was built for other amplitudes")
+    return cache
+
+
+def pwm_step_factors(system: ControlSystem, amplitudes, frame: PulseFrame) -> list[np.ndarray]:
     """The full palindromic factor list of one PWM step, left to right.
 
     ``step_pwm`` is the ordered product of this list; reversing the list
     leaves the product unchanged.
     """
-    if cache is None:
-        cache = HamiltonianCache(system, amplitudes)
-    prefixes = frame.prefixes()
-    inner = [cache.factor(p, th) for p, th in zip(prefixes, frame.dwell)]
+    return _pwm_factors(HamiltonianCache(system, amplitudes), frame)
+
+
+def _pwm_factors(cache: HamiltonianCache, frame: PulseFrame) -> list[np.ndarray]:
+    inner = [cache.factor(p, th) for p, th in zip(frame.prefixes(), frame.dwell)]
     return inner[:-1] + [inner[-1]] + inner[-2::-1]
 
 
@@ -274,8 +260,17 @@ def step_pwm(
     frame: PulseFrame,
     cache: HamiltonianCache | None = None,
 ) -> np.ndarray:
-    """Second-order PWM propagator for one subinterval."""
-    factors = pwm_step_factors(system, amplitudes, frame, cache)
+    """Second-order PWM propagator for one subinterval.
+
+    A ``cache`` must have been built for ``system`` and ``amplitudes``.
+    """
+    if cache is None:
+        return _step_pwm(HamiltonianCache(system, amplitudes), frame)
+    return _step_pwm(_checked_cache(cache, system, amplitudes), frame)
+
+
+def _step_pwm(cache: HamiltonianCache, frame: PulseFrame) -> np.ndarray:
+    factors = _pwm_factors(cache, frame)
     u = factors[0]
     for f in factors[1:]:
         u = u @ f
@@ -306,16 +301,20 @@ def step_spo(
 
         U = prod_{k=0..K} e^{-i (tau/2) u_k H_k} * prod_{k=K..0} e^{-i (tau/2) u_k H_k}
 
-    where ``u_0 = 1`` multiplies the drift.
+    where ``u_0 = 1`` multiplies the drift.  A ``cache`` must have been
+    built for ``system``.
     """
     u_mid = np.atleast_1d(np.asarray(control_values, dtype=np.float64))
     if u_mid.shape != (system.n_controls,):
         raise ValueError(f"expected {system.n_controls} control values")
-    if cache is None:
-        cache = TermCache(system)
+    cache = TermCache(system) if cache is None else _checked_cache(cache, system)
+    return _step_spo(cache, u_mid, tau)
+
+
+def _step_spo(cache: TermCache, u_mid: np.ndarray, tau: float) -> np.ndarray:
     half = tau / 2
     ascending = [cache.factor(None, half)]
-    ascending += [cache.factor(k, half * u_mid[k]) for k in range(system.n_controls)]
+    ascending += [cache.factor(k, half * u_mid[k]) for k in range(u_mid.size)]
     u = ascending[0]
     for f in ascending[1:]:
         u = u @ f
@@ -394,7 +393,8 @@ def step_pwm_higher(
     proportionally to the sub-window length, a cruder variant that no longer
     sees intra-subinterval field variation.  Backward sub-windows are
     propagated by the exact inverse (conjugate transpose) of the forward
-    step, i.e. all dwell phases change sign.
+    step, i.e. all dwell phases change sign.  A ``cache`` must have been
+    built for ``system`` and ``amplitudes``.
     """
     if n < 2:
         raise ValueError(f"order index n must be >= 2, got {n}")
@@ -414,11 +414,12 @@ def step_pwm_higher(
         field = source
     if cache is None:
         cache = HamiltonianCache(system, amplitudes)
-    return _compose_window(system, cache, field, base_widths, tau, (m - 1) * tau, tau, n)
+    else:
+        cache = _checked_cache(cache, system, amplitudes)
+    return _compose_window(cache, field, base_widths, tau, (m - 1) * tau, tau, n)
 
 
 def _compose_window(
-    system: ControlSystem,
     cache: HamiltonianCache,
     field,
     base_widths,
@@ -431,17 +432,17 @@ def _compose_window(
     if level == 1:
         length = abs(sigma)
         if length == 0.0:
-            return np.eye(system.dim, dtype=np.complex128)
+            return np.eye(cache.system.dim, dtype=np.complex128)
         xi = cache.amplitudes
         if field is None:
             w_forward = base_widths * (length / tau)
         else:
             lo, hi = (a, a + sigma) if sigma > 0 else (a + sigma, a)
-            w_forward = _field_integral(field, lo, hi, system.n_controls) / xi
-        u = step_pwm(system, xi, frame_from_widths(w_forward, length), cache)
+            w_forward = _field_integral(field, lo, hi, cache.system.n_controls) / xi
+        u = _step_pwm(cache, frame_from_widths(w_forward, length))
         return u if sigma > 0 else u.conj().T
     s = suzuki_coefficient(level)
-    args = (system, cache, field, base_widths, tau)
+    args = (cache, field, base_widths, tau)
     first = _compose_window(*args, a, s * sigma, level - 1)
     middle = _compose_window(*args, a + s * sigma, (1 - 2 * s) * sigma, level - 1)
     last = _compose_window(*args, a + (1 - s) * sigma, s * sigma, level - 1)
@@ -459,6 +460,7 @@ def reference_propagator(
     boundaries align with the slices, the result is the exact propagator of
     the piecewise-constant field.
     """
+    _check_system(system)
     if resolution < 100:
         raise ValueError(f"resolution must be at least 100, got {resolution}")
     if not t_end > t_start:
@@ -497,7 +499,6 @@ def evolve(
     source,
     tau: float | None = None,
     amplitudes=None,
-    cache=None,
 ) -> np.ndarray:
     """Propagator over the full duration of ``source`` under one scheme.
 
@@ -519,13 +520,13 @@ def evolve(
             raise ValueError("field duration is not an integer number of subintervals")
         mids = (np.arange(m_count) + 0.5) * tau
         u_vals = _field_values(source, mids, system.n_controls)
-        term_cache = cache if isinstance(cache, TermCache) else TermCache(system)
+        term_cache = TermCache(system)
         u = np.eye(system.dim, dtype=np.complex128)
         for m in range(m_count):
             if kind == "pwc":
                 u = step_pwc(system, u_vals[:, m], tau) @ u
             else:
-                u = step_spo(system, u_vals[:, m], tau, term_cache) @ u
+                u = _step_spo(term_cache, u_vals[:, m], tau) @ u
         return u
 
     if isinstance(source, PWMSequence):
@@ -536,25 +537,15 @@ def evolve(
             raise ValueError(f"scheme {scheme!r} with a field input requires amplitudes and tau")
         seq = pwm_approximate(source, amplitudes, tau)
         field = source if kind == "pwm2n" else None
-    ham_cache = (
-        cache
-        if isinstance(cache, HamiltonianCache)
-        else HamiltonianCache(system, seq.amplitudes)
-    )
+    cache = HamiltonianCache(system, seq.amplitudes)
+    tau = seq.tau
     u = np.eye(system.dim, dtype=np.complex128)
     for m in range(1, seq.n_pulses + 1):
         if kind == "pwm":
-            step = step_pwm(system, ham_cache.amplitudes, build_frame(seq, m), ham_cache)
+            step = _step_pwm(cache, build_frame(seq, m))
         else:
-            step = step_pwm_higher(
-                system,
-                ham_cache.amplitudes,
-                field if field is not None else seq,
-                m,
-                half_order,
-                tau=seq.tau,
-                cache=ham_cache,
-            )
+            base_widths = seq.widths[:, m - 1] if field is None else None
+            step = _compose_window(cache, field, base_widths, tau, (m - 1) * tau, tau, half_order)
         u = step @ u
     return u
 
@@ -596,7 +587,7 @@ def error_order(
     kind, half_order = _parse_scheme(scheme)
     if kind in ("pwm", "pwm2n") and amplitudes is None:
         raise ValueError(f"scheme {scheme!r} requires amplitudes")
-    xi = None if amplitudes is None else _as_amplitudes(amplitudes, system.n_controls)
+    cache = None if amplitudes is None else HamiltonianCache(system, amplitudes)
     taus = [float(t) for t in tau_list]
     if len(taus) < 2:
         raise ValueError("need at least two tau values to fit a slope")
@@ -609,15 +600,11 @@ def error_order(
         elif kind == "spo":
             u_mid = _field_values(field, [t_start + tau / 2], system.n_controls)[:, 0]
             step = step_spo(system, u_mid, tau)
+        elif kind == "pwm":
+            area = _field_integral(field, t_start, t_start + tau, system.n_controls)
+            step = _step_pwm(cache, frame_from_widths(area / cache.amplitudes, tau))
         else:
-            cache = HamiltonianCache(system, xi)
-            if kind == "pwm":
-                w = _field_integral(field, t_start, t_start + tau, system.n_controls) / xi
-                step = step_pwm(system, xi, frame_from_widths(w, tau), cache)
-            else:
-                step = _compose_window(
-                    system, cache, field, None, tau, t_start, tau, half_order
-                )
+            step = _compose_window(cache, field, None, tau, t_start, tau, half_order)
         errors.append(frobenius_distance(step, ref))
     if max(errors) <= 1e-13:
         return ErrorOrderFit(

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _locked
+
 __all__ = [
     "AmplitudeBoundError",
     "CutoffError",
@@ -65,9 +67,33 @@ class CutoffError(ValueError):
     """Low-pass cutoff is outside the resolvable band of the sample grid."""
 
 
-def _lock(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _as_amplitudes(amplitudes, n_controls: int) -> np.ndarray:
+    """Pulse amplitudes as a fresh ``(K,)`` array; a single value applies to every control."""
+    xi = np.atleast_1d(np.array(amplitudes, dtype=np.float64))
+    if xi.size == 1:
+        xi = np.full(n_controls, xi[0])
+    if xi.shape != (n_controls,):
+        raise ValueError(f"expected {n_controls} amplitudes, got shape {xi.shape}")
+    if np.any(xi <= 0) or not np.all(np.isfinite(xi)):
+        raise ValueError("amplitudes must be positive and finite")
+    return xi
+
+
+def _as_widths(widths, tau: float) -> np.ndarray:
+    """Signed pulse widths as a fresh array, finite and clipped to ``|w| <= tau``.
+
+    Widths beyond ``tau`` by more than 1e-9 relative raise ``ValueError``
+    naming control ``k`` and, for a ``(K, M)`` array, the 1-based subinterval.
+    """
+    w = np.asarray(widths, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("widths must be finite")
+    overflow = np.abs(w) > tau * (1 + 1e-9)
+    if np.any(overflow):
+        at = tuple(np.argwhere(overflow)[0])
+        where = f"control k={at[0]}" + (f", subinterval m={at[1] + 1}" if len(at) > 1 else "")
+        raise ValueError(f"|width| = {abs(w[at]):.6g} exceeds tau = {tau:.6g} for {where}")
+    return np.clip(w, -tau, tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +116,7 @@ class SampledField:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _lock(values))
+        object.__setattr__(self, "values", _locked(values))
 
     @property
     def n_controls(self) -> int:
@@ -156,25 +182,10 @@ class PWMSequence:
     def __post_init__(self) -> None:
         if not (self.tau > 0 and math.isfinite(self.tau)):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        xi = np.atleast_1d(np.array(self.amplitudes, dtype=np.float64, copy=True))
-        widths = np.atleast_2d(np.array(self.widths, dtype=np.float64, copy=True))
-        if xi.ndim != 1 or widths.shape[0] != xi.shape[0]:
-            raise ValueError(
-                f"amplitudes {xi.shape} and widths {widths.shape} disagree on K"
-            )
-        if not np.all(np.isfinite(xi)) or np.any(xi <= 0):
-            raise ValueError("amplitudes must be positive and finite")
-        if not np.all(np.isfinite(widths)):
-            raise ValueError("widths must be finite")
-        overflow = np.abs(widths) > self.tau * (1 + 1e-9)
-        if np.any(overflow):
-            k, m = np.argwhere(overflow)[0]
-            raise ValueError(
-                f"|width| = {abs(widths[k, m]):.6g} exceeds tau = {self.tau:.6g} "
-                f"for control k={k}, subinterval m={m + 1}"
-            )
-        object.__setattr__(self, "amplitudes", _lock(xi))
-        object.__setattr__(self, "widths", _lock(widths))
+        widths = _as_widths(np.atleast_2d(self.widths), self.tau)
+        xi = _as_amplitudes(self.amplitudes, widths.shape[0])
+        object.__setattr__(self, "amplitudes", _locked(xi))
+        object.__setattr__(self, "widths", _locked(widths))
 
     @property
     def n_controls(self) -> int:
@@ -234,9 +245,9 @@ class Spectrum:
                 f"{n_samples} samples produce {n_samples // 2 + 1} one-sided "
                 f"bins, got {omega.size}"
             )
-        object.__setattr__(self, "omega", _lock(omega))
-        object.__setattr__(self, "magnitude", _lock(mag))
-        object.__setattr__(self, "phase", _lock(phase))
+        object.__setattr__(self, "omega", _locked(omega))
+        object.__setattr__(self, "magnitude", _locked(mag))
+        object.__setattr__(self, "phase", _locked(phase))
         object.__setattr__(self, "n_samples", n_samples)
 
     @classmethod
@@ -311,14 +322,7 @@ def pwm_approximate(field: SampledField, amplitudes, tau: float) -> PWMSequence:
     AmplitudeBoundError
         If some ``|width|`` would exceed ``tau`` (amplitude too small).
     """
-    xi = np.atleast_1d(np.asarray(amplitudes, dtype=np.float64))
-    if xi.size == 1:
-        xi = np.full(field.n_controls, xi[0])
-    if xi.shape != (field.n_controls,):
-        raise ValueError(f"expected {field.n_controls} amplitudes, got {xi.shape}")
-    if np.any(xi <= 0) or not np.all(np.isfinite(xi)):
-        raise ValueError("amplitudes must be positive and finite")
-
+    xi = _as_amplitudes(amplitudes, field.n_controls)
     ratio = tau / field.dt
     n_per = round(ratio)
     if n_per < 1 or abs(ratio - n_per) > 1e-9 * max(1.0, ratio):

@@ -29,6 +29,13 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def non_hermitian_ten_level() -> ControlSystem:
+    """The ten-level system with 0.5 added to the upper triangle of its drift."""
+    system = build_ten_level_system()
+    drift = system.drift + 0.5 * np.triu(np.ones((system.dim, system.dim)), 1)
+    return ControlSystem(drift=drift, controls=system.controls)
+
+
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pwmctrl import grape
 from pwmctrl.grape import (
     GrapeOptions,
     GrapeProblem,
@@ -21,7 +22,7 @@ from pwmctrl.model import ControlSystem, basis_state
 from pwmctrl.propagate import evolve, frame_from_widths, step_pwm
 from pwmctrl.pwm import PWMSequence
 
-from conftest import SIGMA_X, random_hermitian
+from conftest import SIGMA_X, non_hermitian_ten_level, random_hermitian
 
 
 def two_level_problem(total_time: float = 5.0, tau: float = 0.25) -> GrapeProblem:
@@ -109,6 +110,18 @@ class TestProblemValidation:
                 amplitudes=np.array([1.0]),
             )
 
+    def test_rejects_non_hermitian_system(self):
+        system = non_hermitian_ten_level()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            GrapeProblem(
+                system=system,
+                psi_initial=basis_state(10, 0),
+                psi_target=basis_state(10, 3),
+                total_time=1.0,
+                tau=0.1,
+                amplitudes=np.array([1.0]),
+            )
+
     def test_step_and_control_counts(self):
         problem = two_level_problem(total_time=5.0, tau=0.25)
         assert problem.n_steps == 20
@@ -158,9 +171,10 @@ class TestObjective:
 class TestWidthBound:
     def test_objective_and_gradient_reject_widths_beyond_tau(self):
         problem = ten_level_problem(total_time=1.0)
-        widths = np.full((1, problem.n_steps), 1.5 * problem.tau)
+        widths = np.full((1, problem.n_steps), 0.5 * problem.tau)
+        widths[0, 2] = 1.5 * problem.tau
         for fn in (objective, gradient):
-            with pytest.raises(ValueError, match="exceeds tau"):
+            with pytest.raises(ValueError, match=r"exceeds tau.*k=0, subinterval m=3"):
                 fn(problem, widths)
 
     def test_width_within_tolerance_counts_as_tau(self):
@@ -191,7 +205,7 @@ class TestBatchedKernel:
             widths[1, 4] = -widths[0, 4]
         steps = _PwmEngine(problem).steps(widths)
         for m in range(problem.n_steps):
-            frame = frame_from_widths(widths[:, m], problem.tau, keep_zero_widths=True)
+            frame = frame_from_widths(widths[:, m], problem.tau)
             expected = step_pwm(problem.system, problem.amplitudes, frame)
             assert np.max(np.abs(steps[m] - expected)) <= 1e-12
 
@@ -284,6 +298,28 @@ class TestRandomInitialWidths:
             w = random_initial_widths(problem, rng)
             assert w.shape == (problem.n_controls, problem.n_steps)
             assert np.all(np.abs(w) <= 0.5 * problem.tau / problem.amplitudes[:, None])
+
+    def test_low_amplitude_starts_stay_within_tau(self, monkeypatch):
+        """At xi = 0.25 a uniform(-0.5, 0.5) field would need widths up to
+        2 tau; the default starts of both optimizers stay unclipped and
+        carry the same subinterval areas."""
+        problem = dataclasses.replace(ten_level_problem(total_time=2.0), amplitudes=[0.25])
+        starts = []
+
+        def record_start(evaluate, grad_fn, params, bound, options):
+            starts.append(params)
+            return params, np.array([evaluate(params)]), 0
+
+        monkeypatch.setattr(grape, "_descend", record_start)
+        options = GrapeOptions(rng_seed=4)
+        optimize(problem, options=options)
+        optimize_pwc(problem, options=options)
+        widths, eps = starts
+        assert np.array_equal(
+            widths, random_initial_widths(problem, np.random.default_rng(4))
+        )
+        assert np.max(np.abs(widths)) < problem.tau
+        assert np.allclose(eps * problem.tau, 0.25 * widths, rtol=1e-15, atol=0)
 
 
 class TestOptimize:

@@ -20,7 +20,7 @@ from pwmctrl.propagate import (
 )
 from pwmctrl.pwm import PWMSequence, SampledField
 
-from conftest import SIGMA_X, SIGMA_Z, random_hermitian
+from conftest import SIGMA_X, SIGMA_Z, non_hermitian_ten_level, random_hermitian
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -74,11 +74,6 @@ class TestPulseFrame:
         frame = frame_from_widths(np.array([0.0, 0.5]), 1.0)
         assert frame.order == (1,)
         assert np.allclose(frame.dwell, [0.25, 0.5])
-
-    def test_zero_widths_kept_on_request(self):
-        frame = frame_from_widths(np.array([0.0, 0.5]), 1.0, keep_zero_widths=True)
-        assert frame.order == (1, 0)
-        assert np.allclose(frame.dwell, [0.25, 0.25, 0.0])
 
     def test_all_zero_widths_give_pure_dwell(self):
         frame = frame_from_widths(np.zeros(3), 2.0)
@@ -180,7 +175,7 @@ class TestStepPwm:
         xi = np.array([1.0])
         frame = frame_from_widths(rng.uniform(-0.1, 0.1, size=1), 0.1)
         without = step_pwm(ten_level, xi, frame)
-        cache = HamiltonianCache(ten_level, xi)
+        cache = HamiltonianCache(ten_level, 1.0)  # equal amplitudes, another array
         with_cache = step_pwm(ten_level, xi, frame, cache)
         assert np.allclose(without, with_cache, atol=1e-14)
 
@@ -209,6 +204,47 @@ class TestStepPwcAndSpo:
         a = step_spo(ten_level, [0.8], 0.1)
         b = step_spo(ten_level, [0.8], 0.1, cache)
         assert np.allclose(a, b, atol=1e-14)
+
+
+class TestCacheOwnership:
+    """A cache built for another system or other amplitudes is rejected,
+    not silently used in place of the arguments."""
+
+    def test_step_functions_reject_foreign_caches(self, ten_level, rng):
+        other = ControlSystem(
+            drift=random_hermitian(10, rng), controls=(random_hermitian(10, rng),)
+        )
+        xi = np.array([1.0])
+        seq = PWMSequence(tau=0.1, amplitudes=xi, widths=[[0.05, -0.03]])
+        for cache, reason in (
+            (HamiltonianCache(other, xi), "another system"),
+            (HamiltonianCache(ten_level, [0.5]), "other amplitudes"),
+        ):
+            with pytest.raises(ValueError, match=reason):
+                step_pwm(ten_level, xi, build_frame(seq, 1), cache)
+            with pytest.raises(ValueError, match=reason):
+                step_pwm_higher(ten_level, xi, seq, 1, 2, cache=cache)
+        with pytest.raises(ValueError, match="another system"):
+            step_spo(ten_level, [0.8], 0.1, TermCache(other))
+
+
+class TestHermiticity:
+    """``eigh`` reads one triangle, so a non-Hermitian system must be
+    rejected before any propagator is built from it."""
+
+    @pytest.mark.parametrize("scheme", ["pwm", "pwm4", "spo", "pwc"])
+    def test_evolve_rejects_non_hermitian_system(self, scheme):
+        system = non_hermitian_ten_level()
+        if scheme.startswith("pwm"):
+            source = PWMSequence(tau=0.1, amplitudes=[1.0], widths=[[0.05, -0.03]])
+        else:
+            source = SampledField(dt=0.1, values=[[0.5, -0.3]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve(system, scheme, source, tau=0.1)
+
+    def test_reference_propagator_rejects_non_hermitian_system(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            reference_propagator(non_hermitian_ten_level(), np.sin, 0.0, 1.0, resolution=100)
 
 
 class TestReferencePropagator:
