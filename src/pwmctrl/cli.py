@@ -327,7 +327,8 @@ def _cmd_optimize(options: _Options) -> int:
     artifacts.write_trace_csv(out / "trace.csv", result.trace)
     print(
         f"scheme={scheme} converged={result.converged} iterations={result.iterations} "
-        f"final_J={result.trace[-1]:.6e} wall_seconds={result.wall_time:.3f}"
+        f"final_J={result.trace[-1]:.6e} wall_seconds={result.wall_time:.3f} "
+        f"stop_reason={result.stop_reason}"
     )
     return 0
 

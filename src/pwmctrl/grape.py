@@ -15,13 +15,17 @@ non-differentiability are sorting ties and sign changes at ``w = 0``, where
 the derivative is one-sided; a warning is emitted if a gradient is requested
 exactly there.  :func:`objective` and :func:`gradient` reject ``|w| > tau``.
 
-All M subintervals are evaluated together: one argsort of the widths gives
-every step's dwell times and the cache entries of its cumulative
-Hamiltonians, the factors are gathered from the stacked eigendecompositions
-(at most ``3^K``, filled once), and the palindromic products and the
-derivative brackets run as batched matrix operations over the subinterval
-axis.  Only the forward/adjoint sweep steps through the subintervals one by
-one, and it is shared with the baseline below.
+All M subintervals are evaluated together, in the interaction frame of the
+drift: one argsort of the widths gives every step's dwell times and the
+prefix codes of its cumulative Hamiltonians, each factor is a diagonal phase
+``exp(-i d lambda)`` in the cached eigenbasis of its Hamiltonian (at most
+``3^K`` eigendecompositions, filled once), and adjacent eigenbases are joined
+by cached basis changes ``W_ab = V_a^dagger V_b``.  A step then costs ``2K -
+1`` batched matrix products, and each derivative bracket is a diagonal sum
+over the eigenvalues.  Only the forward/adjoint sweep steps through the
+subintervals one by one, and it is shared with the baseline below.  The
+optimizer hands the point of each accepted objective value to the gradient,
+which reuses the step stack built for it.
 
 A piecewise-constant GRAPE baseline (fresh eigendecomposition per
 subinterval, standard first-order gradient) is included for benchmarking the
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -155,7 +160,10 @@ class GrapeResult:
     ``widths`` holds the optimized parameters: pulse widths for the PWM
     optimizer, subinterval field amplitudes for the piecewise-constant
     baseline.  ``trace`` is the non-increasing sequence of objective values,
-    starting at the initial point.
+    starting at the initial point.  ``stop_reason`` says why the descent
+    ended: ``"tolerance"`` (the objective reached ``options.tolerance``),
+    ``"zero_gradient"``, ``"line_search_stall"`` (no step down to 1e-20
+    decreased the objective) or ``"max_iterations"``.
     """
 
     widths: np.ndarray
@@ -163,6 +171,7 @@ class GrapeResult:
     iterations: int
     wall_time: float
     converged: bool
+    stop_reason: str
 
 
 def _random_field(problem: GrapeProblem, rng: np.random.Generator) -> np.ndarray:
@@ -183,61 +192,127 @@ def random_initial_widths(problem: GrapeProblem, rng: np.random.Generator) -> np
     return _random_field(problem, rng) * problem.tau / problem.amplitudes[:, None]
 
 
-def _sweep(steps: np.ndarray, psi_initial: np.ndarray, psi_target: np.ndarray):
+def _sweep(steps, psi_initial, psi_target, phi, chi):
     """Forward and adjoint states through a stack of ``M`` step propagators.
 
-    Returns the kets ``phi`` (``M + 1`` rows, ``phi[m] = U_m ... U_1
-    |psi_i>``), the bras ``chi`` (``M`` rows, ``chi[m] = <psi_f| U_M ...
+    Fills the kets ``phi`` (``M + 1`` rows, ``phi[m] = U_m ... U_1
+    |psi_i>``) and the bras ``chi`` (``M`` rows, ``chi[m] = <psi_f| U_M ...
     U_{m+2}``, so that ``chi[m] @ U_{m+1} @ phi[m]`` is the overlap for
-    every ``m``) and the overlap ``<psi_f|U|psi_i>`` itself.
+    every ``m``) in place, and returns them with the overlap
+    ``<psi_f|U|psi_i>`` itself.
     """
     m_count = steps.shape[0]
-    phi = np.empty((m_count + 1, steps.shape[1]), dtype=np.complex128)
     phi[0] = psi_initial
     for m in range(m_count):
-        phi[m + 1] = steps[m] @ phi[m]
-    chi = np.empty((m_count, steps.shape[1]), dtype=np.complex128)
+        np.dot(steps[m], phi[m], out=phi[m + 1])
     chi[m_count - 1] = psi_target.conj()
     for m in range(m_count - 1, 0, -1):
-        chi[m - 1] = chi[m] @ steps[m]
+        np.dot(chi[m], steps[m], out=chi[m - 1])
     return phi, chi, complex(np.vdot(psi_target, phi[m_count]))
 
 
-def _chain(steps: np.ndarray) -> np.ndarray:
-    """Ordered product ``steps[-1] @ ... @ steps[0]`` by pairwise reduction."""
+def _chain(steps: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Ordered product ``steps[-1] @ ... @ steps[0]`` by pairwise reduction.
+
+    The levels alternate between the two halves of ``scratch`` (as long as
+    ``steps``), so ``steps`` is left intact and nothing is allocated.
+    """
+    half = (steps.shape[0] + 1) // 2
+    halves = (scratch[:half], scratch[half:])
+    level = 0
     while steps.shape[0] > 1:
-        even = steps.shape[0] // 2 * 2
-        paired = steps[1:even:2] @ steps[0:even:2]
-        steps = np.concatenate([paired, steps[even:]]) if even < steps.shape[0] else paired
+        count = steps.shape[0]
+        even = count // 2 * 2
+        out = halves[level % 2][: (count + 1) // 2]
+        np.matmul(steps[1:even:2], steps[0:even:2], out=out[: even // 2])
+        if even < count:
+            out[-1] = steps[-1]
+        steps = out
+        level += 1
     return steps[0]
+
+
+# One width array as laid out by _PwmEngine: order, signs and sorted_abs are
+# (K, M), dwell is (K + 1, M), and slots (K, M) names the basis change W between
+# sorted positions j and j + 1 of every subinterval.
+_Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots")
 
 
 class _PwmEngine:
     """Batched forward/adjoint passes under the PWM step propagator.
 
     One stable argsort of ``-|w|`` lays out all subintervals at once as
-    ``K + 1`` sorted positions, each with a dwell time and the base-3 code
-    of its signed prefix set (digit 1 for ``+1``, 2 for ``-1`` at control
-    ``k``'s place).  Each distinct code names one ``HamiltonianCache``
-    entry, and the factors of every step are gathered from the stacked
-    entries, so no Python loop runs over subintervals.  Zero-width pulses
-    stay in the order with sign ``+1``, so every control has a definite
-    position.
+    ``K + 1`` sorted positions, each with a dwell time ``d_j`` and the
+    base-3 code of its signed prefix set (digit 1 for ``+1``, 2 for ``-1``
+    at control ``k``'s place).  Zero-width pulses stay in the order with
+    sign ``+1``, so every control has a definite position.
+
+    The engine works in the interaction frame of the drift's eigenbasis
+    ``V_0``.  With ``H_j = V_j diag(lambda_j) V_j^dagger`` the cached
+    eigendecomposition of position ``j``'s cumulative Hamiltonian, the step
+    propagator is ``V_0 S V_0^dagger`` with
+
+        S = D_0 W_01 D_1 ... W_{K-1,K} D_K W_{K,K-1} ... D_1 W_10 D_0,
+
+    diagonal phases ``D_j = exp(-i d_j lambda_j)`` and basis changes
+    ``W_ab = V_a^dagger V_b``.  The engine caches ``W_ab`` and its adjoint
+    per pair of adjacent prefix codes, filled from its
+    ``HamiltonianCache`` on first use.  Folding every ``D`` into a
+    neighbouring ``W`` leaves ``2K`` dense factors, so a step costs
+    ``2K - 1`` batched matrix products, and a derivative bracket
+    ``<l| H_j |r>`` between states in ``V_j``'s basis is the diagonal sum
+    ``sum_n l_n lambda_n r_n``.
+
+    Every large array is allocated once, at sizes fixed by ``(K, M, N)``,
+    and filled in place.  The factors and the step stack of the last
+    prepared layout are held, so :meth:`gradient` at the point
+    :meth:`evaluate` just returned reuses them.
     """
 
     def __init__(self, problem: GrapeProblem) -> None:
         self.problem = problem
         self.cache = HamiltonianCache(problem.system, problem.amplitudes)
-        self._place = 3 ** np.arange(problem.n_controls)
+        k_count, m_count, n = problem.n_controls, problem.n_steps, problem.system.dim
+        self._place = 3 ** np.arange(k_count)
+        lam0, self._v0 = self.cache.entry(())
+        self._psi_initial = self._v0.conj().T @ problem.psi_initial
+        self._psi_target = self._v0.conj().T @ problem.psi_target
+        # W_ab, W_ab^dagger and lambda_b per slot; slots keyed by code_a * 3^K + code_b
+        self._slots: dict[int, int] = {}
+        self._basis_changes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._w = self._w_adjoint = self._lam_b = None  # the slots stacked
+        self._lam = np.empty((k_count + 1, m_count, n))
+        self._lam[0] = lam0
+        self._phase = np.empty(self._lam.shape, dtype=np.complex128)
+        self._forward = np.empty((k_count, m_count, n, n), dtype=np.complex128)
+        self._backward = np.empty_like(self._forward)
+        self._steps = np.empty((m_count, n, n), dtype=np.complex128)
+        self._scratch = np.empty_like(self._steps)
+        self._phi = np.empty((m_count + 1, n), dtype=np.complex128)
+        self._chi = np.empty((m_count, n), dtype=np.complex128)
+        self._kets = np.empty((2 * k_count, m_count, n), dtype=np.complex128)
+        self._bras = np.empty((2, m_count, n), dtype=np.complex128)
+        self._brackets = np.empty((2 * k_count + 1, m_count), dtype=np.complex128)
+        self._held: _Layout | None = None
 
     def _prefix(self, code: int) -> tuple:
         """Cache key ``((k, delta), ...)`` of a base-3 prefix code."""
         digits = code // self._place % 3
         return tuple((k, 1 if d == 1 else -1) for k, d in enumerate(digits) if d)
 
-    def _layout(self, widths: np.ndarray):
-        """Sorted order and signs ``(K, M)``, factors ``(K+1, M, N, N)``,
-        the distinct prefixes and each position's index into them."""
+    def _slot(self, key: int) -> int:
+        """Slot of the basis change ``code_a -> code_b`` packed in ``key``."""
+        slot = self._slots.get(key)
+        if slot is None:
+            code_a, code_b = divmod(key, 3 ** len(self._place))
+            basis_a = self.cache.entry(self._prefix(code_a))[1]
+            lam_b, basis_b = self.cache.entry(self._prefix(code_b))
+            w = basis_a.conj().T @ basis_b
+            self._basis_changes.append((w, w.conj().T.copy(), lam_b))
+            slot = self._slots[key] = len(self._basis_changes) - 1
+        return slot
+
+    def _layout(self, widths: np.ndarray) -> _Layout:
         tau = self.problem.tau
         order = np.argsort(-np.abs(widths), axis=0, kind="stable")
         sorted_w = np.take_along_axis(widths, order, axis=0)
@@ -249,79 +324,105 @@ class _PwmEngine:
         dwell[-1] = sorted_abs[-1]
         codes = np.zeros(dwell.shape, dtype=np.int64)
         np.cumsum(np.where(signs < 0, 2, 1) * self._place[order], axis=0, out=codes[1:])
-        unique, idx = np.unique(codes, return_inverse=True)
-        idx = idx.reshape(codes.shape)
-        prefixes = [self._prefix(int(c)) for c in unique]
-        entries = [self.cache.entry(p) for p in prefixes]
-        lam = np.stack([e[0] for e in entries])[idx]
-        basis = np.stack([e[1] for e in entries])[idx]
-        phases = np.exp(-1j * dwell[..., None] * lam)
-        factors = (basis * phases[..., None, :]) @ basis.conj().swapaxes(-1, -2)
-        return order, signs, factors, prefixes, idx
+        keys = codes[:-1] * 3 ** len(self._place) + codes[1:]
+        unique, inverse = np.unique(keys, return_inverse=True)
+        filled = len(self._basis_changes)
+        slots = np.array([self._slot(int(key)) for key in unique])[inverse.reshape(keys.shape)]
+        if len(self._basis_changes) > filled:
+            self._w, self._w_adjoint, self._lam_b = map(np.stack, zip(*self._basis_changes))
+        return _Layout(order, signs, sorted_abs, dwell, slots)
 
-    @staticmethod
-    def _product(factors: np.ndarray) -> np.ndarray:
-        """Palindromic products ``F_0 ... F_{K-1} F_K F_{K-1} ... F_0`` of all steps."""
-        u = factors[-1]
-        for f in factors[-2::-1]:
-            u = f @ u @ f
-        return u
+    def _fill(self, layout: _Layout) -> None:
+        """Gather the factors of ``layout`` and multiply out its step stack ``S``."""
+        fwd, bwd, phase = self._forward, self._backward, self._phase
+        np.take(self._lam_b, layout.slots, axis=0, out=self._lam[1:], mode="clip")
+        np.take(self._w, layout.slots, axis=0, out=fwd, mode="clip")
+        np.take(self._w_adjoint, layout.slots, axis=0, out=bwd, mode="clip")
+        np.multiply(layout.dwell[..., None], self._lam, out=phase)
+        phase *= -1j
+        np.exp(phase, out=phase)
+        # forward factors D_j W_{j,j+1} (D_K joins the last), backward W_{j+1,j} D_j
+        fwd *= phase[:-1, :, :, None]
+        fwd[-1] *= phase[-1, :, None, :]
+        bwd *= phase[:-1, :, None, :]
+        factors = self._factors()
+        acc = factors[0]
+        for i, f in enumerate(factors[1:]):
+            out = self._steps if (len(factors) - i) % 2 == 0 else self._scratch
+            np.matmul(acc, f, out=out)
+            acc = out
+        self._held = layout
+
+    def _factors(self) -> list[np.ndarray]:
+        """The ``2K`` dense factors of ``S`` in product order."""
+        return [*self._forward, *self._backward[::-1]]
+
+    def prepare(self, widths: np.ndarray) -> _Layout:
+        """Lay out ``widths`` and hold their factors and step stack."""
+        layout = self._layout(widths)
+        self._fill(layout)
+        return layout
 
     def steps(self, widths: np.ndarray) -> np.ndarray:
-        """Stacked subinterval propagators ``(M, N, N)``."""
-        return self._product(self._layout(widths)[2])
+        """Stacked subinterval propagators ``(M, N, N)`` in the lab frame."""
+        self.prepare(widths)
+        return self._v0 @ self._steps @ self._v0.conj().T
 
-    def objective(self, widths: np.ndarray) -> float:
-        problem = self.problem
-        return infidelity(_chain(self.steps(widths)), problem.psi_initial, problem.psi_target)
+    def evaluate(self, widths: np.ndarray) -> tuple[float, _Layout]:
+        """Infidelity at ``widths`` and the layout :meth:`gradient` takes."""
+        layout = self.prepare(widths)
+        u = _chain(self._steps, self._scratch)
+        return infidelity(u, self._psi_initial, self._psi_target), layout
 
-    def gradient(self, widths: np.ndarray) -> tuple[np.ndarray, float]:
-        """Exact gradient of J and the objective value at ``widths``.
+    def gradient(self, layout: _Layout) -> tuple[np.ndarray, float]:
+        """Exact gradient of J and the objective value at ``layout``'s widths.
 
-        Factor ``i`` of the palindrome (``0 .. 2K``) applies sorted position
-        ``j = min(i, 2K - i)``; differentiating its dwell inserts ``-i G_j``
-        there, giving the bracket ``<l_i| G_j |r_i>`` with the partial
-        products left and right of it.  Width ``w`` at sorted position ``r``
-        with sign ``delta`` feeds dwell ``d_r`` at rate ``-delta/2`` and
-        ``d_{r+1}`` at ``+delta/2`` (both on two palindromic copies), or at
-        ``+delta`` on the single centre factor when ``r + 1 = K``.
+        Split point ``p`` (``0 .. 2K``) of the factor list cuts ``S`` into
+        the bra ``<l_p| = <chi| F_0 ... F_{p-1}`` and the ket ``|r_p> = F_p
+        ... F_{2K-1} |phi>``; it sits at one of the two copies of ``D_j``
+        with ``j = min(p, 2K - p)``, and differentiating that copy's dwell
+        inserts ``-i H_j``, giving the bracket ``sum_n l_n lambda_n r_n``.
+        Width ``w`` at sorted position ``r`` with sign ``delta`` feeds dwell
+        ``d_r`` at rate ``-delta/2`` and ``d_{r+1}`` at ``+delta/2`` (both
+        on two palindromic copies), or at ``+delta`` on the single centre
+        factor when ``r + 1 = K``.
         """
-        problem = self.problem
-        self._warn_on_ties(widths)
-        order, signs, factors, prefixes, idx = self._layout(widths)
-        phi, chi, overlap = _sweep(self._product(factors), problem.psi_initial, problem.psi_target)
-
-        k_count = order.shape[0]
-        hams = np.stack([self.cache.hamiltonian(p) for p in prefixes])[idx]
-        seq = [*range(k_count + 1), *range(k_count - 1, -1, -1)]
-        # right states |r_i> = F_i ... F_2K |phi_in>
-        right = [None] * len(seq)
-        state = phi[:-1]
-        for i in range(len(seq) - 1, -1, -1):
-            state = (factors[seq[i]] @ state[..., None])[..., 0]
-            right[i] = state
-        # bras <l_i| = <chi| F_0 ... F_{i-1}
-        left = chi
-        brackets = np.empty((len(seq), order.shape[1]), dtype=np.complex128)
-        for i, j in enumerate(seq):
-            brackets[i] = np.sum(left * (hams[j] @ right[i][..., None])[..., 0], axis=-1)
-            left = (left[:, None, :] @ factors[j])[:, 0, :]
+        if layout is not self._held:
+            self._fill(layout)
+        self._warn_on_ties(layout.sorted_abs)
+        phi, chi, overlap = _sweep(
+            self._steps, self._psi_initial, self._psi_target, self._phi, self._chi
+        )
+        factors = self._factors()
+        k_count = len(self._forward)
+        kets = [*self._kets, phi[:-1]]
+        for p in range(2 * k_count - 1, -1, -1):
+            np.matmul(factors[p], kets[p + 1][..., None], out=kets[p][..., None])
+        brackets = self._brackets
+        bra = chi
+        for p in range(2 * k_count + 1):
+            np.einsum("mn,mn,mn->m", bra, self._lam[min(p, 2 * k_count - p)], kets[p],
+                      out=brackets[p])
+            if p < 2 * k_count:
+                out = self._bras[p % 2]
+                np.matmul(bra[:, None, :], factors[p], out=out[:, None, :])
+                bra = out
         # i d<overlap>/d dwell_j times the dwell's rate per unit |w|
         # (1/2 for the doubled outer dwells, 1 at the centre)
         per_dwell = np.concatenate(
             [(brackets[:k_count] + brackets[:k_count:-1]) / 2, brackets[k_count:k_count + 1]]
         )
-        dc = np.empty(order.shape, dtype=np.complex128)
-        np.put_along_axis(dc, order, -1j * signs * (per_dwell[1:] - per_dwell[:-1]), axis=0)
+        dc = np.empty(layout.order.shape, dtype=np.complex128)
+        np.put_along_axis(
+            dc, layout.order, -1j * layout.signs * (per_dwell[1:] - per_dwell[:-1]), axis=0
+        )
         grad = -2.0 * np.real(np.conj(overlap) * dc)
         return grad, float(1.0 - abs(overlap) ** 2)
 
-    def _warn_on_ties(self, widths: np.ndarray) -> None:
-        sorted_abs = -np.sort(-np.abs(widths), axis=0)
-        tie = np.any(sorted_abs == 0.0)
-        if sorted_abs.shape[0] > 1:
-            tie = tie or bool(np.any(np.diff(sorted_abs, axis=0) == 0.0))
-        if tie:
+    @staticmethod
+    def _warn_on_ties(sorted_abs: np.ndarray) -> None:
+        """Warn on a zero width or an exact tie in the sorted ``|w|`` columns."""
+        if np.any(sorted_abs[-1] == 0.0) or np.any(sorted_abs[:-1] == sorted_abs[1:]):
             warnings.warn(
                 "widths contain an exact sorting tie or a zero width; "
                 "the gradient there is one-sided",
@@ -331,12 +432,13 @@ class _PwmEngine:
 
 def objective(problem: GrapeProblem, widths) -> float:
     """Infidelity of the PWM propagator for the given widths."""
-    return _PwmEngine(problem).objective(_check_pulse_widths(problem, widths))
+    return _PwmEngine(problem).evaluate(_check_pulse_widths(problem, widths))[0]
 
 
 def gradient(problem: GrapeProblem, widths) -> np.ndarray:
     """Exact gradient of :func:`objective` with respect to every width."""
-    return _PwmEngine(problem).gradient(_check_pulse_widths(problem, widths))[0]
+    engine = _PwmEngine(problem)
+    return engine.gradient(engine.prepare(_check_pulse_widths(problem, widths)))[0]
 
 
 def _check_widths(problem: GrapeProblem, widths) -> np.ndarray:
@@ -357,10 +459,14 @@ def _check_pulse_widths(problem: GrapeProblem, widths) -> np.ndarray:
 def _descend(evaluate, grad_fn, params, bound, options):
     """Projected gradient descent with a halving line search.
 
-    ``evaluate``/``grad_fn`` operate on the raw parameter array; ``bound``
-    is the box half-width.  Returns (params, trace, iterations).
+    ``evaluate`` maps the raw parameter array to ``(value, point)``, and
+    ``grad_fn`` maps the ``point`` of an accepted value to ``(gradient,
+    value)``, so the gradient reuses what the objective built for the same
+    parameters.  ``bound`` is the box half-width.  The result's wall time
+    covers the whole descent.
     """
-    value = evaluate(params)
+    start = time.perf_counter()
+    value, point = evaluate(params)
     if not math.isfinite(value):
         raise OptimizationError(f"objective is non-finite at the initial point: {value}")
     trace = [value]
@@ -368,30 +474,42 @@ def _descend(evaluate, grad_fn, params, bound, options):
     iterations = 0
     for _ in range(options.max_iterations):
         if value <= options.tolerance:
+            stop_reason = "tolerance"
             break
-        grad, value_at = grad_fn(params)
+        grad, _ = grad_fn(point)
         if not np.all(np.isfinite(grad)):
             raise OptimizationError("gradient is non-finite")
         if not np.any(grad):
+            stop_reason = "zero_gradient"
             break
         alpha = step
         accepted = None
         while alpha > 1e-20:
             trial = np.clip(params - alpha * grad, -bound, bound)
-            trial_value = evaluate(trial)
+            trial_value, trial_point = evaluate(trial)
             if not math.isfinite(trial_value):
                 raise OptimizationError(f"objective became non-finite: {trial_value}")
             if trial_value < value:
-                accepted = (trial, trial_value)
+                accepted = (trial, trial_value, trial_point)
                 break
             alpha /= 2
         if accepted is None:
+            stop_reason = "line_search_stall"
             break
-        params, value = accepted
+        params, value, point = accepted
         trace.append(value)
         iterations += 1
         step = 2 * alpha
-    return params, np.asarray(trace), iterations
+    else:
+        stop_reason = "tolerance" if value <= options.tolerance else "max_iterations"
+    return GrapeResult(
+        widths=params,
+        trace=np.asarray(trace),
+        iterations=iterations,
+        wall_time=time.perf_counter() - start,
+        converged=bool(value <= options.tolerance),
+        stop_reason=stop_reason,
+    )
 
 
 def optimize(
@@ -416,18 +534,7 @@ def optimize(
     else:
         init_widths = _check_pulse_widths(problem, init_widths)
     params = np.clip(init_widths, -bound, bound)
-    start = time.perf_counter()
-    params, trace, iterations = _descend(
-        engine.objective, engine.gradient, params, bound, options
-    )
-    wall = time.perf_counter() - start
-    return GrapeResult(
-        widths=params,
-        trace=trace,
-        iterations=iterations,
-        wall_time=wall,
-        converged=bool(trace[-1] <= options.tolerance),
-    )
+    return _descend(engine.evaluate, engine.gradient, params, bound, options)
 
 
 class _PwcEngine:
@@ -435,12 +542,17 @@ class _PwcEngine:
 
     Parameters are the subinterval field amplitudes ``eps_k(m)``; the step
     propagator is ``exp(-i tau (H0 + sum_k eps_k H_k))`` and the gradient
-    uses the standard first-order rule ``dU/deps ~= -i tau H_k U``.
+    uses the standard first-order rule ``dU/deps ~= -i tau H_k U``.  The
+    point :meth:`evaluate` hands to :meth:`gradient` is the step stack.
     """
 
     def __init__(self, problem: GrapeProblem) -> None:
         self.problem = problem
         self._controls = np.stack(problem.system.controls)
+        m_count, n = problem.n_steps, problem.system.dim
+        self._scratch = np.empty((m_count, n, n), dtype=np.complex128)
+        self._phi = np.empty((m_count + 1, n), dtype=np.complex128)
+        self._chi = np.empty((m_count, n), dtype=np.complex128)
 
     def steps(self, eps: np.ndarray) -> np.ndarray:
         problem = self.problem
@@ -453,13 +565,17 @@ class _PwcEngine:
         phases = np.exp(-1j * problem.tau * lam)
         return (basis * phases[:, None, :]) @ basis.conj().transpose(0, 2, 1)
 
-    def objective(self, eps: np.ndarray) -> float:
+    def evaluate(self, eps: np.ndarray) -> tuple[float, np.ndarray]:
         problem = self.problem
-        return infidelity(_chain(self.steps(eps)), problem.psi_initial, problem.psi_target)
+        steps = self.steps(eps)
+        u = _chain(steps, self._scratch)
+        return infidelity(u, problem.psi_initial, problem.psi_target), steps
 
-    def gradient(self, eps: np.ndarray) -> tuple[np.ndarray, float]:
+    def gradient(self, steps: np.ndarray) -> tuple[np.ndarray, float]:
         problem = self.problem
-        phi, chi, overlap = _sweep(self.steps(eps), problem.psi_initial, problem.psi_target)
+        phi, chi, overlap = _sweep(
+            steps, problem.psi_initial, problem.psi_target, self._phi, self._chi
+        )
         dc = -1j * problem.tau * np.einsum(
             "mn,knq,mq->km", chi, self._controls, phi[1:], optimize=True
         )
@@ -485,16 +601,7 @@ def optimize_pwc(
     if init_field is None:
         init_field = _random_field(problem, np.random.default_rng(options.rng_seed))
     eps = np.clip(_check_widths(problem, init_field), -bound, bound)
-    start = time.perf_counter()
-    eps, trace, iterations = _descend(engine.objective, engine.gradient, eps, bound, options)
-    wall = time.perf_counter() - start
-    return GrapeResult(
-        widths=eps,
-        trace=trace,
-        iterations=iterations,
-        wall_time=wall,
-        converged=bool(trace[-1] <= options.tolerance),
-    )
+    return _descend(engine.evaluate, engine.gradient, eps, bound, options)
 
 
 def ten_level_problem(total_time: float = 100.0, tau: float = 0.1) -> GrapeProblem:

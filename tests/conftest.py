@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pwmctrl.model import ControlSystem, build_ten_level_system
+
+# Property tests draw the same examples on every run and never time out on a
+# slow box; no example database is written.
+settings.register_profile(
+    "pwmctrl", derandomize=True, deadline=None, max_examples=40, database=None
+)
+settings.load_profile("pwmctrl")
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

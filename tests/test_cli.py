@@ -215,7 +215,9 @@ class TestOptimizeCommand:
         trace = read_trace_csv(tmp_path / "trace.csv")
         assert seq.n_pulses == 20 and field.n_samples == 20
         assert trace[-1] <= 1e-3
-        assert "converged=True" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "converged=True" in printed
+        assert "stop_reason=tolerance" in printed
 
     def test_same_seed_gives_identical_artifacts(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pwmctrl import grape
 from pwmctrl.grape import (
@@ -192,10 +194,22 @@ class TestWidthBound:
 
 
 class TestBatchedKernel:
-    @pytest.mark.parametrize("k_count", [1, 2, 3])
-    def test_steps_match_frame_by_frame(self, rng, k_count):
-        """Negative and zero widths, a full-width pulse and exact ties."""
+    @pytest.mark.parametrize(
+        "k_count, drift_spectrum",
+        [(1, None), (2, None), (3, None), (2, [1.0, 1.0, 1.0, -0.5])],
+        ids=["1", "2", "3", "degenerate-drift"],
+    )
+    def test_steps_match_frame_by_frame(self, rng, k_count, drift_spectrum):
+        """Negative and zero widths, a full-width pulse and exact ties.  The
+        last input's drift has a threefold eigenvalue in a random basis, so
+        its eigenvectors are not unique."""
         problem = random_problem(rng, 4, k_count, total_time=2.0, tau=0.2)
+        if drift_spectrum is not None:
+            u, _ = np.linalg.qr(random_hermitian(4, rng) + 1j * np.eye(4))
+            drift = u @ np.diag(drift_spectrum) @ u.conj().T
+            drift = (drift + drift.conj().T) / 2
+            system = ControlSystem(drift=drift, controls=problem.system.controls)
+            problem = dataclasses.replace(problem, system=system)
         widths = rng.uniform(-0.2, 0.2, size=(k_count, problem.n_steps))
         widths[:, 0] = 0.0
         widths[0, 1] = 0.0
@@ -203,11 +217,36 @@ class TestBatchedKernel:
         widths[:, 3] = 0.1
         if k_count > 1:
             widths[1, 4] = -widths[0, 4]
-        steps = _PwmEngine(problem).steps(widths)
-        for m in range(problem.n_steps):
-            frame = frame_from_widths(widths[:, m], problem.tau)
-            expected = step_pwm(problem.system, problem.amplitudes, frame)
-            assert np.max(np.abs(steps[m] - expected)) <= 1e-12
+        assert_steps_match_step_pwm(problem, widths)
+
+    @given(
+        k_count=st.integers(1, 3),
+        dim=st.integers(2, 12),
+        m_count=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        forced=st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]), max_size=4),
+    )
+    def test_steps_are_unitary_and_match_step_pwm(self, k_count, dim, m_count, seed, forced):
+        """Random systems with exact ties, zeros and full-width pulses forced
+        into the first subintervals."""
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, dim, k_count, total_time=0.2 * m_count, tau=0.2)
+        widths = rng.uniform(-0.2, 0.2, size=(k_count, m_count))
+        for i, value in enumerate(forced):
+            widths[:, i % m_count] = 0.2 * value * np.where(rng.random(k_count) < 0.5, 1, -1)
+        steps = assert_steps_match_step_pwm(problem, widths)
+        unit = np.eye(dim)
+        assert np.max(np.abs(steps @ steps.conj().transpose(0, 2, 1) - unit)) <= 1e-12
+
+
+def assert_steps_match_step_pwm(problem: GrapeProblem, widths: np.ndarray) -> np.ndarray:
+    """The batched steps agree with ``step_pwm`` frame by frame to 1e-12."""
+    steps = _PwmEngine(problem).steps(widths)
+    for m in range(problem.n_steps):
+        frame = frame_from_widths(widths[:, m], problem.tau)
+        expected = step_pwm(problem.system, problem.amplitudes, frame)
+        assert np.max(np.abs(steps[m] - expected)) <= 1e-12
+    return steps
 
 
 class TestGradient:
@@ -266,6 +305,19 @@ class TestGradient:
         fd = finite_difference(problem, widths)
         assert np.all(np.abs(grad - fd) <= np.maximum(1e-6 * np.abs(fd), 1e-10))
 
+    def test_handed_over_point_gives_the_same_gradient(self, rng):
+        """The gradient at the layout ``evaluate`` returned, after another
+        evaluation in between, equals a stand-alone ``gradient`` bit for bit."""
+        problem = random_problem(rng, 5, 3, total_time=2.0, tau=0.2)
+        widths = random_initial_widths(problem, rng)
+        engine = _PwmEngine(problem)
+        value, point = engine.evaluate(widths)
+        held, value_at = engine.gradient(point)
+        assert value_at == pytest.approx(value, abs=1e-14)
+        assert np.array_equal(held, gradient(problem, widths))
+        engine.evaluate(random_initial_widths(problem, rng))
+        assert np.array_equal(engine.gradient(point)[0], held)
+
     def test_warns_on_zero_width(self):
         problem = two_level_problem()
         widths = np.full((1, problem.n_steps), 0.1)
@@ -308,7 +360,6 @@ class TestRandomInitialWidths:
 
         def record_start(evaluate, grad_fn, params, bound, options):
             starts.append(params)
-            return params, np.array([evaluate(params)]), 0
 
         monkeypatch.setattr(grape, "_descend", record_start)
         options = GrapeOptions(rng_seed=4)
@@ -352,6 +403,55 @@ class TestOptimize:
         start[0, :] = 0.01
         result = optimize(problem, init_widths=start, options=GrapeOptions(max_iterations=1))
         assert result.trace[0] == pytest.approx(objective(problem, start), abs=1e-14)
+
+
+    def test_final_widths_reproduce_the_last_trace_value(self):
+        problem = ten_level_problem(total_time=10.0)
+        result = optimize(problem, options=GrapeOptions(rng_seed=2, max_iterations=20))
+        assert result.iterations > 0
+        assert objective(problem, result.widths) == result.trace[-1]
+
+
+class TestStopReason:
+    @pytest.mark.parametrize("fn", [optimize, optimize_pwc])
+    def test_tolerance(self, fn):
+        result = fn(two_level_problem(), options=GrapeOptions(rng_seed=7))
+        assert result.converged
+        assert result.stop_reason == "tolerance"
+
+    @pytest.mark.parametrize("fn", [optimize, optimize_pwc])
+    def test_max_iterations(self, fn):
+        result = fn(ten_level_problem(total_time=10.0), options=GrapeOptions(max_iterations=2))
+        assert not result.converged
+        assert result.iterations == 2
+        assert result.stop_reason == "max_iterations"
+
+    def test_line_search_stall_at_the_width_bound(self):
+        """Zero drift, one sigma_x control: J = cos^2(sum w) decreases as the
+        widths grow, but they start at the bound, so no step is accepted."""
+        system = ControlSystem(drift=np.zeros((2, 2), dtype=complex), controls=(SIGMA_X,))
+        problem = GrapeProblem(
+            system=system,
+            psi_initial=basis_state(2, 0),
+            psi_target=basis_state(2, 1),
+            total_time=3.0,
+            tau=1.0,
+            amplitudes=np.array([1.0]),
+        )
+        start = np.full((1, 3), 0.2)
+        result = optimize(problem, init_widths=start, options=GrapeOptions(width_bound=0.2))
+        assert result.stop_reason == "line_search_stall"
+        assert result.iterations == 0
+        assert not result.converged
+        assert np.array_equal(result.widths, start)
+
+    def test_zero_gradient(self):
+        result = grape._descend(
+            lambda p: (0.5, p), lambda p: (np.zeros_like(p), 0.5), np.ones((1, 4)), 1.0,
+            GrapeOptions(),
+        )
+        assert (result.trace.tolist(), result.iterations) == ([0.5], 0)
+        assert result.stop_reason == "zero_gradient"
 
 
 class TestOptimizePwc:
