@@ -15,17 +15,15 @@ non-differentiability are sorting ties and sign changes at ``w = 0``, where
 the derivative is one-sided; a warning is emitted if a gradient is requested
 exactly there.  :func:`objective` and :func:`gradient` reject ``|w| > tau``.
 
-All M subintervals are evaluated together, in the interaction frame of the
-drift: one argsort of the widths gives every step's dwell times and the
-prefix codes of its cumulative Hamiltonians, each factor is a diagonal phase
-``exp(-i d lambda)`` in the cached eigenbasis of its Hamiltonian (at most
-``3^K`` eigendecompositions, filled once), and adjacent eigenbases are joined
-by cached basis changes ``W_ab = V_a^dagger V_b``.  A step then costs ``2K -
-1`` batched matrix products, and each derivative bracket is a diagonal sum
-over the eigenvalues.  Only the forward/adjoint sweep steps through the
-subintervals one by one, and it is shared with the baseline below.  The
-optimizer hands the point of each accepted objective value to the gradient,
-which reuses the step stack built for it.
+All M subintervals are evaluated together by the batched PWM kernel of
+:mod:`pwmctrl.propagate`, which :func:`~pwmctrl.propagate.evolve` shares: in
+the interaction frame of the drift a step costs ``2K - 1`` batched matrix
+products over cached eigendecompositions and basis changes, and each
+derivative bracket is a diagonal sum over the eigenvalues.  Only the
+forward/adjoint sweep steps through the subintervals one by one, and it is
+shared with the baseline below.  The optimizer hands the point of each
+accepted objective value to the gradient, which reuses the step stack built
+for it.
 
 A piecewise-constant GRAPE baseline (fresh eigendecomposition per
 subinterval, standard first-order gradient) is included for benchmarking the
@@ -37,14 +35,13 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ControlSystem, _check_system, basis_state, build_ten_level_system
-from .propagate import HamiltonianCache
+from .propagate import HamiltonianCache, _chain, _Layout, _pwc_steps, _PwmKernel
 from .pwm import PWMSequence, Spectrum, dominant_peaks, inverse_pwm_pwc, spectrum
 from .pwm import _as_amplitudes, _as_widths
 
@@ -211,171 +208,39 @@ def _sweep(steps, psi_initial, psi_target, phi, chi):
     return phi, chi, complex(np.vdot(psi_target, phi[m_count]))
 
 
-def _chain(steps: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Ordered product ``steps[-1] @ ... @ steps[0]`` by pairwise reduction.
-
-    The levels alternate between the two halves of ``scratch`` (as long as
-    ``steps``), so ``steps`` is left intact and nothing is allocated.
-    """
-    half = (steps.shape[0] + 1) // 2
-    halves = (scratch[:half], scratch[half:])
-    level = 0
-    while steps.shape[0] > 1:
-        count = steps.shape[0]
-        even = count // 2 * 2
-        out = halves[level % 2][: (count + 1) // 2]
-        np.matmul(steps[1:even:2], steps[0:even:2], out=out[: even // 2])
-        if even < count:
-            out[-1] = steps[-1]
-        steps = out
-        level += 1
-    return steps[0]
-
-
-# One width array as laid out by _PwmEngine: order, signs and sorted_abs are
-# (K, M), dwell is (K + 1, M), and slots (K, M) names the basis change W between
-# sorted positions j and j + 1 of every subinterval.
-_Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots")
-
-
 class _PwmEngine:
     """Batched forward/adjoint passes under the PWM step propagator.
 
-    One stable argsort of ``-|w|`` lays out all subintervals at once as
-    ``K + 1`` sorted positions, each with a dwell time ``d_j`` and the
-    base-3 code of its signed prefix set (digit 1 for ``+1``, 2 for ``-1``
-    at control ``k``'s place).  Zero-width pulses stay in the order with
-    sign ``+1``, so every control has a definite position.
-
-    The engine works in the interaction frame of the drift's eigenbasis
-    ``V_0``.  With ``H_j = V_j diag(lambda_j) V_j^dagger`` the cached
-    eigendecomposition of position ``j``'s cumulative Hamiltonian, the step
-    propagator is ``V_0 S V_0^dagger`` with
-
-        S = D_0 W_01 D_1 ... W_{K-1,K} D_K W_{K,K-1} ... D_1 W_10 D_0,
-
-    diagonal phases ``D_j = exp(-i d_j lambda_j)`` and basis changes
-    ``W_ab = V_a^dagger V_b``.  The engine caches ``W_ab`` and its adjoint
-    per pair of adjacent prefix codes, filled from its
-    ``HamiltonianCache`` on first use.  Folding every ``D`` into a
-    neighbouring ``W`` leaves ``2K`` dense factors, so a step costs
-    ``2K - 1`` batched matrix products, and a derivative bracket
-    ``<l| H_j |r>`` between states in ``V_j``'s basis is the diagonal sum
-    ``sum_n l_n lambda_n r_n``.
-
-    Every large array is allocated once, at sizes fixed by ``(K, M, N)``,
-    and filled in place.  The factors and the step stack of the last
-    prepared layout are held, so :meth:`gradient` at the point
-    :meth:`evaluate` just returned reuses them.
+    The steps of all M subintervals come from one M-row PWM kernel, in the
+    eigenbasis ``V_0`` of the drift, so the endpoint states are mapped by
+    ``V_0^dagger`` once.  The sweep states, kets, bras and brackets are
+    allocated once and filled in place; :meth:`gradient` at the point
+    :meth:`evaluate` just returned reuses the step stack the kernel holds.
     """
 
     def __init__(self, problem: GrapeProblem) -> None:
         self.problem = problem
-        self.cache = HamiltonianCache(problem.system, problem.amplitudes)
         k_count, m_count, n = problem.n_controls, problem.n_steps, problem.system.dim
-        self._place = 3 ** np.arange(k_count)
-        lam0, self._v0 = self.cache.entry(())
-        self._psi_initial = self._v0.conj().T @ problem.psi_initial
-        self._psi_target = self._v0.conj().T @ problem.psi_target
-        # W_ab, W_ab^dagger and lambda_b per slot; slots keyed by code_a * 3^K + code_b
-        self._slots: dict[int, int] = {}
-        self._basis_changes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._w = self._w_adjoint = self._lam_b = None  # the slots stacked
-        self._lam = np.empty((k_count + 1, m_count, n))
-        self._lam[0] = lam0
-        self._phase = np.empty(self._lam.shape, dtype=np.complex128)
-        self._forward = np.empty((k_count, m_count, n, n), dtype=np.complex128)
-        self._backward = np.empty_like(self._forward)
-        self._steps = np.empty((m_count, n, n), dtype=np.complex128)
-        self._scratch = np.empty_like(self._steps)
+        self.kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), m_count)
+        v0 = self.kernel.v0
+        self._psi_initial = v0.conj().T @ problem.psi_initial
+        self._psi_target = v0.conj().T @ problem.psi_target
         self._phi = np.empty((m_count + 1, n), dtype=np.complex128)
         self._chi = np.empty((m_count, n), dtype=np.complex128)
         self._kets = np.empty((2 * k_count, m_count, n), dtype=np.complex128)
         self._bras = np.empty((2, m_count, n), dtype=np.complex128)
         self._brackets = np.empty((2 * k_count + 1, m_count), dtype=np.complex128)
-        self._held: _Layout | None = None
-
-    def _prefix(self, code: int) -> tuple:
-        """Cache key ``((k, delta), ...)`` of a base-3 prefix code."""
-        digits = code // self._place % 3
-        return tuple((k, 1 if d == 1 else -1) for k, d in enumerate(digits) if d)
-
-    def _slot(self, key: int) -> int:
-        """Slot of the basis change ``code_a -> code_b`` packed in ``key``."""
-        slot = self._slots.get(key)
-        if slot is None:
-            code_a, code_b = divmod(key, 3 ** len(self._place))
-            basis_a = self.cache.entry(self._prefix(code_a))[1]
-            lam_b, basis_b = self.cache.entry(self._prefix(code_b))
-            w = basis_a.conj().T @ basis_b
-            self._basis_changes.append((w, w.conj().T.copy(), lam_b))
-            slot = self._slots[key] = len(self._basis_changes) - 1
-        return slot
-
-    def _layout(self, widths: np.ndarray) -> _Layout:
-        tau = self.problem.tau
-        order = np.argsort(-np.abs(widths), axis=0, kind="stable")
-        sorted_w = np.take_along_axis(widths, order, axis=0)
-        sorted_abs = np.abs(sorted_w)
-        signs = np.where(sorted_w < 0, -1, 1)
-        dwell = np.empty((order.shape[0] + 1, order.shape[1]))
-        dwell[0] = (tau - sorted_abs[0]) / 2
-        dwell[1:-1] = (sorted_abs[:-1] - sorted_abs[1:]) / 2
-        dwell[-1] = sorted_abs[-1]
-        codes = np.zeros(dwell.shape, dtype=np.int64)
-        np.cumsum(np.where(signs < 0, 2, 1) * self._place[order], axis=0, out=codes[1:])
-        keys = codes[:-1] * 3 ** len(self._place) + codes[1:]
-        unique, inverse = np.unique(keys, return_inverse=True)
-        filled = len(self._basis_changes)
-        slots = np.array([self._slot(int(key)) for key in unique])[inverse.reshape(keys.shape)]
-        if len(self._basis_changes) > filled:
-            self._w, self._w_adjoint, self._lam_b = map(np.stack, zip(*self._basis_changes))
-        return _Layout(order, signs, sorted_abs, dwell, slots)
-
-    def _fill(self, layout: _Layout) -> None:
-        """Gather the factors of ``layout`` and multiply out its step stack ``S``."""
-        fwd, bwd, phase = self._forward, self._backward, self._phase
-        np.take(self._lam_b, layout.slots, axis=0, out=self._lam[1:], mode="clip")
-        np.take(self._w, layout.slots, axis=0, out=fwd, mode="clip")
-        np.take(self._w_adjoint, layout.slots, axis=0, out=bwd, mode="clip")
-        np.multiply(layout.dwell[..., None], self._lam, out=phase)
-        phase *= -1j
-        np.exp(phase, out=phase)
-        # forward factors D_j W_{j,j+1} (D_K joins the last), backward W_{j+1,j} D_j
-        fwd *= phase[:-1, :, :, None]
-        fwd[-1] *= phase[-1, :, None, :]
-        bwd *= phase[:-1, :, None, :]
-        factors = self._factors()
-        acc = factors[0]
-        for i, f in enumerate(factors[1:]):
-            out = self._steps if (len(factors) - i) % 2 == 0 else self._scratch
-            np.matmul(acc, f, out=out)
-            acc = out
-        self._held = layout
-
-    def _factors(self) -> list[np.ndarray]:
-        """The ``2K`` dense factors of ``S`` in product order."""
-        return [*self._forward, *self._backward[::-1]]
-
-    def prepare(self, widths: np.ndarray) -> _Layout:
-        """Lay out ``widths`` and hold their factors and step stack."""
-        layout = self._layout(widths)
-        self._fill(layout)
-        return layout
-
-    def steps(self, widths: np.ndarray) -> np.ndarray:
-        """Stacked subinterval propagators ``(M, N, N)`` in the lab frame."""
-        self.prepare(widths)
-        return self._v0 @ self._steps @ self._v0.conj().T
 
     def evaluate(self, widths: np.ndarray) -> tuple[float, _Layout]:
         """Infidelity at ``widths`` and the layout :meth:`gradient` takes."""
-        layout = self.prepare(widths)
-        u = _chain(self._steps, self._scratch)
+        layout = self.kernel.layout(widths, self.problem.tau)
+        u = _chain(self.kernel.fill(layout), self.kernel.scratch)
         return infidelity(u, self._psi_initial, self._psi_target), layout
 
     def gradient(self, layout: _Layout) -> tuple[np.ndarray, float]:
         """Exact gradient of J and the objective value at ``layout``'s widths.
+
+        The kernel's factors are refilled unless it holds ``layout``.
 
         Split point ``p`` (``0 .. 2K``) of the factor list cuts ``S`` into
         the bra ``<l_p| = <chi| F_0 ... F_{p-1}`` and the ket ``|r_p> = F_p
@@ -387,21 +252,22 @@ class _PwmEngine:
         on two palindromic copies), or at ``+delta`` on the single centre
         factor when ``r + 1 = K``.
         """
-        if layout is not self._held:
-            self._fill(layout)
+        kernel = self.kernel
+        if layout is not kernel.held:
+            kernel.fill(layout)
         self._warn_on_ties(layout.sorted_abs)
         phi, chi, overlap = _sweep(
-            self._steps, self._psi_initial, self._psi_target, self._phi, self._chi
+            kernel.steps, self._psi_initial, self._psi_target, self._phi, self._chi
         )
-        factors = self._factors()
-        k_count = len(self._forward)
+        factors = kernel.factors()
+        k_count = len(kernel.forward)
         kets = [*self._kets, phi[:-1]]
         for p in range(2 * k_count - 1, -1, -1):
             np.matmul(factors[p], kets[p + 1][..., None], out=kets[p][..., None])
         brackets = self._brackets
         bra = chi
         for p in range(2 * k_count + 1):
-            np.einsum("mn,mn,mn->m", bra, self._lam[min(p, 2 * k_count - p)], kets[p],
+            np.einsum("mn,mn,mn->m", bra, kernel.lam[min(p, 2 * k_count - p)], kets[p],
                       out=brackets[p])
             if p < 2 * k_count:
                 out = self._bras[p % 2]
@@ -438,7 +304,8 @@ def objective(problem: GrapeProblem, widths) -> float:
 def gradient(problem: GrapeProblem, widths) -> np.ndarray:
     """Exact gradient of :func:`objective` with respect to every width."""
     engine = _PwmEngine(problem)
-    return engine.gradient(engine.prepare(_check_pulse_widths(problem, widths)))[0]
+    layout = engine.kernel.layout(_check_pulse_widths(problem, widths), problem.tau)
+    return engine.gradient(layout)[0]
 
 
 def _check_widths(problem: GrapeProblem, widths) -> np.ndarray:
@@ -486,6 +353,8 @@ def _descend(evaluate, grad_fn, params, bound, options):
         accepted = None
         while alpha > 1e-20:
             trial = np.clip(params - alpha * grad, -bound, bound)
+            if np.array_equal(trial, params):
+                break  # rounding and clipping are monotone: no smaller alpha moves either
             trial_value, trial_point = evaluate(trial)
             if not math.isfinite(trial_value):
                 raise OptimizationError(f"objective became non-finite: {trial_value}")
@@ -554,20 +423,9 @@ class _PwcEngine:
         self._phi = np.empty((m_count + 1, n), dtype=np.complex128)
         self._chi = np.empty((m_count, n), dtype=np.complex128)
 
-    def steps(self, eps: np.ndarray) -> np.ndarray:
-        problem = self.problem
-        h = np.broadcast_to(
-            problem.system.drift,
-            (problem.n_steps, problem.system.dim, problem.system.dim),
-        ).copy()
-        h += np.einsum("km,kab->mab", eps, self._controls)
-        lam, basis = np.linalg.eigh(h)
-        phases = np.exp(-1j * problem.tau * lam)
-        return (basis * phases[:, None, :]) @ basis.conj().transpose(0, 2, 1)
-
     def evaluate(self, eps: np.ndarray) -> tuple[float, np.ndarray]:
         problem = self.problem
-        steps = self.steps(eps)
+        steps = _pwc_steps(problem.system, eps, problem.tau)
         u = _chain(steps, self._scratch)
         return infidelity(u, problem.psi_initial, problem.psi_target), steps
 

@@ -15,6 +15,13 @@ diagonalizations can be cached and reused across subintervals -- that is the
 speed advantage over piecewise-constant stepping, which diagonalizes a fresh
 Hamiltonian every subinterval.
 
+Every PWM propagation -- :func:`evolve`, :func:`step_pwm_higher`,
+:func:`error_order` and the GRAPE objective -- goes through one batched kernel
+that builds the steps of many subintervals at once in the drift's eigenbasis.
+A Suzuki sub-window of negative length negates every dwell, which gives the
+exact inverse step.  :func:`step_pwm` multiplies one subinterval's factors
+frame by frame and is the independent reference.
+
 Fields are accepted either as :class:`~pwmctrl.pwm.SampledField` (integrated
 exactly as piecewise-constant data) or as a smooth callable ``u(t)``
 returning a scalar (one control) or a length-K sequence; callables are
@@ -25,7 +32,9 @@ subinterval.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +53,6 @@ __all__ = [
     "expm_hermitian",
     "frame_from_widths",
     "frobenius_distance",
-    "pwm_step_factors",
     "reference_propagator",
     "step_pwc",
     "step_pwm",
@@ -125,6 +133,150 @@ class HamiltonianCache:
     @property
     def size(self) -> int:
         return len(self._entries)
+
+
+#: Complex entries in :func:`evolve`'s step stacks at once: its blocks of
+#: subintervals are sized from it by N and K, so its memory does not grow with M.
+_BLOCK_ENTRIES = 1 << 18
+
+# One width array as laid out by _PwmKernel: order, signs and sorted_abs are
+# (K, rows), dwell is (K + 1, rows), and slots (K, rows) names the basis change W
+# between sorted positions j and j + 1 of every row.
+_Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots")
+
+
+class _PwmKernel:
+    """Batched PWM steps of up to ``rows`` windows of one signed length.
+
+    One stable argsort of ``-|w|`` lays out all rows at once as ``K + 1``
+    sorted positions, each with a dwell time ``d_j`` and the base-3 code of
+    its signed prefix set (digit 1 for ``+1``, 2 for ``-1`` at control
+    ``k``'s place).  Zero-width pulses stay in the order with sign ``+1``,
+    so every control has a definite position.  A negative window length
+    negates every dwell, which gives the inverse of the forward step.
+
+    The kernel works in the interaction frame of the drift's eigenbasis
+    ``V_0``.  With ``H_j = V_j diag(lambda_j) V_j^dagger`` the cached
+    eigendecomposition of position ``j``'s cumulative Hamiltonian, the step
+    propagator is ``V_0 S V_0^dagger`` with
+
+        S = D_0 W_01 D_1 ... W_{K-1,K} D_K W_{K,K-1} ... D_1 W_10 D_0,
+
+    diagonal phases ``D_j = exp(-i d_j lambda_j)`` and basis changes
+    ``W_ab = V_a^dagger V_b``.  The kernel caches ``W_ab`` and its adjoint
+    per pair of adjacent prefix codes, filled from its ``HamiltonianCache``
+    on first use.  Folding every ``D`` into a neighbouring ``W`` leaves
+    ``2K`` dense factors, so a step costs ``2K - 1`` batched matrix
+    products.  All arrays are allocated once for ``rows`` rows and filled
+    in place; ``held`` is the layout that they hold.
+    """
+
+    def __init__(self, cache: HamiltonianCache, rows: int) -> None:
+        self.cache = cache
+        k_count, n = cache.system.n_controls, cache.system.dim
+        self._place = 3 ** np.arange(k_count)
+        lam0, self.v0 = cache.entry(())
+        # W_ab, W_ab^dagger and lambda_b per slot; slots keyed by code_a * 3^K + code_b
+        self._slots: dict[int, int] = {}
+        self._basis_changes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._w = self._w_adjoint = self._lam_b = None  # the slots stacked
+        self.lam = np.empty((k_count + 1, rows, n))
+        self.lam[0] = lam0
+        self._phase = np.empty(self.lam.shape, dtype=np.complex128)
+        self.forward = np.empty((k_count, rows, n, n), dtype=np.complex128)
+        self.backward = np.empty_like(self.forward)
+        self.steps = np.empty((rows, n, n), dtype=np.complex128)
+        self.scratch = np.empty_like(self.steps)
+        self.held: _Layout | None = None
+
+    def _prefix(self, code: int) -> tuple:
+        """Cache key ``((k, delta), ...)`` of a base-3 prefix code."""
+        digits = code // self._place % 3
+        return tuple((k, 1 if d == 1 else -1) for k, d in enumerate(digits) if d)
+
+    def _slot(self, key: int) -> int:
+        """Slot of the basis change ``code_a -> code_b`` packed in ``key``."""
+        slot = self._slots.get(key)
+        if slot is None:
+            code_a, code_b = divmod(key, 3 ** len(self._place))
+            basis_a = self.cache.entry(self._prefix(code_a))[1]
+            lam_b, basis_b = self.cache.entry(self._prefix(code_b))
+            w = basis_a.conj().T @ basis_b
+            self._basis_changes.append((w, w.conj().T.copy(), lam_b))
+            slot = self._slots[key] = len(self._basis_changes) - 1
+        return slot
+
+    def layout(self, widths: np.ndarray, length: float) -> _Layout:
+        """Lay out ``(K, rows)`` widths, ``|w| <= |length|``, in windows of ``length``."""
+        order = np.argsort(-np.abs(widths), axis=0, kind="stable")
+        sorted_w = np.take_along_axis(widths, order, axis=0)
+        sorted_abs = np.abs(sorted_w)
+        signs = np.where(sorted_w < 0, -1, 1)
+        dwell = np.empty((order.shape[0] + 1, order.shape[1]))
+        dwell[0] = (abs(length) - sorted_abs[0]) / 2
+        dwell[1:-1] = (sorted_abs[:-1] - sorted_abs[1:]) / 2
+        dwell[-1] = sorted_abs[-1]
+        if length < 0:
+            np.negative(dwell, out=dwell)
+        codes = np.zeros(dwell.shape, dtype=np.int64)
+        np.cumsum(np.where(signs < 0, 2, 1) * self._place[order], axis=0, out=codes[1:])
+        keys = codes[:-1] * 3 ** len(self._place) + codes[1:]
+        unique, inverse = np.unique(keys, return_inverse=True)
+        filled = len(self._basis_changes)
+        slots = np.array([self._slot(int(key)) for key in unique])[inverse.reshape(keys.shape)]
+        if len(self._basis_changes) > filled:
+            self._w, self._w_adjoint, self._lam_b = map(np.stack, zip(*self._basis_changes))
+        return _Layout(order, signs, sorted_abs, dwell, slots)
+
+    def factors(self, rows: int | None = None) -> list[np.ndarray]:
+        """The ``2K`` dense factors of ``S`` in product order, for the first ``rows`` rows."""
+        return [*self.forward[:, :rows], *self.backward[::-1, :rows]]
+
+    def fill(self, layout: _Layout) -> np.ndarray:
+        """Gather the factors of ``layout`` and multiply out its step stack ``S``."""
+        rows = layout.dwell.shape[1]
+        lam, phase = self.lam[:, :rows], self._phase[:, :rows]
+        fwd, bwd = self.forward[:, :rows], self.backward[:, :rows]
+        np.take(self._lam_b, layout.slots, axis=0, out=lam[1:], mode="clip")
+        np.take(self._w, layout.slots, axis=0, out=fwd, mode="clip")
+        np.take(self._w_adjoint, layout.slots, axis=0, out=bwd, mode="clip")
+        np.multiply(layout.dwell[..., None], lam, out=phase)
+        phase *= -1j
+        np.exp(phase, out=phase)
+        # forward factors D_j W_{j,j+1} (D_K joins the last), backward W_{j+1,j} D_j
+        fwd *= phase[:-1, :, :, None]
+        fwd[-1] *= phase[-1, :, None, :]
+        bwd *= phase[:-1, :, None, :]
+        factors = self.factors(rows)
+        steps, scratch = self.steps[:rows], self.scratch[:rows]
+        acc = factors[0]
+        for i, f in enumerate(factors[1:]):
+            out = steps if (len(factors) - i) % 2 == 0 else scratch
+            np.matmul(acc, f, out=out)
+            acc = out
+        self.held = layout
+        return steps
+
+
+def _chain(steps: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Ordered product ``steps[-1] @ ... @ steps[0]`` by pairwise reduction.
+
+    The levels alternate between the two halves of ``scratch`` (as long as
+    ``steps``), so ``steps`` is left intact and nothing is allocated.
+    """
+    half = (steps.shape[0] + 1) // 2
+    halves = (scratch[:half], scratch[half:])
+    level = 0
+    while steps.shape[0] > 1:
+        count = steps.shape[0]
+        even = count // 2 * 2
+        out = halves[level % 2][: (count + 1) // 2]
+        np.matmul(steps[1:even:2], steps[0:even:2], out=out[: even // 2])
+        if even < count:
+            out[-1] = steps[-1]
+        steps = out
+        level += 1
+    return steps[0]
 
 
 class TermCache:
@@ -240,16 +392,8 @@ def _checked_cache(cache, system: ControlSystem, amplitudes=None):
     return cache
 
 
-def pwm_step_factors(system: ControlSystem, amplitudes, frame: PulseFrame) -> list[np.ndarray]:
-    """The full palindromic factor list of one PWM step, left to right.
-
-    ``step_pwm`` is the ordered product of this list; reversing the list
-    leaves the product unchanged.
-    """
-    return _pwm_factors(HamiltonianCache(system, amplitudes), frame)
-
-
 def _pwm_factors(cache: HamiltonianCache, frame: PulseFrame) -> list[np.ndarray]:
+    """The full palindromic factor list of one PWM step, left to right."""
     inner = [cache.factor(p, th) for p, th in zip(frame.prefixes(), frame.dwell)]
     return inner[:-1] + [inner[-1]] + inner[-2::-1]
 
@@ -262,19 +406,14 @@ def step_pwm(
 ) -> np.ndarray:
     """Second-order PWM propagator for one subinterval.
 
+    Multiplies the factors one by one, the reference for the batched kernel.
     A ``cache`` must have been built for ``system`` and ``amplitudes``.
     """
     if cache is None:
-        return _step_pwm(HamiltonianCache(system, amplitudes), frame)
-    return _step_pwm(_checked_cache(cache, system, amplitudes), frame)
-
-
-def _step_pwm(cache: HamiltonianCache, frame: PulseFrame) -> np.ndarray:
-    factors = _pwm_factors(cache, frame)
-    u = factors[0]
-    for f in factors[1:]:
-        u = u @ f
-    return u
+        cache = HamiltonianCache(system, amplitudes)
+    else:
+        cache = _checked_cache(cache, system, amplitudes)
+    return functools.reduce(np.matmul, _pwm_factors(cache, frame))
 
 
 def step_pwc(system: ControlSystem, control_values, tau: float) -> np.ndarray:
@@ -282,10 +421,17 @@ def step_pwc(system: ControlSystem, control_values, tau: float) -> np.ndarray:
     u_mid = np.atleast_1d(np.asarray(control_values, dtype=np.float64))
     if u_mid.shape != (system.n_controls,):
         raise ValueError(f"expected {system.n_controls} control values")
-    h = system.drift.copy()
-    for k in range(system.n_controls):
-        h = h + u_mid[k] * system.controls[k]
-    return expm_hermitian(h, tau)
+    _check_system(system)
+    return _pwc_steps(system, u_mid[:, None], tau)[0]
+
+
+def _pwc_steps(system: ControlSystem, values: np.ndarray, tau: float) -> np.ndarray:
+    """Stacked ``exp(-i tau (H0 + sum_k u_k H_k))``, one per column of ``values``."""
+    h = np.broadcast_to(system.drift, (values.shape[1], system.dim, system.dim)).copy()
+    h += np.einsum("km,kab->mab", values, np.stack(system.controls))
+    lam, basis = np.linalg.eigh(h)
+    phases = np.exp(-1j * tau * lam)
+    return (basis * phases[:, None, :]) @ basis.conj().transpose(0, 2, 1)
 
 
 def step_spo(
@@ -354,8 +500,8 @@ def _field_values(field, times, n_controls: int) -> np.ndarray:
     return out
 
 
-def _field_integral(field, a: float, b: float, n_controls: int) -> np.ndarray:
-    """Signed integral of each control over [a, b].
+def _field_integral(field, a: np.ndarray, b: np.ndarray, n_controls: int) -> np.ndarray:
+    """Signed integral of each control over the windows ``[a, b]``, shape ``(K, len(a))``.
 
     Exact for :class:`SampledField` (piecewise-constant data, zero outside
     its domain); 64-node Gauss-Legendre for callables, which is effectively
@@ -369,8 +515,38 @@ def _field_integral(field, a: float, b: float, n_controls: int) -> np.ndarray:
         return field.integral(a, b)
     half = (b - a) / 2
     mid = (a + b) / 2
-    values = _field_values(field, mid + half * _GL_NODES, n_controls)
+    times = mid[:, None] + half[:, None] * _GL_NODES
+    values = _field_values(field, times, n_controls).reshape(n_controls, *times.shape)
     return (values @ _GL_WEIGHTS) * half
+
+
+def _suzuki_steps(
+    kernel: _PwmKernel, field, base_widths, tau: float, offset: int, start, length: float,
+    level: int,
+) -> np.ndarray:
+    """Drift-frame steps of order ``2 * level`` over the windows ``[start, start + length]``.
+
+    ``start`` holds one window start per row, row 0 being subinterval
+    ``offset + 1``; the rows share the signed ``length``, so each Suzuki
+    sub-window position is one kernel call over all rows.  Sub-window widths
+    are integrated from ``field``, or without one the ``(K, rows)``
+    ``base_widths`` are scaled to the sub-window length.
+    """
+    if level == 1:
+        xi = kernel.cache.amplitudes
+        if field is None:
+            widths = base_widths * (abs(length) / tau)
+        else:
+            lo, hi = (start, start + length) if length > 0 else (start + length, start)
+            widths = _field_integral(field, lo, hi, xi.size) / xi[:, None]
+        return kernel.fill(kernel.layout(_as_widths(widths, abs(length), offset), length))
+    s = suzuki_coefficient(level)
+    args = (kernel, field, base_widths, tau, offset)
+    # each call refills the kernel's step stack, so the earlier results are copied
+    first = _suzuki_steps(*args, start, s * length, level - 1).copy()
+    middle = _suzuki_steps(*args, start + s * length, (1 - 2 * s) * length, level - 1).copy()
+    last = _suzuki_steps(*args, start + (1 - s) * length, s * length, level - 1)
+    return last @ middle @ first
 
 
 def step_pwm_higher(
@@ -391,10 +567,10 @@ def step_pwm_higher(
     sub-window are re-integrated from the field, which preserves the full
     order; with only a :class:`PWMSequence` the stored widths are scaled
     proportionally to the sub-window length, a cruder variant that no longer
-    sees intra-subinterval field variation.  Backward sub-windows are
-    propagated by the exact inverse (conjugate transpose) of the forward
-    step, i.e. all dwell phases change sign.  A ``cache`` must have been
-    built for ``system`` and ``amplitudes``.
+    sees intra-subinterval field variation.  Every sub-window is one call of
+    the batched kernel with a signed length; a backward sub-window negates
+    all dwells, which gives the exact inverse of the forward step.  A
+    ``cache`` must have been built for ``system`` and ``amplitudes``.
     """
     if n < 2:
         raise ValueError(f"order index n must be >= 2, got {n}")
@@ -405,7 +581,7 @@ def step_pwm_higher(
             raise ValueError("tau disagrees with the sequence subinterval")
         if not 1 <= m <= source.n_pulses:
             raise ValueError(f"subinterval index m={m} outside 1..{source.n_pulses}")
-        base_widths = source.widths[:, m - 1]
+        base_widths = source.widths[:, m - 1 : m]
         field = None
     else:
         if tau is None:
@@ -416,37 +592,10 @@ def step_pwm_higher(
         cache = HamiltonianCache(system, amplitudes)
     else:
         cache = _checked_cache(cache, system, amplitudes)
-    return _compose_window(cache, field, base_widths, tau, (m - 1) * tau, tau, n)
-
-
-def _compose_window(
-    cache: HamiltonianCache,
-    field,
-    base_widths,
-    tau: float,
-    a: float,
-    sigma: float,
-    level: int,
-) -> np.ndarray:
-    """Suzuki triple-jump recursion over the signed window ``[a, a + sigma]``."""
-    if level == 1:
-        length = abs(sigma)
-        if length == 0.0:
-            return np.eye(cache.system.dim, dtype=np.complex128)
-        xi = cache.amplitudes
-        if field is None:
-            w_forward = base_widths * (length / tau)
-        else:
-            lo, hi = (a, a + sigma) if sigma > 0 else (a + sigma, a)
-            w_forward = _field_integral(field, lo, hi, cache.system.n_controls) / xi
-        u = _step_pwm(cache, frame_from_widths(w_forward, length))
-        return u if sigma > 0 else u.conj().T
-    s = suzuki_coefficient(level)
-    args = (cache, field, base_widths, tau)
-    first = _compose_window(*args, a, s * sigma, level - 1)
-    middle = _compose_window(*args, a + s * sigma, (1 - 2 * s) * sigma, level - 1)
-    last = _compose_window(*args, a + (1 - s) * sigma, s * sigma, level - 1)
-    return last @ middle @ first
+    kernel = _PwmKernel(cache, 1)
+    start = np.array([(m - 1) * tau])
+    step = _suzuki_steps(kernel, field, base_widths, tau, m - 1, start, tau, n)[0]
+    return kernel.v0 @ step @ kernel.v0.conj().T
 
 
 def reference_propagator(
@@ -479,9 +628,10 @@ def reference_propagator(
 
 
 def _parse_scheme(scheme: str) -> tuple[str, int | None]:
+    """Scheme kind and, for PWM schemes, the Suzuki level (1 for plain ``pwm``)."""
     name = scheme.lower().strip()
     if name in ("pwc", "spo", "pwm"):
-        return name, None
+        return name, 1 if name == "pwm" else None
     if name.startswith("pwm"):
         try:
             order = int(name[3:])
@@ -491,6 +641,12 @@ def _parse_scheme(scheme: str) -> tuple[str, int | None]:
             raise ValueError(f"scheme {scheme!r}: order must be an even integer >= 4")
         return "pwm2n", order // 2
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _block_rows(system: ControlSystem, m_count: int) -> int:
+    """Subintervals per :func:`evolve` block: ``_BLOCK_ENTRIES`` over ``2K + 4`` N x N stacks."""
+    per_row = (2 * system.n_controls + 4) * system.dim**2
+    return max(1, min(m_count, _BLOCK_ENTRIES // per_row))
 
 
 def evolve(
@@ -508,8 +664,13 @@ def evolve(
     ``tau`` (converted internally).  PWC and split-operator take a
     :class:`SampledField` plus ``tau``; amplitudes are read at subinterval
     midpoints.
+
+    PWM and PWC steps are built batched over blocks of subintervals sized
+    from N and K, and each block is reduced pairwise.  PWM blocks make one
+    call of the batched kernel per Suzuki sub-window position, with its
+    signed length; :func:`step_pwm` is the frame-by-frame reference.
     """
-    kind, half_order = _parse_scheme(scheme)
+    kind, level = _parse_scheme(scheme)
     if kind in ("pwc", "spo"):
         if not isinstance(source, SampledField):
             raise ValueError(f"scheme {scheme!r} requires a SampledField input")
@@ -520,13 +681,17 @@ def evolve(
             raise ValueError("field duration is not an integer number of subintervals")
         mids = (np.arange(m_count) + 0.5) * tau
         u_vals = _field_values(source, mids, system.n_controls)
-        term_cache = TermCache(system)
         u = np.eye(system.dim, dtype=np.complex128)
-        for m in range(m_count):
-            if kind == "pwc":
-                u = step_pwc(system, u_vals[:, m], tau) @ u
-            else:
+        if kind == "spo":
+            term_cache = TermCache(system)
+            for m in range(m_count):
                 u = _step_spo(term_cache, u_vals[:, m], tau) @ u
+            return u
+        _check_system(system)
+        rows = _block_rows(system, m_count)
+        for first in range(0, m_count, rows):
+            steps = _pwc_steps(system, u_vals[:, first : first + rows], tau)
+            u = _chain(steps, np.empty_like(steps)) @ u
         return u
 
     if isinstance(source, PWMSequence):
@@ -537,17 +702,17 @@ def evolve(
             raise ValueError(f"scheme {scheme!r} with a field input requires amplitudes and tau")
         seq = pwm_approximate(source, amplitudes, tau)
         field = source if kind == "pwm2n" else None
-    cache = HamiltonianCache(system, seq.amplitudes)
-    tau = seq.tau
+    tau, rows = seq.tau, _block_rows(system, seq.n_pulses)
+    kernel = _PwmKernel(HamiltonianCache(system, seq.amplitudes), rows)
+    starts = np.arange(seq.n_pulses) * tau
     u = np.eye(system.dim, dtype=np.complex128)
-    for m in range(1, seq.n_pulses + 1):
-        if kind == "pwm":
-            step = _step_pwm(cache, build_frame(seq, m))
-        else:
-            base_widths = seq.widths[:, m - 1] if field is None else None
-            step = _compose_window(cache, field, base_widths, tau, (m - 1) * tau, tau, half_order)
-        u = step @ u
-    return u
+    for first in range(0, seq.n_pulses, rows):
+        block = slice(first, first + rows)
+        steps = _suzuki_steps(
+            kernel, field, seq.widths[:, block], tau, first, starts[block], tau, level
+        )
+        u = _chain(steps, kernel.scratch[: len(steps)]) @ u
+    return kernel.v0 @ u @ kernel.v0.conj().T
 
 
 @dataclass(frozen=True)
@@ -584,10 +749,10 @@ def error_order(
     recommended: the higher-order scheme integrates sub-windows slightly
     outside the step and a zero-extended sampled field would degrade there.
     """
-    kind, half_order = _parse_scheme(scheme)
+    kind, level = _parse_scheme(scheme)
     if kind in ("pwm", "pwm2n") and amplitudes is None:
         raise ValueError(f"scheme {scheme!r} requires amplitudes")
-    cache = None if amplitudes is None else HamiltonianCache(system, amplitudes)
+    kernel = None if amplitudes is None else _PwmKernel(HamiltonianCache(system, amplitudes), 1)
     taus = [float(t) for t in tau_list]
     if len(taus) < 2:
         raise ValueError("need at least two tau values to fit a slope")
@@ -600,27 +765,19 @@ def error_order(
         elif kind == "spo":
             u_mid = _field_values(field, [t_start + tau / 2], system.n_controls)[:, 0]
             step = step_spo(system, u_mid, tau)
-        elif kind == "pwm":
-            area = _field_integral(field, t_start, t_start + tau, system.n_controls)
-            step = _step_pwm(cache, frame_from_widths(area / cache.amplitudes, tau))
         else:
-            step = _compose_window(cache, field, None, tau, t_start, tau, half_order)
+            step = _suzuki_steps(kernel, field, None, tau, 0, np.array([t_start]), tau, level)[0]
+            step = kernel.v0 @ step @ kernel.v0.conj().T
         errors.append(frobenius_distance(step, ref))
-    if max(errors) <= 1e-13:
-        return ErrorOrderFit(
-            scheme=scheme,
-            taus=tuple(taus),
-            errors=tuple(errors),
-            slope=float("nan"),
-            intercept=float("nan"),
-            saturated=True,
-        )
-    slope, intercept = np.polyfit(np.log(taus), np.log(errors), 1)
+    saturated = max(errors) <= 1e-13
+    slope = intercept = math.nan
+    if not saturated:
+        slope, intercept = np.polyfit(np.log(taus), np.log(errors), 1)
     return ErrorOrderFit(
         scheme=scheme,
         taus=tuple(taus),
         errors=tuple(errors),
         slope=float(slope),
         intercept=float(intercept),
-        saturated=False,
+        saturated=saturated,
     )

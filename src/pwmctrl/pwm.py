@@ -79,11 +79,12 @@ def _as_amplitudes(amplitudes, n_controls: int) -> np.ndarray:
     return xi
 
 
-def _as_widths(widths, tau: float) -> np.ndarray:
+def _as_widths(widths, tau: float, offset: int = 0) -> np.ndarray:
     """Signed pulse widths as a fresh array, finite and clipped to ``|w| <= tau``.
 
     Widths beyond ``tau`` by more than 1e-9 relative raise ``ValueError``
-    naming control ``k`` and, for a ``(K, M)`` array, the 1-based subinterval.
+    naming control ``k`` and, for a ``(K, M)`` array, the 1-based subinterval
+    (``offset + 1`` for the first column of a block of subintervals).
     """
     w = np.asarray(widths, dtype=np.float64)
     if not np.all(np.isfinite(w)):
@@ -91,7 +92,7 @@ def _as_widths(widths, tau: float) -> np.ndarray:
     overflow = np.abs(w) > tau * (1 + 1e-9)
     if np.any(overflow):
         at = tuple(np.argwhere(overflow)[0])
-        where = f"control k={at[0]}" + (f", subinterval m={at[1] + 1}" if len(at) > 1 else "")
+        where = f"control k={at[0]}" + (f", subinterval m={offset + at[1] + 1}" if len(at) > 1 else "")
         raise ValueError(f"|width| = {abs(w[at]):.6g} exceeds tau = {tau:.6g} for {where}")
     return np.clip(w, -tau, tau)
 
@@ -148,10 +149,10 @@ class SampledField:
             out if inside else np.zeros(self.n_controls)
         )
 
-    def _antiderivative(self, t: float) -> np.ndarray:
+    def _antiderivative(self, t) -> np.ndarray:
         """Exact integral of the interpolant from 0 to ``t`` (clamped to the domain)."""
-        t_c = min(max(t, 0.0), self.duration)
-        cell = min(int(t_c / self.dt), self.n_samples - 1)
+        t_c = np.clip(t, 0.0, self.duration)
+        cell = np.minimum((t_c / self.dt).astype(np.int64), self.n_samples - 1)
         cum = getattr(self, "_cum", None)
         if cum is None:
             cum = np.concatenate(
@@ -161,8 +162,11 @@ class SampledField:
             object.__setattr__(self, "_cum", cum)
         return cum[:, cell] + self.values[:, cell] * (t_c - cell * self.dt)
 
-    def integral(self, a: float, b: float) -> np.ndarray:
-        """Signed exact integral of the interpolant over ``[a, b]``, per control."""
+    def integral(self, a, b) -> np.ndarray:
+        """Signed exact integral of the interpolant over ``[a, b]``, per control.
+
+        ``a`` and ``b`` may be arrays of window ends, giving shape ``(K, len(a))``.
+        """
         return self._antiderivative(b) - self._antiderivative(a)
 
 

@@ -21,8 +21,7 @@ from pwmctrl.grape import (
     _PwmEngine,
 )
 from pwmctrl.model import ControlSystem, basis_state
-from pwmctrl.propagate import evolve, frame_from_widths, step_pwm
-from pwmctrl.pwm import PWMSequence
+from pwmctrl.propagate import HamiltonianCache, _PwmKernel, frame_from_widths, step_pwm
 
 from conftest import SIGMA_X, non_hermitian_ten_level, random_hermitian
 
@@ -148,12 +147,14 @@ class TestOptionsValidation:
 
 class TestObjective:
     def test_matches_pwm_propagator_infidelity(self, rng):
+        """Against the frame-by-frame product of ``step_pwm``, which shares
+        no code with the batched kernel."""
         problem = ten_level_problem(total_time=1.0)
         widths = random_initial_widths(problem, rng)
-        seq = PWMSequence(
-            tau=problem.tau, amplitudes=problem.amplitudes, widths=widths
-        )
-        u = evolve(problem.system, "pwm", seq)
+        u = np.eye(problem.system.dim)
+        for m in range(problem.n_steps):
+            frame = frame_from_widths(widths[:, m], problem.tau)
+            u = step_pwm(problem.system, problem.amplitudes, frame) @ u
         expected = infidelity(u, problem.psi_initial, problem.psi_target)
         assert objective(problem, widths) == pytest.approx(expected, abs=1e-14)
 
@@ -200,9 +201,10 @@ class TestBatchedKernel:
         ids=["1", "2", "3", "degenerate-drift"],
     )
     def test_steps_match_frame_by_frame(self, rng, k_count, drift_spectrum):
-        """Negative and zero widths, a full-width pulse and exact ties.  The
-        last input's drift has a threefold eigenvalue in a random basis, so
-        its eigenvectors are not unique."""
+        """Negative and zero widths, a full-width pulse and exact ties, in
+        forward and backward windows.  The last input's drift has a
+        threefold eigenvalue in a random basis, so its eigenvectors are not
+        unique."""
         problem = random_problem(rng, 4, k_count, total_time=2.0, tau=0.2)
         if drift_spectrum is not None:
             u, _ = np.linalg.qr(random_hermitian(4, rng) + 1j * np.eye(4))
@@ -228,25 +230,33 @@ class TestBatchedKernel:
     )
     def test_steps_are_unitary_and_match_step_pwm(self, k_count, dim, m_count, seed, forced):
         """Random systems with exact ties, zeros and full-width pulses forced
-        into the first subintervals."""
+        into the first subintervals, in forward and backward windows."""
         rng = np.random.default_rng(seed)
         problem = random_problem(rng, dim, k_count, total_time=0.2 * m_count, tau=0.2)
         widths = rng.uniform(-0.2, 0.2, size=(k_count, m_count))
         for i, value in enumerate(forced):
             widths[:, i % m_count] = 0.2 * value * np.where(rng.random(k_count) < 0.5, 1, -1)
-        steps = assert_steps_match_step_pwm(problem, widths)
         unit = np.eye(dim)
-        assert np.max(np.abs(steps @ steps.conj().transpose(0, 2, 1) - unit)) <= 1e-12
+        for steps in assert_steps_match_step_pwm(problem, widths):
+            assert np.max(np.abs(steps @ steps.conj().transpose(0, 2, 1) - unit)) <= 1e-12
 
 
-def assert_steps_match_step_pwm(problem: GrapeProblem, widths: np.ndarray) -> np.ndarray:
-    """The batched steps agree with ``step_pwm`` frame by frame to 1e-12."""
-    steps = _PwmEngine(problem).steps(widths)
+def assert_steps_match_step_pwm(problem: GrapeProblem, widths: np.ndarray) -> list[np.ndarray]:
+    """The kernel's steps for windows of length ``tau`` agree with
+    ``step_pwm`` frame by frame to 1e-12, and for length ``-tau`` with its
+    inverse ``step_pwm(...).conj().T``."""
+    kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), problem.n_steps)
+    v0 = kernel.v0
+    forward, backward = [
+        v0 @ kernel.fill(kernel.layout(widths, length)) @ v0.conj().T
+        for length in (problem.tau, -problem.tau)
+    ]
     for m in range(problem.n_steps):
         frame = frame_from_widths(widths[:, m], problem.tau)
         expected = step_pwm(problem.system, problem.amplitudes, frame)
-        assert np.max(np.abs(steps[m] - expected)) <= 1e-12
-    return steps
+        assert np.max(np.abs(forward[m] - expected)) <= 1e-12
+        assert np.max(np.abs(backward[m] - expected.conj().T)) <= 1e-12
+    return [forward, backward]
 
 
 class TestGradient:
@@ -426,9 +436,10 @@ class TestStopReason:
         assert result.iterations == 2
         assert result.stop_reason == "max_iterations"
 
-    def test_line_search_stall_at_the_width_bound(self):
+    def test_line_search_stall_at_the_width_bound(self, monkeypatch):
         """Zero drift, one sigma_x control: J = cos^2(sum w) decreases as the
-        widths grow, but they start at the bound, so no step is accepted."""
+        widths grow, but they start at the bound, so no step is accepted and
+        the line search stops at the first trial instead of halving on."""
         system = ControlSystem(drift=np.zeros((2, 2), dtype=complex), controls=(SIGMA_X,))
         problem = GrapeProblem(
             system=system,
@@ -439,8 +450,14 @@ class TestStopReason:
             amplitudes=np.array([1.0]),
         )
         start = np.full((1, 3), 0.2)
+        evaluations = []
+        evaluate = _PwmEngine.evaluate
+        monkeypatch.setattr(
+            _PwmEngine, "evaluate", lambda engine, w: evaluations.append(w) or evaluate(engine, w)
+        )
         result = optimize(problem, init_widths=start, options=GrapeOptions(width_bound=0.2))
         assert result.stop_reason == "line_search_stall"
+        assert len(evaluations) == 1  # the start; the clipped trial equals it and is not evaluated
         assert result.iterations == 0
         assert not result.converged
         assert np.array_equal(result.widths, start)

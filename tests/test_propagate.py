@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pwmctrl import propagate
 from pwmctrl.model import ControlSystem
 from pwmctrl.propagate import (
     HamiltonianCache,
@@ -10,15 +11,15 @@ from pwmctrl.propagate import (
     evolve,
     expm_hermitian,
     frame_from_widths,
-    pwm_step_factors,
     reference_propagator,
     step_pwc,
     step_pwm,
     step_pwm_higher,
     step_spo,
     suzuki_coefficient,
+    _pwm_factors,
 )
-from pwmctrl.pwm import PWMSequence, SampledField
+from pwmctrl.pwm import PWMSequence, SampledField, pwm_approximate
 
 from conftest import SIGMA_X, SIGMA_Z, non_hermitian_ten_level, random_hermitian
 
@@ -181,10 +182,21 @@ class TestStepPwm:
 
     def test_factor_list_is_palindromic(self, ten_level, rng):
         frame = frame_from_widths(rng.uniform(-0.1, 0.1, size=1), 0.1)
-        factors = pwm_step_factors(ten_level, np.array([1.0]), frame)
+        factors = _pwm_factors(HamiltonianCache(ten_level, 1.0), frame)
         assert len(factors) == 2 * len(frame.order) + 1
         for left, right in zip(factors, factors[::-1]):
             assert np.allclose(left, right, atol=1e-15)
+
+    def test_reversed_factor_list_gives_the_same_step(self, rng):
+        system = ControlSystem(
+            drift=random_hermitian(5, rng),
+            controls=tuple(random_hermitian(5, rng) for _ in range(3)),
+        )
+        xi = np.array([1.0, 1.5, 0.7])
+        frame = frame_from_widths(np.array([0.15, -0.05, 0.1]), 0.2)
+        factors = _pwm_factors(HamiltonianCache(system, xi), frame)
+        reversed_product = np.linalg.multi_dot(factors[::-1])
+        assert np.max(np.abs(reversed_product - step_pwm(system, xi, frame))) <= 1e-13
 
 
 class TestStepPwcAndSpo:
@@ -285,6 +297,46 @@ class TestEvolve:
         for u in mats[1:]:
             assert np.allclose(u, mats[0], atol=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["pwm", "pwm4", "pwc", "spo"])
+    def test_output_is_unitary(self, rng, scheme):
+        system, field, tau = _random_two_control_input(rng)
+        u = evolve(system, scheme, field, tau=tau, amplitudes=np.array([1.2, 1.5]))
+        assert unitarity_defect(u) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["pwm", "pwm4", "pwc"])
+    def test_blocks_do_not_change_the_result(self, rng, monkeypatch, scheme):
+        """Seven subintervals in blocks of three, the last one short, give
+        the single-block result."""
+        system, field, tau = _random_two_control_input(rng)
+        xi = np.array([1.2, 1.5])
+        whole = evolve(system, scheme, field, tau=tau, amplitudes=xi)
+        monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 3 * 8 * system.dim**2)
+        assert propagate._block_rows(system, 7) == 3
+        blocked = evolve(system, scheme, field, tau=tau, amplitudes=xi)
+        assert np.max(np.abs(blocked - whole)) <= 1e-13
+
+    def test_block_error_names_the_global_subinterval(self, two_level, monkeypatch):
+        """The first pwm4 sub-window of subinterval 3 reaches into the pulse
+        that fills the start of subinterval 4, so its width exceeds its
+        length; subinterval 3 is the first of the second block of two."""
+        values = np.zeros((1, 16))
+        values[0, 8:12] = 1.0
+        values[0, 12] = 4.0
+        field = SampledField(dt=0.025, values=values)
+        monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 2 * 6 * two_level.dim**2)
+        with pytest.raises(ValueError, match="subinterval m=3"):
+            evolve(two_level, "pwm4", field, tau=0.1, amplitudes=[1.0])
+
+    def test_pwm_matches_the_product_of_step_pwm(self, rng, monkeypatch):
+        system, field, tau = _random_two_control_input(rng)
+        xi = np.array([1.2, 1.5])
+        seq = pwm_approximate(field, xi, tau)
+        expected = np.eye(system.dim)
+        for m in range(1, seq.n_pulses + 1):
+            expected = step_pwm(system, xi, build_frame(seq, m)) @ expected
+        monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 3 * 8 * system.dim**2)
+        assert np.max(np.abs(evolve(system, "pwm", seq) - expected)) <= 1e-12
+
     @pytest.mark.parametrize("scheme", ["pwm3", "pwm0", "strang", ""])
     def test_rejects_unknown_scheme(self, two_level, scheme):
         field = SampledField(dt=0.1, values=np.zeros((1, 10)))
@@ -323,6 +375,16 @@ class TestHigherOrderStep:
         exact = expm_hermitian(d0, tau) @ expm_hermitian(d1, xi * w)
         composed = step_pwm_higher(system, np.array([xi]), seq, 1, 2)
         assert np.allclose(composed, exact, atol=1e-12)
+
+
+def _random_two_control_input(rng) -> tuple[ControlSystem, SampledField, float]:
+    """A random N = 5, K = 2 system and a field of seven subintervals."""
+    system = ControlSystem(
+        drift=random_hermitian(5, rng),
+        controls=(random_hermitian(5, rng), random_hermitian(5, rng)),
+    )
+    field = SampledField(dt=0.05, values=rng.uniform(-1.0, 1.0, size=(2, 28)))
+    return system, field, 0.2
 
 
 def _sine_field(n_per: int = 64, m_count: int = 10) -> tuple[SampledField, float]:
