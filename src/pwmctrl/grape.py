@@ -19,11 +19,10 @@ All M subintervals are evaluated together by the batched PWM kernel of
 :mod:`pwmctrl.propagate`, which :func:`~pwmctrl.propagate.evolve` shares: in
 the interaction frame of the drift a step costs ``2K - 1`` batched matrix
 products over cached eigendecompositions and basis changes, and each
-derivative bracket is a diagonal sum over the eigenvalues.  Only the
-forward/adjoint sweep steps through the subintervals one by one, and it is
-shared with the baseline below.  The optimizer hands the point of each
-accepted objective value to the gradient, which reuses the step stack built
-for it.
+derivative bracket is a diagonal sum over the eigenvalues.  The
+forward/adjoint sweep, shared with the baseline below, walks down the levels
+of the objective's pairwise product.  The optimizer hands the point of each
+accepted objective value to the gradient, which reuses what was built for it.
 
 A piecewise-constant GRAPE baseline (fresh eigendecomposition per
 subinterval, standard first-order gradient) is included for benchmarking the
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ControlSystem, _check_system, basis_state, build_ten_level_system
-from .propagate import HamiltonianCache, _chain, _Layout, _pwc_steps, _PwmKernel
+from .propagate import HamiltonianCache, _chain, _Layout, _level_rows, _pwc_steps, _PwmKernel
 from .pwm import PWMSequence, Spectrum, dominant_peaks, inverse_pwm_pwc, spectrum
 from .pwm import _as_amplitudes, _as_widths
 
@@ -189,23 +188,38 @@ def random_initial_widths(problem: GrapeProblem, rng: np.random.Generator) -> np
     return _random_field(problem, rng) * problem.tau / problem.amplitudes[:, None]
 
 
-def _sweep(steps, psi_initial, psi_target, phi, chi):
-    """Forward and adjoint states through a stack of ``M`` step propagators.
+def _sweep(levels, psi_initial, psi_target, phi, chi):
+    """Kets ``phi[t] = U_t ... U_1 |psi_i>`` and bras ``chi[t] = <psi_f| U_M ... U_{t+1}``.
 
-    Fills the kets ``phi`` (``M + 1`` rows, ``phi[m] = U_m ... U_1
-    |psi_i>``) and the bras ``chi`` (``M`` rows, ``chi[m] = <psi_f| U_M ...
-    U_{m+2}``, so that ``chi[m] @ U_{m+1} @ phi[m]`` is the overlap for
-    every ``m``) in place, and returns them with the overlap
-    ``<psi_f|U|psi_i>`` itself.
+    Down-sweep over the :func:`~pwmctrl.propagate._chain` ``levels`` of the
+    steps ``U_1 ... U_M``: a left child starts at its parent's start and a
+    right child at ``left sibling @ start``; a right (or carried) child ends
+    at its parent's end and a left child at ``end @ right sibling``.  Fills
+    ``t = 0 .. M`` in place, the upper levels' states in the rows after
+    ``M`` (``M + 1 + _level_rows(M)`` rows each), and returns those ``M + 1``
+    rows of each with the overlap ``<psi_f|U|psi_i>``.
     """
-    m_count = steps.shape[0]
-    phi[0] = psi_initial
-    for m in range(m_count):
-        np.dot(steps[m], phi[m], out=phi[m + 1])
-    chi[m_count - 1] = psi_target.conj()
-    for m in range(m_count - 1, 0, -1):
-        np.dot(chi[m], steps[m], out=chi[m - 1])
-    return phi, chi, complex(np.vdot(psi_target, phi[m_count]))
+    m_count = len(levels[0])
+    starts, ends, row = [phi[:m_count]], [chi[1 : m_count + 1]], m_count + 1
+    for level in levels[1:]:
+        starts.append(phi[row : row + len(level)])
+        ends.append(chi[row : row + len(level)])
+        row += len(level)
+    starts[-1][0] = psi_initial
+    ends[-1][0] = psi_target.conj()
+    for lower in range(len(levels) - 2, -1, -1):
+        children, start, end = levels[lower], starts[lower + 1], ends[lower + 1]
+        pairs = len(children) // 2
+        starts[lower][0::2] = start
+        np.matmul(children[0 : 2 * pairs : 2], start[:pairs, :, None],
+                  out=starts[lower][1::2, :, None])
+        ends[lower][1::2] = end[:pairs]
+        ends[lower][-1] = end[-1]
+        np.matmul(end[:pairs, None, :], children[1::2], out=ends[lower][0 : 2 * pairs : 2, None, :])
+    top = levels[-1][0]
+    np.matmul(top, psi_initial, out=phi[m_count])
+    np.matmul(psi_target.conj(), top, out=chi[0])
+    return phi[: m_count + 1], chi[: m_count + 1], complex(np.vdot(psi_target, phi[m_count]))
 
 
 class _PwmEngine:
@@ -214,8 +228,8 @@ class _PwmEngine:
     The steps of all M subintervals come from one M-row PWM kernel, in the
     eigenbasis ``V_0`` of the drift, so the endpoint states are mapped by
     ``V_0^dagger`` once.  The sweep states, kets, bras and brackets are
-    allocated once and filled in place; :meth:`gradient` at the point
-    :meth:`evaluate` just returned reuses the step stack the kernel holds.
+    allocated once and filled in place; :meth:`gradient` at a layout the
+    kernel still holds reuses its steps and the levels :meth:`evaluate` built.
     """
 
     def __init__(self, problem: GrapeProblem) -> None:
@@ -225,22 +239,23 @@ class _PwmEngine:
         v0 = self.kernel.v0
         self._psi_initial = v0.conj().T @ problem.psi_initial
         self._psi_target = v0.conj().T @ problem.psi_target
-        self._phi = np.empty((m_count + 1, n), dtype=np.complex128)
-        self._chi = np.empty((m_count, n), dtype=np.complex128)
-        self._kets = np.empty((2 * k_count, m_count, n), dtype=np.complex128)
-        self._bras = np.empty((2, m_count, n), dtype=np.complex128)
+        self._phi = np.empty((m_count + 1 + _level_rows(m_count), n), dtype=np.complex128)
+        self._chi = np.empty_like(self._phi)
+        self._kets = np.empty((2 * k_count - 1, m_count, n), dtype=np.complex128)
+        self._bras = np.empty_like(self._kets)
         self._brackets = np.empty((2 * k_count + 1, m_count), dtype=np.complex128)
+        self._levels: list[np.ndarray] = []
 
     def evaluate(self, widths: np.ndarray) -> tuple[float, _Layout]:
         """Infidelity at ``widths`` and the layout :meth:`gradient` takes."""
         layout = self.kernel.layout(widths, self.problem.tau)
-        u = _chain(self.kernel.fill(layout), self.kernel.scratch)
-        return infidelity(u, self._psi_initial, self._psi_target), layout
+        self._levels = _chain(self.kernel.fill(layout), self.kernel.scratch)
+        return infidelity(self._levels[-1][0], self._psi_initial, self._psi_target), layout
 
     def gradient(self, layout: _Layout) -> tuple[np.ndarray, float]:
         """Exact gradient of J and the objective value at ``layout``'s widths.
 
-        The kernel's factors are refilled unless it holds ``layout``.
+        The kernel's factors and the levels are rebuilt unless it holds ``layout``.
 
         Split point ``p`` (``0 .. 2K``) of the factor list cuts ``S`` into
         the bra ``<l_p| = <chi| F_0 ... F_{p-1}`` and the ket ``|r_p> = F_p
@@ -250,29 +265,28 @@ class _PwmEngine:
         Width ``w`` at sorted position ``r`` with sign ``delta`` feeds dwell
         ``d_r`` at rate ``-delta/2`` and ``d_{r+1}`` at ``+delta/2`` (both
         on two palindromic copies), or at ``+delta`` on the single centre
-        factor when ``r + 1 = K``.
+        factor when ``r + 1 = K``.  ``|r_0> = S |phi>`` and ``<l_2K| = <chi|
+        S`` are the sweep's states one boundary later and earlier.
         """
         kernel = self.kernel
         if layout is not kernel.held:
-            kernel.fill(layout)
+            self._levels = _chain(kernel.fill(layout), kernel.scratch)
         self._warn_on_ties(layout.sorted_abs)
         phi, chi, overlap = _sweep(
-            kernel.steps, self._psi_initial, self._psi_target, self._phi, self._chi
+            self._levels, self._psi_initial, self._psi_target, self._phi, self._chi
         )
         factors = kernel.factors()
         k_count = len(kernel.forward)
-        kets = [*self._kets, phi[:-1]]
-        for p in range(2 * k_count - 1, -1, -1):
+        kets = [phi[1:], *self._kets, phi[:-1]]
+        bras = [chi[1:], *self._bras, chi[:-1]]
+        for p in range(2 * k_count - 1, 0, -1):
             np.matmul(factors[p], kets[p + 1][..., None], out=kets[p][..., None])
+        for p in range(1, 2 * k_count):
+            np.matmul(bras[p - 1][:, None, :], factors[p - 1], out=bras[p][:, None, :])
         brackets = self._brackets
-        bra = chi
         for p in range(2 * k_count + 1):
-            np.einsum("mn,mn,mn->m", bra, kernel.lam[min(p, 2 * k_count - p)], kets[p],
+            np.einsum("mn,mn,mn->m", bras[p], kernel.lam[min(p, 2 * k_count - p)], kets[p],
                       out=brackets[p])
-            if p < 2 * k_count:
-                out = self._bras[p % 2]
-                np.matmul(bra[:, None, :], factors[p], out=out[:, None, :])
-                bra = out
         # i d<overlap>/d dwell_j times the dwell's rate per unit |w|
         # (1/2 for the doubled outer dwells, 1 at the centre)
         per_dwell = np.concatenate(
@@ -412,30 +426,34 @@ class _PwcEngine:
     Parameters are the subinterval field amplitudes ``eps_k(m)``; the step
     propagator is ``exp(-i tau (H0 + sum_k eps_k H_k))`` and the gradient
     uses the standard first-order rule ``dU/deps ~= -i tau H_k U``.  The
-    point :meth:`evaluate` hands to :meth:`gradient` is the step stack.
+    point :meth:`evaluate` hands to :meth:`gradient` is the step stack, whose
+    levels are rebuilt unless they are held.
     """
 
     def __init__(self, problem: GrapeProblem) -> None:
         self.problem = problem
         self._controls = np.stack(problem.system.controls)
         m_count, n = problem.n_steps, problem.system.dim
-        self._scratch = np.empty((m_count, n, n), dtype=np.complex128)
-        self._phi = np.empty((m_count + 1, n), dtype=np.complex128)
-        self._chi = np.empty((m_count, n), dtype=np.complex128)
+        self._scratch = np.empty((_level_rows(m_count), n, n), dtype=np.complex128)
+        self._phi = np.empty((m_count + 1 + _level_rows(m_count), n), dtype=np.complex128)
+        self._chi = np.empty_like(self._phi)
+        self._levels: list[np.ndarray] = []
 
     def evaluate(self, eps: np.ndarray) -> tuple[float, np.ndarray]:
         problem = self.problem
         steps = _pwc_steps(problem.system, eps, problem.tau)
-        u = _chain(steps, self._scratch)
-        return infidelity(u, problem.psi_initial, problem.psi_target), steps
+        self._levels = _chain(steps, self._scratch)
+        return infidelity(self._levels[-1][0], problem.psi_initial, problem.psi_target), steps
 
     def gradient(self, steps: np.ndarray) -> tuple[np.ndarray, float]:
         problem = self.problem
+        if not self._levels or self._levels[0] is not steps:
+            self._levels = _chain(steps, self._scratch)
         phi, chi, overlap = _sweep(
-            steps, problem.psi_initial, problem.psi_target, self._phi, self._chi
+            self._levels, problem.psi_initial, problem.psi_target, self._phi, self._chi
         )
         dc = -1j * problem.tau * np.einsum(
-            "mn,knq,mq->km", chi, self._controls, phi[1:], optimize=True
+            "mn,knq,mq->km", chi[1:], self._controls, phi[1:], optimize=True
         )
         grad = -2.0 * np.real(np.conj(overlap) * dc)
         return grad, float(1.0 - abs(overlap) ** 2)

@@ -182,11 +182,12 @@ class _PwmKernel:
         self._w = self._w_adjoint = self._lam_b = None  # the slots stacked
         self.lam = np.empty((k_count + 1, rows, n))
         self.lam[0] = lam0
+        self._angle = np.empty(self.lam.shape)
         self._phase = np.empty(self.lam.shape, dtype=np.complex128)
         self.forward = np.empty((k_count, rows, n, n), dtype=np.complex128)
         self.backward = np.empty_like(self.forward)
         self.steps = np.empty((rows, n, n), dtype=np.complex128)
-        self.scratch = np.empty_like(self.steps)
+        self.scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
         self.held: _Layout | None = None
 
     def _prefix(self, code: int) -> tuple:
@@ -235,14 +236,15 @@ class _PwmKernel:
     def fill(self, layout: _Layout) -> np.ndarray:
         """Gather the factors of ``layout`` and multiply out its step stack ``S``."""
         rows = layout.dwell.shape[1]
-        lam, phase = self.lam[:, :rows], self._phase[:, :rows]
+        lam, angle, phase = self.lam[:, :rows], self._angle[:, :rows], self._phase[:, :rows]
         fwd, bwd = self.forward[:, :rows], self.backward[:, :rows]
         np.take(self._lam_b, layout.slots, axis=0, out=lam[1:], mode="clip")
         np.take(self._w, layout.slots, axis=0, out=fwd, mode="clip")
         np.take(self._w_adjoint, layout.slots, axis=0, out=bwd, mode="clip")
-        np.multiply(layout.dwell[..., None], lam, out=phase)
-        phase *= -1j
-        np.exp(phase, out=phase)
+        # exp(-i d lambda) as cos and sin of the real angle: np.exp's values, bit for bit
+        np.multiply(-layout.dwell[..., None], lam, out=angle)
+        np.cos(angle, out=phase.real)
+        np.sin(angle, out=phase.imag)
         # forward factors D_j W_{j,j+1} (D_K joins the last), backward W_{j+1,j} D_j
         fwd *= phase[:-1, :, :, None]
         fwd[-1] *= phase[-1, :, None, :]
@@ -258,25 +260,30 @@ class _PwmKernel:
         return steps
 
 
-def _chain(steps: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Ordered product ``steps[-1] @ ... @ steps[0]`` by pairwise reduction.
+def _level_rows(m_count: int) -> int:
+    """Rows of :func:`_chain`'s levels above ``m_count`` steps: at most ``M + ceil(log2 M)``."""
+    return m_count + (m_count - 1).bit_length()
 
-    The levels alternate between the two halves of ``scratch`` (as long as
-    ``steps``), so ``steps`` is left intact and nothing is allocated.
+
+def _chain(steps: np.ndarray, scratch: np.ndarray) -> list[np.ndarray]:
+    """Every level of the pairwise reduction of ``steps``, ``steps`` itself first.
+
+    Node ``j`` of level ``l + 1`` is ``level_l[2j + 1] @ level_l[2j]`` and an
+    odd last node is carried up, so the last level's one node is ``steps[-1]
+    @ ... @ steps[0]``.  The levels above ``steps`` lie end to end in
+    ``scratch`` (``_level_rows(M)`` rows); nothing is allocated.
     """
-    half = (steps.shape[0] + 1) // 2
-    halves = (scratch[:half], scratch[half:])
-    level = 0
-    while steps.shape[0] > 1:
-        count = steps.shape[0]
-        even = count // 2 * 2
-        out = halves[level % 2][: (count + 1) // 2]
-        np.matmul(steps[1:even:2], steps[0:even:2], out=out[: even // 2])
-        if even < count:
+    levels = [steps]
+    row = 0
+    while len(steps) > 1:
+        pairs = len(steps) // 2
+        out = scratch[row : row + len(steps) - pairs]
+        np.matmul(steps[1 : 2 * pairs : 2], steps[0 : 2 * pairs : 2], out=out[:pairs])
+        if len(out) > pairs:
             out[-1] = steps[-1]
-        steps = out
-        level += 1
-    return steps[0]
+        levels.append(out)
+        steps, row = out, row + len(out)
+    return levels
 
 
 class TermCache:
@@ -689,9 +696,10 @@ def evolve(
             return u
         _check_system(system)
         rows = _block_rows(system, m_count)
+        scratch = np.empty((_level_rows(rows), system.dim, system.dim), dtype=np.complex128)
         for first in range(0, m_count, rows):
             steps = _pwc_steps(system, u_vals[:, first : first + rows], tau)
-            u = _chain(steps, np.empty_like(steps)) @ u
+            u = _chain(steps, scratch)[-1][0] @ u
         return u
 
     if isinstance(source, PWMSequence):
@@ -711,7 +719,7 @@ def evolve(
         steps = _suzuki_steps(
             kernel, field, seq.widths[:, block], tau, first, starts[block], tau, level
         )
-        u = _chain(steps, kernel.scratch[: len(steps)]) @ u
+        u = _chain(steps, kernel.scratch)[-1][0] @ u
     return kernel.v0 @ u @ kernel.v0.conj().T
 
 

@@ -18,10 +18,20 @@ from pwmctrl.grape import (
     random_initial_widths,
     run_fig5_benchmark,
     ten_level_problem,
+    _PwcEngine,
     _PwmEngine,
+    _sweep,
 )
 from pwmctrl.model import ControlSystem, basis_state
-from pwmctrl.propagate import HamiltonianCache, _PwmKernel, frame_from_widths, step_pwm
+from pwmctrl.propagate import (
+    HamiltonianCache,
+    _chain,
+    _level_rows,
+    _pwc_steps,
+    _PwmKernel,
+    frame_from_widths,
+    step_pwm,
+)
 
 from conftest import SIGMA_X, non_hermitian_ten_level, random_hermitian
 
@@ -259,6 +269,44 @@ def assert_steps_match_step_pwm(problem: GrapeProblem, widths: np.ndarray) -> li
     return [forward, backward]
 
 
+def sequential_sweep(steps, psi_initial, psi_target):
+    """Kets and bras at every subinterval boundary, one step at a time."""
+    phi = [psi_initial]
+    for step in steps:
+        phi.append(step @ phi[-1])
+    chi = [psi_target.conj()]
+    for step in steps[::-1]:
+        chi.append(chi[-1] @ step)
+    return np.array(phi), np.array(chi[::-1]), np.vdot(psi_target, phi[-1])
+
+
+class TestSweep:
+    @pytest.mark.parametrize("m_count", [1, 2, 3, 5, 8, 1000])
+    @pytest.mark.parametrize("scheme", ["pwm", "pwc"])
+    def test_down_sweep_matches_sequential_sweep(self, rng, m_count, scheme):
+        """One step, odd carried nodes at every level (3, 5, 1000) and full
+        binary trees (2, 8), on both engines' step stacks."""
+        problem = random_problem(rng, 6, 2, total_time=0.2 * m_count, tau=0.2)
+        widths = random_initial_widths(problem, rng)
+        if scheme == "pwm":
+            kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), m_count)
+            steps = kernel.fill(kernel.layout(widths, problem.tau))
+        else:
+            steps = _pwc_steps(problem.system, widths, problem.tau)
+        n = problem.system.dim
+        levels = _chain(steps, np.empty((_level_rows(m_count), n, n), dtype=np.complex128))
+        phi, chi = (
+            np.empty((m_count + 1 + _level_rows(m_count), n), dtype=np.complex128)
+            for _ in range(2)
+        )
+        psi_i, psi_f = problem.psi_initial, problem.psi_target
+        phi, chi, overlap = _sweep(levels, psi_i, psi_f, phi, chi)
+        expected = sequential_sweep(steps, psi_i, psi_f)
+        assert np.max(np.abs(phi - expected[0])) <= 1e-13
+        assert np.max(np.abs(chi - expected[1])) <= 1e-13
+        assert abs(overlap - expected[2]) <= 1e-13
+
+
 class TestGradient:
     def test_closed_form_single_rotation(self):
         """Zero drift, one sigma_x control: J = cos^2(sum w), so every entry of
@@ -327,6 +375,40 @@ class TestGradient:
         assert np.array_equal(held, gradient(problem, widths))
         engine.evaluate(random_initial_widths(problem, rng))
         assert np.array_equal(engine.gradient(point)[0], held)
+
+    def test_pwc_handed_over_point_gives_the_same_gradient(self, rng):
+        """The baseline's gradient at the step stack ``evaluate`` returned
+        equals a fresh engine's bit for bit, also after another evaluation
+        has overwritten the levels in between."""
+        problem = random_problem(rng, 5, 3, total_time=2.0, tau=0.2)
+        field = rng.uniform(-0.5, 0.5, size=(3, problem.n_steps))
+        engine = _PwcEngine(problem)
+        value, point = engine.evaluate(field)
+        held, value_at = engine.gradient(point)
+        assert value_at == pytest.approx(value, abs=1e-14)
+        assert np.array_equal(held, _PwcEngine(problem).gradient(point)[0])
+        engine.evaluate(rng.uniform(-0.5, 0.5, size=field.shape))
+        assert np.array_equal(engine.gradient(point)[0], held)
+
+    @given(
+        k_count=st.integers(1, 3),
+        dim=st.integers(2, 12),
+        m_count=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_directional_central_difference(self, k_count, dim, m_count, seed):
+        """The multi-control benchmark's gate along a random unit direction:
+        step 1e-6 tau, error at most 1e-5 max(|exact|, 1e-3).  Random
+        starts have no ties or zero widths, so J is smooth around them."""
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, dim, k_count, total_time=0.2 * m_count, tau=0.2)
+        widths = random_initial_widths(problem, rng)
+        direction = rng.standard_normal(widths.shape)
+        direction /= np.linalg.norm(direction)
+        h = 1e-6 * problem.tau
+        up, down = (objective(problem, widths + s * h * direction) for s in (1, -1))
+        exact = float(np.sum(gradient(problem, widths) * direction))
+        assert abs((up - down) / (2 * h) - exact) <= 1e-5 * max(abs(exact), 1e-3)
 
     def test_warns_on_zero_width(self):
         problem = two_level_problem()
