@@ -24,8 +24,9 @@ forward/adjoint sweep, shared with the baseline below, walks down the levels
 of the objective's pairwise product.  The optimizer hands the point of each
 accepted objective value to the gradient, which reuses what was built for it.
 
-A piecewise-constant GRAPE baseline (fresh eigendecomposition per
-subinterval, standard first-order gradient) is included for benchmarking the
+A piecewise-constant GRAPE baseline (a fresh matrix exponential per
+subinterval from the batched Taylor kernel of :mod:`pwmctrl.propagate`,
+standard first-order gradient) is included for benchmarking the
 cached-propagator speedup.
 """
 
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ControlSystem, _check_system, basis_state, build_ten_level_system
-from .propagate import HamiltonianCache, _chain, _Layout, _level_rows, _pwc_steps, _PwmKernel
+from .model import ControlSystem, _check_system, _locked, basis_state, build_ten_level_system
+from .propagate import HamiltonianCache, _chain, _Layout, _level_rows, _PwcKernel, _PwmKernel
 from .pwm import PWMSequence, Spectrum, dominant_peaks, inverse_pwm_pwc, spectrum
 from .pwm import _as_amplitudes, _as_widths
 
@@ -421,40 +422,44 @@ def optimize(
 
 
 class _PwcEngine:
-    """Piecewise-constant GRAPE baseline: fresh eigendecomposition per step.
+    """Piecewise-constant GRAPE baseline: one Taylor exponential per step.
 
     Parameters are the subinterval field amplitudes ``eps_k(m)``; the step
-    propagator is ``exp(-i tau (H0 + sum_k eps_k H_k))`` and the gradient
-    uses the standard first-order rule ``dU/deps ~= -i tau H_k U``.  The
-    point :meth:`evaluate` hands to :meth:`gradient` is the step stack, whose
-    levels are rebuilt unless they are held.
+    propagators ``exp(-i tau (H0 + sum_k eps_k H_k))`` come from one M-row
+    PWC kernel, and the gradient uses the standard first-order rule ``dU/deps
+    ~= -i tau H_k U``.  The point :meth:`evaluate` hands to :meth:`gradient`
+    is a read-only copy of the amplitudes; the kernel's steps and the levels
+    are rebuilt unless the kernel holds it.  The sweep states and brackets
+    are allocated once and filled in place.
     """
 
     def __init__(self, problem: GrapeProblem) -> None:
         self.problem = problem
         self._controls = np.stack(problem.system.controls)
-        m_count, n = problem.n_steps, problem.system.dim
-        self._scratch = np.empty((_level_rows(m_count), n, n), dtype=np.complex128)
+        k_count, m_count, n = problem.n_controls, problem.n_steps, problem.system.dim
+        self.kernel = _PwcKernel(problem.system, m_count)
         self._phi = np.empty((m_count + 1 + _level_rows(m_count), n), dtype=np.complex128)
         self._chi = np.empty_like(self._phi)
+        self._images = np.empty((k_count, n, m_count), dtype=np.complex128)
+        self._brackets = np.empty((k_count, m_count), dtype=np.complex128)
         self._levels: list[np.ndarray] = []
 
     def evaluate(self, eps: np.ndarray) -> tuple[float, np.ndarray]:
-        problem = self.problem
-        steps = _pwc_steps(problem.system, eps, problem.tau)
-        self._levels = _chain(steps, self._scratch)
-        return infidelity(self._levels[-1][0], problem.psi_initial, problem.psi_target), steps
+        problem, point = self.problem, _locked(np.array(eps, dtype=np.float64))
+        self._levels = _chain(self.kernel.fill(point, problem.tau), self.kernel.scratch)
+        return infidelity(self._levels[-1][0], problem.psi_initial, problem.psi_target), point
 
-    def gradient(self, steps: np.ndarray) -> tuple[np.ndarray, float]:
-        problem = self.problem
-        if not self._levels or self._levels[0] is not steps:
-            self._levels = _chain(steps, self._scratch)
+    def gradient(self, point: np.ndarray) -> tuple[np.ndarray, float]:
+        problem, kernel = self.problem, self.kernel
+        if point is not kernel.held:
+            self._levels = _chain(kernel.fill(point, problem.tau), kernel.scratch)
         phi, chi, overlap = _sweep(
             self._levels, problem.psi_initial, problem.psi_target, self._phi, self._chi
         )
-        dc = -1j * problem.tau * np.einsum(
-            "mn,knq,mq->km", chi[1:], self._controls, phi[1:], optimize=True
-        )
+        # <chi_m| H_k |phi_m>: one (N, N) x (N, M) product per control
+        np.matmul(self._controls, phi[1:].T, out=self._images)
+        np.einsum("mn,knm->km", chi[1:], self._images, out=self._brackets)
+        dc = -1j * problem.tau * self._brackets
         grad = -2.0 * np.real(np.conj(overlap) * dc)
         return grad, float(1.0 - abs(overlap) ** 2)
 

@@ -12,7 +12,7 @@ one by one in decreasing order of width, and the dwell times ``tau_j`` are
 fixed linear functions of the sorted widths.  Every factor needs only the
 eigendecomposition of one member of the finite set, so all matrix
 diagonalizations can be cached and reused across subintervals -- that is the
-speed advantage over piecewise-constant stepping, which diagonalizes a fresh
+speed advantage over piecewise-constant stepping, which exponentiates a fresh
 Hamiltonian every subinterval.
 
 Every PWM propagation -- :func:`evolve`, :func:`step_pwm_higher`,
@@ -20,7 +20,10 @@ Every PWM propagation -- :func:`evolve`, :func:`step_pwm_higher`,
 that builds the steps of many subintervals at once in the drift's eigenbasis.
 A Suzuki sub-window of negative length negates every dwell, which gives the
 exact inverse step.  :func:`step_pwm` multiplies one subinterval's factors
-frame by frame and is the independent reference.
+frame by frame and is the independent reference.  Piecewise-constant steps
+come from a second batched kernel, a scaling-and-squaring Taylor exponential;
+:func:`expm_hermitian` and :func:`reference_propagator` keep their own
+eigendecompositions and are its independent references.
 
 Fields are accepted either as :class:`~pwmctrl.pwm.SampledField` (integrated
 exactly as piecewise-constant data) or as a smooth callable ``u(t)``
@@ -260,6 +263,92 @@ class _PwmKernel:
         return steps
 
 
+#: Degree of :class:`_PwcKernel`'s Taylor polynomial, and the largest 1-norm
+#: it takes unscaled: at ``||A|| <= theta`` the first dropped term,
+#: ``theta^17 / 17!``, is the unit roundoff 2^-53.
+_TAYLOR_DEGREE = 16
+_TAYLOR_THETA = (2.0**-53 * math.factorial(_TAYLOR_DEGREE + 1)) ** (1 / (_TAYLOR_DEGREE + 1))
+_TAYLOR_COEFFS = np.array([1 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1)],
+                          dtype=np.complex128)
+
+
+def _squarings(norm: float) -> int:
+    """Squarings that bring a 1-norm ``norm`` down to ``_TAYLOR_THETA``."""
+    return max(0, math.ceil(math.log2(norm / _TAYLOR_THETA))) if norm > 0 else 0
+
+
+class _PwcKernel:
+    """Batched PWC steps ``exp(-i tau (H0 + sum_k u_k H_k))`` of up to ``rows`` subintervals.
+
+    Scaling and squaring around a Taylor polynomial (Al-Mohy & Higham 2009).
+    Each step Hamiltonian is shifted by ``mu = tr H / N``, which is exact:
+    ``exp(-i tau mu)`` is a scalar phase applied at the end.  One squaring
+    count ``s`` per call brings the largest 1-norm of ``A = -i tau (H - mu)
+    / 2^s`` in the stack to at most ``_TAYLOR_THETA`` (for Hermitian ``H``
+    the 1-norm bounds the 2-norm).  The degree-16 polynomial is evaluated by
+    Paterson-Stockmeyer in ``B = A^4``,
+
+        p(A) = C_0 + B (C_1 + B (C_2 + B (C_3 + B / 16!))),
+        C_j = sum_{i<4} A^i / (4j + i)!,
+
+    which is six batched matrix products (``A^2``, ``A^3``, ``A^4`` and three
+    in ``B``) before the ``s`` squarings.  All arrays are allocated once for
+    ``rows`` rows and filled in place; ``held`` is the values array the step
+    stack was built from.
+    """
+
+    def __init__(self, system: ControlSystem, rows: int) -> None:
+        _check_system(system)
+        n = system.dim
+        terms = np.stack([system.drift, *system.controls]).astype(np.complex128)
+        self._mu = np.trace(terms, axis1=1, axis2=2).real / n
+        self._terms = (terms - self._mu[:, None, None] * np.eye(n)).reshape(len(terms), n * n)
+        self._coeffs = np.ones((rows, len(terms)), dtype=np.complex128)
+        # rows 1-4 hold A .. A^4 and row 0 each product in B, so C_3 + B / 16!
+        # (rows 1-4) and C_j + that product (rows 0-3) are one matrix-vector
+        # product each over adjacent rows
+        self._powers = np.empty((5, rows * n * n), dtype=np.complex128)
+        self.steps = np.empty((rows, n, n), dtype=np.complex128)
+        self.scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
+        self.held: np.ndarray | None = None
+
+    def fill(self, values: np.ndarray, tau: float) -> np.ndarray:
+        """The step stack of the ``(K, r)`` control ``values``, ``r <= rows``, over ``tau``.
+
+        Raises ``ValueError`` on a non-finite value or ``tau``.
+        """
+        if not (math.isfinite(tau) and np.all(np.isfinite(values))):
+            raise ValueError("PWC control values and tau must be finite")
+        rows, n = values.shape[1], self.steps.shape[1]
+        coeffs, steps = self._coeffs[:rows], self.steps[:rows]
+        coeffs[:, 1:] = values.T
+        powers = self._powers[:, : rows * n * n]
+        product, a, a2, a3, b = (p.reshape(rows, n, n) for p in powers)
+        np.dot(coeffs, -1j * tau * self._terms, out=a.reshape(rows, n * n))
+        # the product row is free until the polynomial: |A| is taken in it
+        magnitude = powers[0].view(np.float64)[: rows * n * n].reshape(rows, n, n)
+        squarings = _squarings(float(np.max(np.abs(a, out=magnitude).sum(axis=1))))
+        if squarings:
+            a *= 0.5**squarings
+        np.matmul(a, a, out=a2)
+        np.matmul(a, a2, out=a3)
+        np.matmul(a2, a2, out=b)
+        c = _TAYLOR_COEFFS
+        flat, diagonal = steps.reshape(-1), steps.reshape(rows, n * n)[:, :: n + 1]
+        np.dot(c[13:], powers[1:], out=flat)
+        diagonal += c[12]
+        for j in (2, 1, 0):
+            np.matmul(b, steps, out=product)
+            np.dot(np.array([1, *c[4 * j + 1 : 4 * j + 4]]), powers[:4], out=flat)
+            diagonal += c[4 * j]
+        for _ in range(squarings):
+            np.matmul(steps, steps, out=product)
+            steps[...] = product
+        steps *= np.exp(-1j * tau * (coeffs.real @ self._mu))[:, None, None]
+        self.held = values
+        return steps
+
+
 def _level_rows(m_count: int) -> int:
     """Rows of :func:`_chain`'s levels above ``m_count`` steps: at most ``M + ceil(log2 M)``."""
     return m_count + (m_count - 1).bit_length()
@@ -428,17 +517,12 @@ def step_pwc(system: ControlSystem, control_values, tau: float) -> np.ndarray:
     u_mid = np.atleast_1d(np.asarray(control_values, dtype=np.float64))
     if u_mid.shape != (system.n_controls,):
         raise ValueError(f"expected {system.n_controls} control values")
-    _check_system(system)
     return _pwc_steps(system, u_mid[:, None], tau)[0]
 
 
 def _pwc_steps(system: ControlSystem, values: np.ndarray, tau: float) -> np.ndarray:
     """Stacked ``exp(-i tau (H0 + sum_k u_k H_k))``, one per column of ``values``."""
-    h = np.broadcast_to(system.drift, (values.shape[1], system.dim, system.dim)).copy()
-    h += np.einsum("km,kab->mab", values, np.stack(system.controls))
-    lam, basis = np.linalg.eigh(h)
-    phases = np.exp(-1j * tau * lam)
-    return (basis * phases[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+    return _PwcKernel(system, values.shape[1]).fill(values, tau)
 
 
 def step_spo(
@@ -614,7 +698,9 @@ def reference_propagator(
     ``exp(-i dt H(t_mid))`` chronologically.  Error falls off as
     ``resolution^-2``; when the field is a :class:`SampledField` whose cell
     boundaries align with the slices, the result is the exact propagator of
-    the piecewise-constant field.
+    the piecewise-constant field.  The slice exponentials come from ``eigh``,
+    independent of the PWC kernel, and are reduced pairwise in blocks sized
+    like :func:`evolve`'s.
     """
     _check_system(system)
     if resolution < 100:
@@ -624,13 +710,16 @@ def reference_propagator(
     dt = (t_end - t_start) / resolution
     mids = t_start + (np.arange(resolution) + 0.5) * dt
     u_vals = _field_values(field, mids, system.n_controls)
-    h = np.broadcast_to(system.drift, (resolution, system.dim, system.dim)).copy()
-    h += np.einsum("kr,kab->rab", u_vals, np.stack(system.controls))
-    lam, basis = np.linalg.eigh(h)
-    steps = (basis * np.exp(-1j * dt * lam)[:, None, :]) @ basis.conj().transpose(0, 2, 1)
-    u = np.eye(system.dim, dtype=np.complex128)
-    for r in range(resolution):
-        u = steps[r] @ u
+    controls, n = np.stack(system.controls), system.dim
+    rows = _block_rows(system, resolution)
+    scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
+    u = np.eye(n, dtype=np.complex128)
+    for first in range(0, resolution, rows):
+        h = np.einsum("kr,kab->rab", u_vals[:, first : first + rows], controls)
+        h += system.drift
+        lam, basis = np.linalg.eigh(h)
+        steps = (basis * np.exp(-1j * dt * lam)[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+        u = _chain(steps, scratch)[-1][0] @ u
     return u
 
 
@@ -651,7 +740,7 @@ def _parse_scheme(scheme: str) -> tuple[str, int | None]:
 
 
 def _block_rows(system: ControlSystem, m_count: int) -> int:
-    """Subintervals per :func:`evolve` block: ``_BLOCK_ENTRIES`` over ``2K + 4`` N x N stacks."""
+    """Subintervals (or reference slices) per block: ``_BLOCK_ENTRIES`` over ``2K + 4`` stacks."""
     per_row = (2 * system.n_controls + 4) * system.dim**2
     return max(1, min(m_count, _BLOCK_ENTRIES // per_row))
 
@@ -694,12 +783,11 @@ def evolve(
             for m in range(m_count):
                 u = _step_spo(term_cache, u_vals[:, m], tau) @ u
             return u
-        _check_system(system)
         rows = _block_rows(system, m_count)
-        scratch = np.empty((_level_rows(rows), system.dim, system.dim), dtype=np.complex128)
+        kernel = _PwcKernel(system, rows)
         for first in range(0, m_count, rows):
-            steps = _pwc_steps(system, u_vals[:, first : first + rows], tau)
-            u = _chain(steps, scratch)[-1][0] @ u
+            steps = kernel.fill(u_vals[:, first : first + rows], tau)
+            u = _chain(steps, kernel.scratch)[-1][0] @ u
         return u
 
     if isinstance(source, PWMSequence):

@@ -372,14 +372,12 @@ def pwm_signal(seq: PWMSequence, control_index: int = 0, sample_rate: float = 10
     the subintervals (``round(sample_rate * tau)`` samples per subinterval).
     """
     xi = seq.amplitudes[control_index]
-    widths = seq.widths[control_index]
     dt, times = _signal_grid(seq, sample_rate)
-    out = np.zeros_like(times)
-    for m, (center, w) in enumerate(zip(seq.centers, widths)):
-        if w == 0.0:
-            continue
-        mask = np.abs(times - center) <= abs(w) / 2
-        out[mask] = xi * np.sign(w)
+    # sample i lies in subinterval i // n_sub, and no pulse leaves its own (|w| <= tau)
+    cell = np.arange(times.size) // (times.size // seq.n_pulses)
+    widths, centers = seq.widths[control_index][cell], seq.centers[cell]
+    on = (widths != 0.0) & (np.abs(times - centers) <= np.abs(widths) / 2)
+    out = np.where(on, xi * np.sign(widths), 0.0)
     return SampledField(dt=dt, values=out[None, :])
 
 

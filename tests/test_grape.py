@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,6 +434,34 @@ class TestGradient:
         widths = np.array([[0.2, 0.3], [-0.2, 0.1]])
         with pytest.warns(UserWarning, match="tie"):
             gradient(problem, widths)
+
+
+class TestAllocation:
+    @pytest.mark.parametrize("engine_type", [_PwmEngine, _PwcEngine])
+    def test_steady_state_calls_allocate_less_than_one_step_stack(self, engine_type):
+        """After warm-up, the ten-level engines' ``evaluate`` and ``gradient``
+        each peak below one (M, N, N) complex stack of fresh memory: the
+        stacks they work in are their own."""
+        problem = ten_level_problem()
+        rng = np.random.default_rng(5)
+        params = (random_initial_widths if engine_type is _PwmEngine else grape._random_field)(
+            problem, rng
+        )
+        engine = engine_type(problem)
+        for _ in range(2):
+            engine.gradient(engine.evaluate(params)[1])
+        tracemalloc.start()
+        try:
+            point = engine.evaluate(params)[1]
+            evaluate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            engine.gradient(point)
+            gradient_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = 16 * problem.system.dim**2 * problem.n_steps
+        assert evaluate_peak < stack
+        assert gradient_peak < stack
 
 
 class TestRandomInitialWidths:

@@ -218,6 +218,41 @@ class TestStepPwcAndSpo:
         assert np.allclose(a, b, atol=1e-14)
 
 
+class TestPwcKernel:
+    """The batched Taylor exponential against the eigendecomposition of each step."""
+
+    @pytest.mark.parametrize("dim", [2, 10, 32])
+    @pytest.mark.parametrize("k_count", [1, 2, 3])
+    @pytest.mark.parametrize("squarings", [0, 1, 3])
+    @pytest.mark.parametrize("rows, complex_controls", [(1, False), (7, True)])
+    def test_matches_expm_hermitian(self, rng, dim, k_count, squarings, rows, complex_controls):
+        """``tau`` puts the largest shifted 1-norm in the stack inside the
+        band of ``squarings``; entries within 1e-14, unitary within 1e-14."""
+        controls = tuple(
+            random_hermitian(dim, rng) if complex_controls else random_hermitian(dim, rng).real
+            for _ in range(k_count)
+        )
+        system = ControlSystem(drift=random_hermitian(dim, rng), controls=controls)
+        values = rng.uniform(-1.0, 1.0, size=(k_count, rows))
+        h = system.drift + np.einsum("km,kab->mab", values, np.stack(controls))
+        shifted = h - np.trace(h, axis1=1, axis2=2).real[:, None, None] / dim * np.eye(dim)
+        norm = np.max(np.abs(shifted).sum(axis=1))
+        tau = {0: 0.7, 1: 1.5, 3: 6.0}[squarings] * propagate._TAYLOR_THETA / norm
+        assert propagate._squarings(tau * norm) == squarings
+        steps = propagate._PwcKernel(system, rows).fill(values, tau)
+        for step, hamiltonian in zip(steps, h):
+            assert np.max(np.abs(step - expm_hermitian(hamiltonian, tau))) <= 1e-14
+            assert unitarity_defect(step) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, ten_level, bad):
+        kernel = propagate._PwcKernel(ten_level, 3)
+        with pytest.raises(ValueError, match="finite"):
+            kernel.fill(np.array([[0.1, bad, 0.2]]), 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            kernel.fill(np.array([[0.1, 0.3, 0.2]]), bad)
+
+
 class TestCacheOwnership:
     """A cache built for another system or other amplitudes is rejected,
     not silently used in place of the arguments."""

@@ -185,6 +185,23 @@ class TestPwmSignal:
         per = sig.values[0].reshape(6, -1).sum(axis=1) * sig.dt
         assert np.allclose(per, xi * widths[0], atol=2 * xi / rate * tau)
 
+    @pytest.mark.parametrize("rate", [10.0, 255.0, 256.0, 1000.0])
+    def test_matches_one_mask_per_subinterval(self, rng, rate):
+        """Bit for bit the samples of one full-length ``|t - t_m| <= |w|/2``
+        mask per subinterval, on random widths with zeros, signs and ``|w| = tau``."""
+        tau, xi = 0.25, np.array([1.5, 0.7])
+        widths = rng.uniform(-tau, tau, size=(2, 40))
+        widths[:, ::5] = 0.0
+        widths[0, 1::7], widths[1, 2::7] = tau, -tau
+        seq = PWMSequence(tau=tau, amplitudes=xi, widths=widths)
+        for k in range(2):
+            sig = pwm_signal(seq, k, rate / tau)
+            expected = np.zeros(sig.n_samples)
+            for center, w in zip(seq.centers, widths[k]):
+                if w != 0.0:
+                    expected[np.abs(sig.times - center) <= abs(w) / 2] = xi[k] * np.sign(w)
+            assert np.array_equal(sig.values[0], expected)
+
 
 class TestGaussianTrain:
     def test_peak_amplitude_and_sign(self):
