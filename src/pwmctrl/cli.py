@@ -261,13 +261,7 @@ def _cmd_error_order(options: _Options) -> int:
     )
     out = options.get("out")
     if out is not None:
-        import csv
-
-        with open(out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["tau", "error"])
-            for t, e in zip(fit.taus, fit.errors):
-                writer.writerow([repr(t), repr(e)])
+        artifacts.write_error_order_csv(out, fit)
         print(f"wrote {out}")
     print(
         f"scheme={fit.scheme} slope={fit.slope:.4f} "

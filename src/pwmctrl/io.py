@@ -1,15 +1,23 @@
 """CSV/JSON readers and writers for every artifact the toolkit emits.
 
-All floating-point fields are written with ``repr``, i.e. the shortest
-decimal string that round-trips to the same double, so reading a file back
-reproduces the numbers bit-exactly.  Complex matrices are stored as
+Byte layout of every CSV file: optional ``# key=value`` comment lines, each
+ending in ``\n``, then a header row and the data rows, each ending in
+``\r\n`` (the ``excel`` dialect of :mod:`csv`).  Floating-point cells are
+written with ``repr``, i.e. the shortest decimal string that round-trips to
+the same double, so reading a file back reproduces the numbers bit-exactly;
+integer cells are plain decimals.  Complex matrices are stored as
 ``[re, im]`` pairs (JSON) or ``re``/``im`` columns (CSV).
+
+Readers accept quoted cells, blank lines and comment lines anywhere (they
+parse with :mod:`csv`) and read numeric cells by Python's ``float`` and
+``int`` rules.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +38,7 @@ __all__ = [
     "read_trace_csv",
     "write_benchmark_csv",
     "write_contour_csv",
+    "write_error_order_csv",
     "write_field_csv",
     "write_gamma_grid_csv",
     "write_propagator_csv",
@@ -48,18 +57,49 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _open_rows(path) -> list[list[str]]:
+def _write_table(path, columns: dict, comments=()) -> None:
+    """``# comment`` lines, a header of the column names and one row per entry.
+
+    Integer columns are written as plain decimals and every other column as
+    the ``repr`` of its float64 values, byte for byte as ``csv.writer`` writes
+    them; each column becomes Python scalars with one ``tolist``.
+    """
+    cells = [
+        (col if np.issubdtype(col.dtype, np.integer) else col.astype(np.float64)).tolist()
+        for col in map(np.asarray, columns.values())
+    ]
+    row = ",".join(["{!r}"] * len(cells)) + "\r\n"
+    with open(path, "w", newline="") as handle:
+        handle.writelines(f"# {line}\n" for line in comments)
+        handle.write(",".join(columns) + "\r\n")
+        handle.write("".join(map(row.format, *cells)))
+
+
+def _read_rows(path) -> tuple[dict[str, str], list[list[str]]]:
+    """The ``# key=value`` comments and the other non-blank rows of a CSV file."""
     with open(path, newline="") as handle:
-        return [row for row in csv.reader(handle) if row]
+        text = handle.read()
+    rows = [row for row in csv.reader(StringIO(text, newline="")) if row]
+    return _split_comments(rows, text.count("#"))
 
 
-def _split_comments(rows: list[list[str]]) -> tuple[dict[str, str], list[list[str]]]:
+def _split_comments(
+    rows: list[list[str]], hashes: int
+) -> tuple[dict[str, str], list[list[str]]]:
+    """Comment rows (first cell starts with ``#``) parsed into a dict, and the rest.
+
+    ``hashes`` counts the ``#`` characters of the file; once the rows seen
+    hold all of them, no later row can be a comment and the scan stops.
+    """
     meta: dict[str, str] = {}
     body: list[list[str]] = []
-    for row in rows:
-        first = row[0].strip()
-        if first.startswith("#"):
-            for cell in ",".join(row).lstrip("#").split(","):
+    for index, row in enumerate(rows):
+        if not hashes:
+            return meta, body + rows[index:]
+        line = ",".join(row)
+        hashes -= line.count("#")
+        if row[0].strip().startswith("#"):
+            for cell in line.lstrip("#").split(","):
                 if "=" in cell:
                     key, value = cell.split("=", 1)
                     meta[key.strip()] = value.strip()
@@ -77,10 +117,10 @@ def _require_header(body: list[list[str]], expected: list[str], path) -> list[li
 
 
 def _float_table(rows: list[list[str]], width: int, path) -> np.ndarray:
-    if not rows or any(len(row) != width for row in rows):
+    if not rows or set(map(len, rows)) != {width}:
         raise FileFormatError(f"{path}: ragged or empty table")
     try:
-        return np.array([[float(c) for c in row] for row in rows])
+        return np.array(rows, dtype=np.float64)
     except ValueError as exc:
         raise FileFormatError(f"{path}: non-numeric cell ({exc})") from exc
 
@@ -89,12 +129,9 @@ def _float_table(rows: list[list[str]], width: int, path) -> np.ndarray:
 
 def write_field_csv(path, field: SampledField) -> None:
     """Midpoint-sampled field as ``t,u_1,...,u_K`` rows (dt in a comment)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        handle.write(f"# dt={_fmt(field.dt)}\n")
-        writer.writerow(["t"] + [f"u_{k + 1}" for k in range(field.n_controls)])
-        for i, t in enumerate(field.times):
-            writer.writerow([_fmt(t)] + [_fmt(v) for v in field.values[:, i]])
+    columns = {"t": field.times}
+    columns.update((f"u_{k + 1}", u) for k, u in enumerate(field.values))
+    _write_table(path, columns, [f"dt={_fmt(field.dt)}"])
 
 
 def read_field_csv(path) -> SampledField:
@@ -103,7 +140,7 @@ def read_field_csv(path) -> SampledField:
     The ``# dt=`` comment, when present, pins the cell width exactly;
     otherwise it is inferred from the time column.
     """
-    meta, body = _split_comments(_open_rows(path))
+    meta, body = _read_rows(path)
     n_controls = len(body[0]) - 1 if body else 0
     if n_controls < 1:
         raise FileFormatError(f"{path}: no control columns")
@@ -128,19 +165,14 @@ def read_field_csv(path) -> SampledField:
 
 def write_sequence_csv(path, seq: PWMSequence) -> None:
     """Pulse widths as ``m,t_center,w_1,...`` with tau and xi in comments."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        handle.write(f"# tau={_fmt(seq.tau)}\n")
-        handle.write("# xi=" + ";".join(_fmt(x) for x in seq.amplitudes) + "\n")
-        writer.writerow(["m", "t_center"] + [f"w_{k + 1}" for k in range(seq.n_controls)])
-        for m in range(seq.n_pulses):
-            writer.writerow(
-                [str(m + 1), _fmt(seq.centers[m])] + [_fmt(w) for w in seq.widths[:, m]]
-            )
+    columns = {"m": np.arange(1, seq.n_pulses + 1), "t_center": seq.centers}
+    columns.update((f"w_{k + 1}", w) for k, w in enumerate(seq.widths))
+    comments = [f"tau={_fmt(seq.tau)}", "xi=" + ";".join(_fmt(x) for x in seq.amplitudes)]
+    _write_table(path, columns, comments)
 
 
 def read_sequence_csv(path) -> PWMSequence:
-    meta, body = _split_comments(_open_rows(path))
+    meta, body = _read_rows(path)
     if "tau" not in meta or "xi" not in meta:
         raise FileFormatError(f"{path}: missing '# tau=' or '# xi=' comment")
     tau = float(meta["tau"])
@@ -157,17 +189,12 @@ def read_sequence_csv(path) -> PWMSequence:
 # ---------------------------------------------------------------- spectra
 
 def write_spectrum_csv(path, spec: Spectrum) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        handle.write(f"# duration={_fmt(spec.duration)}\n")
-        handle.write(f"# n_samples={spec.n_samples}\n")
-        writer.writerow(["omega", "magnitude", "phase"])
-        for i in range(spec.omega.size):
-            writer.writerow([_fmt(spec.omega[i]), _fmt(spec.magnitude[i]), _fmt(spec.phase[i])])
+    columns = {"omega": spec.omega, "magnitude": spec.magnitude, "phase": spec.phase}
+    _write_table(path, columns, [f"duration={_fmt(spec.duration)}", f"n_samples={spec.n_samples}"])
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    meta, body = _split_comments(_open_rows(path))
+    meta, body = _read_rows(path)
     if "duration" not in meta:
         raise FileFormatError(f"{path}: missing '# duration=' comment")
     rows = _require_header(body, ["omega", "magnitude", "phase"], path)
@@ -189,29 +216,34 @@ def write_propagator_csv(path, u: np.ndarray) -> None:
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("propagator must be a square matrix")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "j", "re", "im"])
-        for i in range(u.shape[0]):
-            for j in range(u.shape[1]):
-                writer.writerow([str(i), str(j), _fmt(u[i, j].real), _fmt(u[i, j].imag)])
+    u = u.astype(np.complex128)
+    i, j = np.indices(u.shape).reshape(2, -1)
+    _write_table(path, {"i": i, "j": j, "re": u.real.ravel(), "im": u.imag.ravel()})
 
 
 def read_propagator_csv(path) -> np.ndarray:
-    rows = _require_header(_split_comments(_open_rows(path))[1], ["i", "j", "re", "im"], path)
+    rows = _require_header(_read_rows(path)[1], ["i", "j", "re", "im"], path)
     if not rows:
         raise FileFormatError(f"{path}: empty propagator table")
     n = int(round(len(rows) ** 0.5))
     if n * n != len(rows):
         raise FileFormatError(f"{path}: {len(rows)} entries do not form a square matrix")
+    values = _float_table(rows, 4, path)
+    try:
+        i, j = np.array(list(zip(*rows))[:2], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{path}: bad index cell ({exc})") from exc
+    # the first row whose index is out of range or already seen
+    inside = (0 <= i) & (i < n) & (0 <= j) & (j < n)
+    first = np.zeros(i.size, dtype=bool)
+    first[np.unique(i * n + j, return_index=True)[1]] = True
+    bad = ~(inside & first)
+    if bad.any():
+        row = bad.argmax()
+        raise FileFormatError(f"{path}: bad or duplicate index ({i[row]}, {j[row]})")
     u = np.zeros((n, n), dtype=np.complex128)
-    seen = np.zeros((n, n), dtype=bool)
-    for row in rows:
-        i, j = int(row[0]), int(row[1])
-        if not (0 <= i < n and 0 <= j < n) or seen[i, j]:
-            raise FileFormatError(f"{path}: bad or duplicate index ({i}, {j})")
-        u[i, j] = float(row[2]) + 1j * float(row[3])
-        seen[i, j] = True
+    u.real[i, j] = values[:, 2]
+    u.imag[i, j] = values[:, 3]
     return u
 
 
@@ -276,7 +308,7 @@ def write_benchmark_csv(path, rows) -> None:
 def read_benchmark_csv(path):
     from .grape import BenchmarkRow
 
-    rows = _require_header(_split_comments(_open_rows(path))[1], BENCHMARK_HEADER, path)
+    rows = _require_header(_read_rows(path)[1], BENCHMARK_HEADER, path)
     out = []
     for row in rows:
         if len(row) != 6:
@@ -296,16 +328,17 @@ def read_benchmark_csv(path):
 def write_trace_csv(path, trace) -> None:
     """Objective trace as ``iteration,objective`` rows (iteration 0 = start)."""
     trace = np.asarray(trace, dtype=float)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "objective"])
-        for i, value in enumerate(trace):
-            writer.writerow([str(i), _fmt(value)])
+    _write_table(path, {"iteration": np.arange(trace.size), "objective": trace})
+
+
+def write_error_order_csv(path, fit) -> None:
+    """Single-step errors of an :class:`~pwmctrl.propagate.ErrorOrderFit` as ``tau,error`` rows."""
+    _write_table(path, {"tau": fit.taus, "error": fit.errors})
 
 
 def read_trace_csv(path) -> np.ndarray:
     rows = _require_header(
-        _split_comments(_open_rows(path))[1], ["iteration", "objective"], path
+        _read_rows(path)[1], ["iteration", "objective"], path
     )
     if not rows:
         raise FileFormatError(f"{path}: empty trace")
@@ -315,17 +348,18 @@ def read_trace_csv(path) -> np.ndarray:
 # -------------------------------------------------------------- cost grids
 
 def write_gamma_grid_csv(path, grid: GammaGrid) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["N", "p", "gamma"])
-        for i, n in enumerate(grid.dims):
-            for j, p in enumerate(grid.orders):
-                writer.writerow([str(int(n)), str(int(p)), _fmt(grid.values[i, j])])
+    dims, orders = (np.asarray(a).astype(np.int64) for a in (grid.dims, grid.orders))
+    columns = {
+        "N": np.repeat(dims, orders.size),
+        "p": np.tile(orders, dims.size),
+        "gamma": np.ravel(grid.values),
+    }
+    _write_table(path, columns)
 
 
 def read_gamma_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (N, p, gamma) columns as flat arrays."""
-    rows = _require_header(_split_comments(_open_rows(path))[1], ["N", "p", "gamma"], path)
+    rows = _require_header(_read_rows(path)[1], ["N", "p", "gamma"], path)
     if not rows:
         raise FileFormatError(f"{path}: empty grid")
     data = [(int(r[0]), int(r[1]), float(r[2])) for r in rows]
@@ -345,7 +379,7 @@ def write_contour_csv(path, dims, boundary) -> None:
 
 
 def read_contour_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = _require_header(_split_comments(_open_rows(path))[1], ["N", "p_boundary"], path)
+    rows = _require_header(_read_rows(path)[1], ["N", "p_boundary"], path)
     if not rows:
         raise FileFormatError(f"{path}: empty contour")
     dims = np.array([int(r[0]) for r in rows])

@@ -26,11 +26,12 @@ come from a second batched kernel, a scaling-and-squaring Taylor exponential;
 eigendecompositions and are its independent references.
 
 Fields are accepted either as :class:`~pwmctrl.pwm.SampledField` (integrated
-exactly as piecewise-constant data) or as a smooth callable ``u(t)``
-returning a scalar (one control) or a length-K sequence; callables are
-integrated by Gauss-Legendre quadrature and are the right choice for
-high-order stepping, whose sub-windows reach slightly outside the nominal
-subinterval.
+exactly as piecewise-constant data) or as a smooth callable ``u(t)``.  A
+callable receives a 1-D array of ``n`` times, once per use, and returns the
+samples as a ``(K, n)`` array, or ``(n,)`` for one control; NumPy ufuncs
+such as ``np.sin`` qualify as they are.  Callables are integrated by
+Gauss-Legendre quadrature and are the right choice for high-order stepping,
+whose sub-windows reach slightly outside the nominal subinterval.
 """
 
 from __future__ import annotations
@@ -572,23 +573,27 @@ def suzuki_coefficient(n: int) -> float:
 
 
 def _field_values(field, times, n_controls: int) -> np.ndarray:
-    """Field samples as a (K, len(times)) array; accepts data or a callable."""
-    times = np.asarray(times, dtype=np.float64)
+    """Field samples at the flattened ``times`` as a ``(K, times.size)`` array.
+
+    A callable field is called once with the flat array of times and must
+    return shape ``(K, n)``, or ``(n,)`` when ``K = 1``.
+    """
+    times = np.asarray(times, dtype=np.float64).ravel()
     if isinstance(field, SampledField):
         if field.n_controls != n_controls:
             raise ValueError(
                 f"field has {field.n_controls} controls, system has {n_controls}"
             )
         return np.atleast_2d(field.value(times))
-    out = np.empty((n_controls, times.size))
-    for j, t in enumerate(times.ravel()):
-        v = np.atleast_1d(np.asarray(field(float(t)), dtype=np.float64))
-        if v.shape != (n_controls,):
-            raise ValueError(
-                f"field callable returned shape {v.shape}, expected ({n_controls},)"
-            )
-        out[:, j] = v
-    return out
+    values = np.asarray(field(times), dtype=np.float64)
+    if n_controls == 1 and values.shape == times.shape:
+        values = values[None]
+    if values.shape != (n_controls, times.size):
+        expected = f"({n_controls}, {times.size})"
+        if n_controls == 1:
+            expected += f" or ({times.size},)"
+        raise ValueError(f"field callable returned shape {values.shape}, expected {expected}")
+    return values
 
 
 def _field_integral(field, a: np.ndarray, b: np.ndarray, n_controls: int) -> np.ndarray:
@@ -698,9 +703,11 @@ def reference_propagator(
     ``exp(-i dt H(t_mid))`` chronologically.  Error falls off as
     ``resolution^-2``; when the field is a :class:`SampledField` whose cell
     boundaries align with the slices, the result is the exact propagator of
-    the piecewise-constant field.  The slice exponentials come from ``eigh``,
-    independent of the PWC kernel, and are reduced pairwise in blocks sized
-    like :func:`evolve`'s.
+    the piecewise-constant field.  A callable field is called once with the
+    array of the ``resolution`` slice midpoints and returns their samples as
+    ``(K, resolution)``, or ``(resolution,)`` for one control.  The slice
+    exponentials come from ``eigh``, independent of the PWC kernel, and are
+    reduced pairwise in blocks sized like :func:`evolve`'s.
     """
     _check_system(system)
     if resolution < 100:
@@ -844,6 +851,9 @@ def error_order(
     PWM schemes require ``amplitudes``.  A smooth callable field is
     recommended: the higher-order scheme integrates sub-windows slightly
     outside the step and a zero-extended sampled field would degrade there.
+    A callable receives an array of ``n`` times per use (the reference's
+    slice midpoints, the step's midpoint or its quadrature nodes) and returns
+    ``(K, n)``, or ``(n,)`` for one control.
     """
     kind, level = _parse_scheme(scheme)
     if kind in ("pwm", "pwm2n") and amplitudes is None:

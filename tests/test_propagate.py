@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -462,3 +464,76 @@ class TestErrorOrder:
         )
         assert fit.saturated
         assert np.isnan(fit.slope)
+
+
+def _per_point(field, n_controls: int):
+    """The former sampling: ``field`` called once per scalar time, stacked to ``(K, n)``."""
+
+    def sampled(times):
+        times = np.ravel(times)
+        out = np.empty((n_controls, times.size))
+        for j, t in enumerate(times):
+            out[:, j] = np.atleast_1d(np.asarray(field(float(t)), dtype=np.float64))
+        return out
+
+    return sampled
+
+
+def _two_sines(t):
+    """Two controls: ``(2, n)`` for an array of times."""
+    return np.stack([np.sin(t), 0.5 * np.cos(2 * t)])
+
+
+class TestCallableField:
+    """A callable field is sampled once per array of times."""
+
+    def test_two_controls_in_reference_propagator(self, rng):
+        system, _, _ = _random_two_control_input(rng)
+        u = reference_propagator(system, _two_sines, 0.0, 1.0, resolution=200)
+        assert np.array_equal(
+            u, reference_propagator(system, _per_point(_two_sines, 2), 0.0, 1.0, resolution=200)
+        )
+        mids = 0.0 + (np.arange(200) + 0.5) * (1.0 / 200)
+        staircase = SampledField(dt=1.0 / 200, values=_two_sines(mids))
+        assert np.array_equal(u, reference_propagator(system, staircase, 0.0, 1.0, resolution=200))
+
+    def test_two_controls_in_suzuki_windows(self, rng):
+        system, _, tau = _random_two_control_input(rng)
+        xi = np.array([1.5, 1.5])
+        for m in (1, 3):
+            u = step_pwm_higher(system, xi, _two_sines, m, 2, tau=tau)
+            assert unitarity_defect(u) < 1e-12
+            per_point = step_pwm_higher(system, xi, _per_point(_two_sines, 2), m, 2, tau=tau)
+            assert np.array_equal(u, per_point)
+        args = ((0.2, 0.1), xi, 400)
+        fit = error_order("pwm4", system, _two_sines, *args)
+        assert fit.errors == error_order("pwm4", system, _per_point(_two_sines, 2), *args).errors
+
+    @pytest.mark.parametrize("returns, expected", [
+        (lambda t: 1.0, "shape (), expected (1, 100) or (100,)"),
+        (lambda t: np.ones((2, t.size)), "shape (2, 100), expected (1, 100) or (100,)"),
+        (lambda t: np.ones(t.size + 1), "shape (101,), expected (1, 100) or (100,)"),
+    ])
+    def test_wrong_shape_names_the_expected_one(self, two_level, returns, expected):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            reference_propagator(two_level, returns, 0.0, 1.0, resolution=100)
+
+    def test_one_row_per_time_is_not_two_controls(self, rng):
+        system, _, _ = _random_two_control_input(rng)
+        with pytest.raises(ValueError, match=re.escape("shape (100,), expected (2, 100)")):
+            reference_propagator(system, np.sin, 0.0, 1.0, resolution=100)
+        with pytest.raises(ValueError, match=re.escape("shape (100, 2), expected (2, 100)")):
+            reference_propagator(system, lambda t: _two_sines(t).T, 0.0, 1.0, resolution=100)
+
+    def test_sine_reference_equals_per_point_sampling(self, two_level):
+        u = reference_propagator(two_level, np.sin, 0.5, 0.7, resolution=10_000)
+        per_point = reference_propagator(two_level, _per_point(np.sin, 1), 0.5, 0.7, resolution=10_000)
+        assert np.max(np.abs(u - per_point)) == 0.0
+
+    @pytest.mark.parametrize("scheme", ["pwm", "pwm4", "pwc", "spo"])
+    def test_sine_error_order_equals_per_point_sampling(self, two_level, scheme):
+        """The ``pwmctrl error-order`` defaults: four steps, 10,000 reference slices."""
+        args = ((0.2, 0.1, 0.05, 0.025), np.array([1.0]), 10_000, 0.5)
+        fit = error_order(scheme, two_level, np.sin, *args)
+        per_point = error_order(scheme, two_level, _per_point(np.sin, 1), *args)
+        assert max(abs(a - b) for a, b in zip(fit.errors, per_point.errors)) == 0.0
