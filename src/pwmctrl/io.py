@@ -116,6 +116,25 @@ def _require_header(body: list[list[str]], expected: list[str], path) -> list[li
     return body[1:]
 
 
+def _parse_rows(rows: list[list[str]], parsers, path) -> list[tuple]:
+    """Each row's cells parsed by ``parsers``, one per column.
+
+    Raises :class:`FileFormatError` naming the file on a row of another
+    width or a cell its parser rejects.
+    """
+    out = []
+    for number, row in enumerate(rows, 1):
+        if len(row) != len(parsers):
+            raise FileFormatError(
+                f"{path}: data row {number} has {len(row)} cells, expected {len(parsers)}"
+            )
+        try:
+            out.append(tuple(parse(cell) for parse, cell in zip(parsers, row)))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: bad cell in data row {number} ({exc})") from exc
+    return out
+
+
 def _float_table(rows: list[list[str]], width: int, path) -> np.ndarray:
     if not rows or set(map(len, rows)) != {width}:
         raise FileFormatError(f"{path}: ragged or empty table")
@@ -309,18 +328,11 @@ def read_benchmark_csv(path):
     from .grape import BenchmarkRow
 
     rows = _require_header(_read_rows(path)[1], BENCHMARK_HEADER, path)
-    out = []
-    for row in rows:
-        if len(row) != 6:
-            raise FileFormatError(f"{path}: malformed benchmark row {row}")
-        out.append(
-            BenchmarkRow(
-                run=int(row[0]), scheme=row[1], iterations=int(row[2]),
-                final_j=float(row[3]), wall_seconds=float(row[4]),
-                converged=bool(int(row[5])),
-            )
-        )
-    return out
+    return [
+        BenchmarkRow(run, scheme, iterations, final_j, wall_seconds, bool(converged))
+        for run, scheme, iterations, final_j, wall_seconds, converged
+        in _parse_rows(rows, (int, str, int, float, float, int), path)
+    ]
 
 
 # ------------------------------------------------------------ optimization
@@ -342,7 +354,7 @@ def read_trace_csv(path) -> np.ndarray:
     )
     if not rows:
         raise FileFormatError(f"{path}: empty trace")
-    return np.array([float(r[1]) for r in rows])
+    return np.array([objective for _, objective in _parse_rows(rows, (int, float), path)])
 
 
 # -------------------------------------------------------------- cost grids
@@ -362,8 +374,7 @@ def read_gamma_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = _require_header(_read_rows(path)[1], ["N", "p", "gamma"], path)
     if not rows:
         raise FileFormatError(f"{path}: empty grid")
-    data = [(int(r[0]), int(r[1]), float(r[2])) for r in rows]
-    n, p, g = map(np.asarray, zip(*data))
+    n, p, g = map(np.asarray, zip(*_parse_rows(rows, (int, int, float), path)))
     return n, p, g
 
 
@@ -382,6 +393,6 @@ def read_contour_csv(path) -> tuple[np.ndarray, np.ndarray]:
     rows = _require_header(_read_rows(path)[1], ["N", "p_boundary"], path)
     if not rows:
         raise FileFormatError(f"{path}: empty contour")
-    dims = np.array([int(r[0]) for r in rows])
-    boundary = np.array([float(r[1]) if len(r) > 1 and r[1] != "" else np.nan for r in rows])
+    parsers = (int, lambda cell: float(cell) if cell else np.nan)
+    dims, boundary = map(np.array, zip(*_parse_rows(rows, parsers, path)))
     return dims, boundary

@@ -20,10 +20,13 @@ Every PWM propagation -- :func:`evolve`, :func:`step_pwm_higher`,
 that builds the steps of many subintervals at once in the drift's eigenbasis.
 A Suzuki sub-window of negative length negates every dwell, which gives the
 exact inverse step.  :func:`step_pwm` multiplies one subinterval's factors
-frame by frame and is the independent reference.  Piecewise-constant steps
-come from a second batched kernel, a scaling-and-squaring Taylor exponential;
-:func:`expm_hermitian` and :func:`reference_propagator` keep their own
-eigendecompositions and are its independent references.
+frame by frame and is the independent reference.  The symmetric
+split-operator step is a product of the same form over the eigenbases of the
+drift and of each control alone, so :func:`evolve` takes it through the same
+kernel; :func:`step_spo` is its frame-by-frame reference.  Piecewise-constant
+steps come from a second batched kernel, a scaling-and-squaring Taylor
+exponential; :func:`expm_hermitian` and :func:`reference_propagator` keep their
+own eigendecompositions and are its independent references.
 
 Fields are accepted either as :class:`~pwmctrl.pwm.SampledField` (integrated
 exactly as piecewise-constant data) or as a smooth callable ``u(t)``.  A
@@ -145,7 +148,8 @@ _BLOCK_ENTRIES = 1 << 18
 
 # One width array as laid out by _PwmKernel: order, signs and sorted_abs are
 # (K, rows), dwell is (K + 1, rows), and slots (K, rows) names the basis change W
-# between sorted positions j and j + 1 of every row.
+# between sorted positions j and j + 1 of every row.  A split-operator layout
+# holds only dwell and slots.
 _Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots")
 
 
@@ -173,17 +177,28 @@ class _PwmKernel:
     ``2K`` dense factors, so a step costs ``2K - 1`` batched matrix
     products.  All arrays are allocated once for ``rows`` rows and filled
     in place; ``held`` is the layout that they hold.
+
+    Built on a :class:`TermCache` the kernel takes Strang split-operator
+    steps instead: ``V_j`` is the eigenbasis of the drift (``j = 0``) or of
+    control ``j`` alone, the ``K`` slots are seeded once with ``W_{j,j+1}``
+    and :meth:`split_layout` gives the dwells.
     """
 
-    def __init__(self, cache: HamiltonianCache, rows: int) -> None:
+    def __init__(self, cache: HamiltonianCache | TermCache, rows: int) -> None:
         self.cache = cache
         k_count, n = cache.system.n_controls, cache.system.dim
         self._place = 3 ** np.arange(k_count)
-        lam0, self.v0 = cache.entry(())
+        split = isinstance(cache, TermCache)
+        lam0, self.v0 = cache.entry(None if split else ())
         # W_ab, W_ab^dagger and lambda_b per slot; slots keyed by code_a * 3^K + code_b
         self._slots: dict[int, int] = {}
         self._basis_changes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._w = self._w_adjoint = self._lam_b = None  # the slots stacked
+        if split:
+            bases = [cache.entry(k) for k in (None, *range(k_count))]
+            for (_, basis_a), (lam_b, basis_b) in zip(bases, bases[1:]):
+                self._add_slot(basis_a, lam_b, basis_b)
+            self._stack_slots()
         self.lam = np.empty((k_count + 1, rows, n))
         self.lam[0] = lam0
         self._angle = np.empty(self.lam.shape)
@@ -199,6 +214,14 @@ class _PwmKernel:
         digits = code // self._place % 3
         return tuple((k, 1 if d == 1 else -1) for k, d in enumerate(digits) if d)
 
+    def _add_slot(self, basis_a: np.ndarray, lam_b: np.ndarray, basis_b: np.ndarray) -> int:
+        w = basis_a.conj().T @ basis_b
+        self._basis_changes.append((w, w.conj().T.copy(), lam_b))
+        return len(self._basis_changes) - 1
+
+    def _stack_slots(self) -> None:
+        self._w, self._w_adjoint, self._lam_b = map(np.stack, zip(*self._basis_changes))
+
     def _slot(self, key: int) -> int:
         """Slot of the basis change ``code_a -> code_b`` packed in ``key``."""
         slot = self._slots.get(key)
@@ -206,9 +229,7 @@ class _PwmKernel:
             code_a, code_b = divmod(key, 3 ** len(self._place))
             basis_a = self.cache.entry(self._prefix(code_a))[1]
             lam_b, basis_b = self.cache.entry(self._prefix(code_b))
-            w = basis_a.conj().T @ basis_b
-            self._basis_changes.append((w, w.conj().T.copy(), lam_b))
-            slot = self._slots[key] = len(self._basis_changes) - 1
+            slot = self._slots[key] = self._add_slot(basis_a, lam_b, basis_b)
         return slot
 
     def layout(self, widths: np.ndarray, length: float) -> _Layout:
@@ -230,8 +251,24 @@ class _PwmKernel:
         filled = len(self._basis_changes)
         slots = np.array([self._slot(int(key)) for key in unique])[inverse.reshape(keys.shape)]
         if len(self._basis_changes) > filled:
-            self._w, self._w_adjoint, self._lam_b = map(np.stack, zip(*self._basis_changes))
+            self._stack_slots()
         return _Layout(order, signs, sorted_abs, dwell, slots)
+
+    @staticmethod
+    def split_layout(values: np.ndarray, tau: float) -> _Layout:
+        """Strang steps over ``tau`` of the ``(K, rows)`` control ``values``.
+
+        Slot ``j`` sits at position ``j`` of every row.  The dwells are
+        ``tau / 2`` on the drift and ``tau u_j / 2`` on control ``j``, except
+        ``tau u_K`` at the centre, where the two middle half-steps merge.
+        """
+        k_count, rows = values.shape
+        dwell = np.empty((k_count + 1, rows))
+        dwell[0] = tau / 2
+        np.multiply(values, tau / 2, out=dwell[1:])
+        dwell[-1] *= 2
+        slots = np.broadcast_to(np.arange(k_count)[:, None], values.shape)
+        return _Layout(None, None, None, dwell, slots)
 
     def factors(self, rows: int | None = None) -> list[np.ndarray]:
         """The ``2K`` dense factors of ``S`` in product order, for the first ``rows`` rows."""
@@ -380,7 +417,9 @@ class TermCache:
     """Eigendecompositions of the drift and each control Hamiltonian alone.
 
     Used by the split-operator scheme, whose factors are single-term
-    exponentials with a per-step scalar in the exponent.  Like
+    exponentials with a per-step scalar in the exponent: :func:`step_spo`
+    builds them one by one, and :func:`evolve` seeds a batched kernel's
+    ``K`` basis changes ``V_j^dagger V_{j+1}`` from them.  Like
     :class:`HamiltonianCache` it belongs to one system object (it holds no
     amplitudes): the constructor rejects a system that fails
     ``validate_system`` and :func:`step_spo` rejects a cache built for
@@ -539,17 +578,14 @@ def step_spo(
 
         U = prod_{k=0..K} e^{-i (tau/2) u_k H_k} * prod_{k=K..0} e^{-i (tau/2) u_k H_k}
 
-    where ``u_0 = 1`` multiplies the drift.  A ``cache`` must have been
-    built for ``system``.
+    where ``u_0 = 1`` multiplies the drift.  Multiplies the factors one by
+    one, the reference for :func:`evolve`'s batched steps.  A ``cache`` must
+    have been built for ``system``.
     """
     u_mid = np.atleast_1d(np.asarray(control_values, dtype=np.float64))
     if u_mid.shape != (system.n_controls,):
         raise ValueError(f"expected {system.n_controls} control values")
     cache = TermCache(system) if cache is None else _checked_cache(cache, system)
-    return _step_spo(cache, u_mid, tau)
-
-
-def _step_spo(cache: TermCache, u_mid: np.ndarray, tau: float) -> np.ndarray:
     half = tau / 2
     ascending = [cache.factor(None, half)]
     ascending += [cache.factor(k, half * u_mid[k]) for k in range(u_mid.size)]
@@ -626,7 +662,8 @@ def _suzuki_steps(
     ``offset + 1``; the rows share the signed ``length``, so each Suzuki
     sub-window position is one kernel call over all rows.  Sub-window widths
     are integrated from ``field``, or without one the ``(K, rows)``
-    ``base_widths`` are scaled to the sub-window length.
+    ``base_widths`` are scaled to the sub-window length; then the two outer
+    sub-windows of a level are the same step, built once.
     """
     if level == 1:
         xi = kernel.cache.amplitudes
@@ -640,7 +677,11 @@ def _suzuki_steps(
     args = (kernel, field, base_widths, tau, offset)
     # each call refills the kernel's step stack, so the earlier results are copied
     first = _suzuki_steps(*args, start, s * length, level - 1).copy()
-    middle = _suzuki_steps(*args, start + s * length, (1 - 2 * s) * length, level - 1).copy()
+    middle = _suzuki_steps(*args, start + s * length, (1 - 2 * s) * length, level - 1)
+    if field is None:
+        # scaled widths do not depend on the start: the last sub-window is the first
+        return first @ middle @ first
+    middle = middle.copy()
     last = _suzuki_steps(*args, start + (1 - s) * length, s * length, level - 1)
     return last @ middle @ first
 
@@ -768,10 +809,15 @@ def evolve(
     :class:`SampledField` plus ``tau``; amplitudes are read at subinterval
     midpoints.
 
-    PWM and PWC steps are built batched over blocks of subintervals sized
-    from N and K, and each block is reduced pairwise.  PWM blocks make one
-    call of the batched kernel per Suzuki sub-window position, with its
-    signed length; :func:`step_pwm` is the frame-by-frame reference.
+    Steps are built batched over blocks of subintervals sized from N and
+    K, and each block is reduced pairwise.  PWM blocks make one call of the
+    batched kernel per Suzuki sub-window position, with its signed length;
+    from a sequence the two outer sub-windows of a level are one call.
+    Split-operator blocks run through the same kernel, seeded with the
+    eigenbases of the drift and of each control alone, and PWC blocks
+    through the Taylor kernel.  :func:`step_pwm`, :func:`step_spo` and
+    :func:`step_pwc` are the step-by-step references.  A callable source
+    raises ``ValueError`` for PWM schemes, which need a sampled duration.
     """
     kind, level = _parse_scheme(scheme)
     if kind in ("pwc", "spo"):
@@ -785,12 +831,13 @@ def evolve(
         mids = (np.arange(m_count) + 0.5) * tau
         u_vals = _field_values(source, mids, system.n_controls)
         u = np.eye(system.dim, dtype=np.complex128)
-        if kind == "spo":
-            term_cache = TermCache(system)
-            for m in range(m_count):
-                u = _step_spo(term_cache, u_vals[:, m], tau) @ u
-            return u
         rows = _block_rows(system, m_count)
+        if kind == "spo":
+            kernel = _PwmKernel(TermCache(system), rows)
+            for first in range(0, m_count, rows):
+                steps = kernel.fill(kernel.split_layout(u_vals[:, first : first + rows], tau))
+                u = _chain(steps, kernel.scratch)[-1][0] @ u
+            return kernel.v0 @ u @ kernel.v0.conj().T
         kernel = _PwcKernel(system, rows)
         for first in range(0, m_count, rows):
             steps = kernel.fill(u_vals[:, first : first + rows], tau)
@@ -800,6 +847,10 @@ def evolve(
     if isinstance(source, PWMSequence):
         seq = source
         field = None
+    elif not isinstance(source, SampledField):
+        raise ValueError(
+            f"scheme {scheme!r} takes a PWMSequence, or a SampledField with amplitudes and tau"
+        )
     else:
         if amplitudes is None or tau is None:
             raise ValueError(f"scheme {scheme!r} with a field input requires amplitudes and tau")

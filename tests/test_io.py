@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pwmctrl.costmodel import gamma_grid
 from pwmctrl.grape import BenchmarkRow
 from pwmctrl.io import (
+    BENCHMARK_HEADER,
     FileFormatError,
     read_benchmark_csv,
     read_contour_csv,
@@ -231,6 +232,32 @@ class TestGammaGridRoundTrip:
         assert np.array_equal(dims_back, dims)
         assert np.isnan(boundary_back[0])
         assert boundary_back[1] == boundary[1]
+
+
+_SHORT_TABLES = {
+    "benchmark": (read_benchmark_csv, ",".join(BENCHMARK_HEADER) + "\n0,pwm,7,0.1,0.3,1\n"),
+    "trace": (read_trace_csv, "iteration,objective\n0,1.0\n"),
+    "gamma_grid": (read_gamma_grid_csv, "N,p,gamma\n4,2,0.5\n"),
+    "contour": (read_contour_csv, "N,p_boundary\n4,\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SHORT_TABLES))
+@pytest.mark.parametrize("last, message", [
+    pytest.param(lambda cells: cells[:1], "data row 2 has 1 cells", id="short-row"),
+    pytest.param(lambda cells: ["oops"] + cells[1:], "bad cell in data row 2", id="non-numeric"),
+])
+def test_table_readers_name_the_file_on_a_bad_row(tmp_path, kind, last, message):
+    """A second data row, copied from the first with one defect, raises a
+    FileFormatError naming the file (never a raw IndexError or ValueError)."""
+    reader, text = _SHORT_TABLES[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text)
+    reader(path)
+    good_row = text.splitlines()[-1]
+    path.write_text(text + ",".join(last(good_row.split(","))) + "\n")
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: {message}")):
+        reader(path)
 
 
 # ------------------------------------------------------------- byte layout

@@ -340,7 +340,7 @@ class TestEvolve:
         u = evolve(system, scheme, field, tau=tau, amplitudes=np.array([1.2, 1.5]))
         assert unitarity_defect(u) <= 1e-12
 
-    @pytest.mark.parametrize("scheme", ["pwm", "pwm4", "pwc"])
+    @pytest.mark.parametrize("scheme", ["pwm", "pwm4", "pwc", "spo"])
     def test_blocks_do_not_change_the_result(self, rng, monkeypatch, scheme):
         """Seven subintervals in blocks of three, the last one short, give
         the single-block result."""
@@ -373,6 +373,57 @@ class TestEvolve:
             expected = step_pwm(system, xi, build_frame(seq, m)) @ expected
         monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 3 * 8 * system.dim**2)
         assert np.max(np.abs(evolve(system, "pwm", seq) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("k_count", [1, 2, 3])
+    def test_spo_matches_the_product_of_step_spo(self, rng, monkeypatch, k_count):
+        """Seven subintervals in blocks of three, with negative and zero
+        control values, against the chronological product of the reference."""
+        system = ControlSystem(
+            drift=random_hermitian(5, rng),
+            controls=tuple(random_hermitian(5, rng) for _ in range(k_count)),
+        )
+        values = rng.uniform(-1.0, 1.0, size=(k_count, 7))
+        values[:, 2] = 0.0
+        values[0, 4] = 0.0
+        values[-1, 5] = -1.5
+        tau = 0.2
+        expected = np.eye(system.dim)
+        for m in range(7):
+            expected = step_spo(system, values[:, m], tau) @ expected
+        monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 3 * (2 * k_count + 4) * system.dim**2)
+        assert propagate._block_rows(system, 7) == 3
+        u = evolve(system, "spo", SampledField(dt=tau, values=values), tau=tau)
+        assert np.max(np.abs(u - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_composed_pwm_matches_suzuki_windows_of_step_pwm(self, rng, monkeypatch, level):
+        """``pwm4``/``pwm6`` from a sequence against a Suzuki composition of
+        frame-by-frame steps on scaled widths; a backward sub-window is the
+        conjugate transpose of the forward step over its length."""
+        system, field, tau = _random_two_control_input(rng)
+        xi = np.array([1.2, 1.5])
+        seq = pwm_approximate(field, xi, tau)
+
+        def window(widths, length, order):
+            if order == 1:
+                frame = frame_from_widths(widths * (abs(length) / tau), abs(length))
+                step = step_pwm(system, xi, frame)
+                return step if length > 0 else step.conj().T
+            s = suzuki_coefficient(order)
+            outer = window(widths, s * length, order - 1)
+            return outer @ window(widths, (1 - 2 * s) * length, order - 1) @ outer
+
+        expected = np.eye(system.dim)
+        for m in range(seq.n_pulses):
+            expected = window(seq.widths[:, m], tau, level) @ expected
+        monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 3 * 8 * system.dim**2)
+        u = evolve(system, f"pwm{2 * level}", seq)
+        assert np.max(np.abs(u - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["pwm", "pwm4"])
+    def test_pwm_schemes_reject_a_callable_source(self, two_level, scheme):
+        with pytest.raises(ValueError, match="takes a PWMSequence, or a SampledField"):
+            evolve(two_level, scheme, np.sin, tau=0.1, amplitudes=[1.0])
 
     @pytest.mark.parametrize("scheme", ["pwm3", "pwm0", "strang", ""])
     def test_rejects_unknown_scheme(self, two_level, scheme):
