@@ -3,8 +3,12 @@
 Every option may also be supplied through ``--config FILE`` (a flat JSON
 object keyed by the option name with underscores, e.g. ``{"total_time":
 100.0}``); explicit flags override config values.  Errors are reported as a
-single machine-parsable line ``error:<category>:<message>`` with exit status
-1 for usage/validation/io problems and 2 for numerical failures.
+single machine-parsable line ``error:<category>:<message>`` and exit status
+1: ``usage`` when the command line does not parse, ``io`` for an ``OSError``,
+a ``FileFormatError`` or a config file that is unreadable or not JSON, and
+``validation`` for a missing or inconsistent option and any other
+``ValueError``.  ``numeric`` failures (``OptimizationError``,
+``FloatingPointError``, ``LinAlgError``) exit with status 2.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ from .grape import (
 from .model import ControlSystem, basis_state, build_ten_level_system, validate_system
 from .propagate import error_order, evolve
 from .pwm import (
-    AmplitudeBoundError,
-    CutoffError,
-    GridError,
     PWMSequence,
     SampledField,
     default_amplitudes,
@@ -47,24 +48,30 @@ from .pwm import (
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _CliError(Exception):
-    def __init__(self, category: str, message: str, status: int) -> None:
+    """A failure reported as ``error:<category>:<message>`` with exit ``status``."""
+
+    def __init__(self, category: str, message: str, status: int = 1) -> None:
         super().__init__(message)
         self.category = category
         self.status = status
 
 
+#: Category and exit status of each library failure, looked up along the
+#: exception's MRO: ``FileFormatError`` and ``LinAlgError`` before ``ValueError``.
+_FAILURES = {
+    artifacts.FileFormatError: ("io", 1),
+    OSError: ("io", 1),
+    OptimizationError: ("numeric", 2),
+    FloatingPointError: ("numeric", 2),
+    np.linalg.LinAlgError: ("numeric", 2),
+    ValueError: ("validation", 1),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # do not print usage + exit(2); report uniformly
-        raise _UsageError(message)
-
-
-def _fail(category: str, message: str, status: int = 1) -> _CliError:
-    return _CliError(category, message, status)
+        raise _CliError("usage", message)
 
 
 def _load_config(path: str | None) -> dict:
@@ -73,11 +80,11 @@ def _load_config(path: str | None) -> dict:
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise _fail("io", f"cannot read config: {exc}") from exc
+        raise _CliError("io", f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail("io", f"config is not valid JSON: {exc}") from exc
+        raise _CliError("io", f"config is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise _fail("validation", "config must be a JSON object")
+        raise _CliError("validation", "config must be a JSON object")
     return payload
 
 
@@ -94,7 +101,7 @@ class _Options:
             value = self.config.get(name)
         if value is None:
             if required:
-                raise _fail(
+                raise _CliError(
                     "validation", f"missing required option --{name.replace('_', '-')}"
                 )
             return default
@@ -108,18 +115,18 @@ class _Options:
             try:
                 value = [float(x) for x in value.split(",") if x.strip()]
             except ValueError as exc:
-                raise _fail("validation", f"--{name}: {exc}") from exc
+                raise _CliError("validation", f"--{name}: {exc}") from exc
         return np.atleast_1d(np.asarray(value, dtype=float))
 
 
-def _read_field(options: _Options, name: str = "field", required: bool = True):
-    path = options.get(name, required=required)
-    return None if path is None else artifacts.read_field_csv(path)
-
-
-def _read_sequence(options: _Options, name: str = "sequence", required: bool = True):
-    path = options.get(name, required=required)
-    return None if path is None else artifacts.read_sequence_csv(path)
+def _source(options: _Options) -> SampledField | PWMSequence:
+    """The field or pulse sequence read from whichever of ``--field``/``--sequence`` is given."""
+    field, sequence = options.get("field"), options.get("sequence")
+    if (field is None) == (sequence is None):
+        raise _CliError("validation", "give exactly one of --field or --sequence")
+    if field is not None:
+        return artifacts.read_field_csv(field)
+    return artifacts.read_sequence_csv(sequence)
 
 
 def _demo_two_level() -> ControlSystem:
@@ -128,22 +135,31 @@ def _demo_two_level() -> ControlSystem:
     return ControlSystem(drift=sigma_z, controls=(sigma_x,))
 
 
+#: Built-in systems by name: ``--builtin``, ``system --name`` and the qubit
+#: that ``error-order`` drives.
+_BUILTIN = {"ten-level": build_ten_level_system, "two-level": _demo_two_level}
+
+
+def _builtin(name: str) -> ControlSystem:
+    if name not in _BUILTIN:
+        raise _CliError("validation", f"unknown built-in system {name!r}")
+    return _BUILTIN[name]()
+
+
 def _load_system(options: _Options) -> ControlSystem:
     path = options.get("system")
     builtin = options.get("builtin")
     if path is not None and builtin is not None:
-        raise _fail("validation", "give either --system or --builtin, not both")
+        raise _CliError("validation", "give either --system or --builtin, not both")
     if path is not None:
         system = artifacts.read_system_json(path)
-    elif builtin == "ten-level":
-        system = build_ten_level_system()
-    elif builtin == "two-level":
-        system = _demo_two_level()
+    elif builtin is not None:
+        system = _builtin(builtin)
     else:
-        raise _fail("validation", "a system is required: --system FILE or --builtin NAME")
+        raise _CliError("validation", "a system is required: --system FILE or --builtin NAME")
     report = validate_system(system)
     if not report.ok:
-        raise _fail("validation", f"system failed validation: {'; '.join(report.issues)}")
+        raise _CliError("validation", f"system failed validation: {'; '.join(report.issues)}")
     return system
 
 
@@ -153,22 +169,18 @@ def _out_dir(options: _Options) -> Path:
     return out
 
 
-def _stack_controls(fields: list[SampledField]) -> SampledField:
-    return SampledField(dt=fields[0].dt, values=np.vstack([f.values for f in fields]))
-
-
 def _sequence_signal(seq: PWMSequence, kind: str, rate: float | None) -> SampledField:
     if rate is None:
         rate = 512.0 / seq.tau
     maker = pwm_signal if kind == "rect" else gaussian_train
     parts = [maker(seq, k, rate) for k in range(seq.n_controls)]
-    return _stack_controls(parts)
+    return SampledField(dt=parts[0].dt, values=np.vstack([f.values for f in parts]))
 
 
 # ------------------------------------------------------------ subcommands
 
 def _cmd_approximate(options: _Options) -> int:
-    field = _read_field(options)
+    field = artifacts.read_field_csv(options.get("field", required=True))
     tau = float(options.get("tau", required=True))
     xi = options.floats("xi")
     if xi is None:
@@ -181,7 +193,7 @@ def _cmd_approximate(options: _Options) -> int:
 
 
 def _cmd_signal(options: _Options) -> int:
-    seq = _read_sequence(options)
+    seq = artifacts.read_sequence_csv(options.get("sequence", required=True))
     kind = options.get("kind", default="rect")
     signal = _sequence_signal(seq, kind, options.get("rate"))
     out = options.get("out", required=True)
@@ -192,21 +204,18 @@ def _cmd_signal(options: _Options) -> int:
 
 def _cmd_reconstruct(options: _Options) -> int:
     mode = options.get("mode", default="lowpass")
-    field = _read_field(options, required=False)
-    seq = _read_sequence(options, required=False)
-    if (field is None) == (seq is None):
-        raise _fail("validation", "give exactly one of --field or --sequence")
+    source = _source(options)
     if mode == "pwc":
-        if seq is None:
-            raise _fail("validation", "--mode pwc requires --sequence")
-        recon = inverse_pwm_pwc(seq)
+        if not isinstance(source, PWMSequence):
+            raise _CliError("validation", "--mode pwc requires --sequence")
+        recon = inverse_pwm_pwc(source)
     elif mode == "lowpass":
         cutoff = options.get("cutoff", required=True)
-        if field is None:
-            field = _sequence_signal(seq, "rect", options.get("rate"))
-        recon = lowpass_reconstruct(field, float(cutoff))
+        if isinstance(source, PWMSequence):
+            source = _sequence_signal(source, "rect", options.get("rate"))
+        recon = lowpass_reconstruct(source, float(cutoff))
     else:
-        raise _fail("validation", f"unknown mode {mode!r}")
+        raise _CliError("validation", f"unknown mode {mode!r}")
     out = options.get("out", required=True)
     artifacts.write_field_csv(out, recon)
     print(f"wrote {out}: {recon.n_samples} samples, mode={mode}")
@@ -214,10 +223,10 @@ def _cmd_reconstruct(options: _Options) -> int:
 
 
 def _cmd_spectrum(options: _Options) -> int:
-    field = _read_field(options)
+    field = artifacts.read_field_csv(options.get("field", required=True))
     control = int(options.get("control", default=1))
     if not 1 <= control <= field.n_controls:
-        raise _fail("validation", f"--control must be in 1..{field.n_controls}")
+        raise _CliError("validation", f"--control must be in 1..{field.n_controls}")
     spec = spectrum(field, control - 1)
     out = options.get("out", required=True)
     artifacts.write_spectrum_csv(out, spec)
@@ -228,15 +237,11 @@ def _cmd_spectrum(options: _Options) -> int:
 def _cmd_propagate(options: _Options) -> int:
     system = _load_system(options)
     scheme = options.get("scheme", default="pwm")
-    field = _read_field(options, required=False)
-    seq = _read_sequence(options, required=False)
-    if (field is None) == (seq is None):
-        raise _fail("validation", "give exactly one of --field or --sequence")
+    source = _source(options)
     tau = options.get("tau")
     tau = None if tau is None else float(tau)
-    if field is not None and tau is None:
-        tau = field.dt * field.n_samples  # single step over the whole record
-    source = field if field is not None else seq
+    if tau is None and isinstance(source, SampledField):
+        tau = source.dt * source.n_samples  # single step over the whole record
     xi = options.floats("xi")
     u = evolve(system, scheme, source, tau=tau, amplitudes=xi)
     out = options.get("out", required=True)
@@ -252,7 +257,7 @@ def _cmd_error_order(options: _Options) -> int:
     t_start = float(options.get("t_start", default=0.5))
     fit = error_order(
         scheme,
-        _demo_two_level(),
+        _builtin("two-level"),
         np.sin,
         taus,
         amplitudes=np.array([1.0]),
@@ -290,7 +295,7 @@ def _cmd_optimize(options: _Options) -> int:
     initial = int(options.get("initial", required=True))
     target = int(options.get("target", required=True))
     if not (0 <= initial < system.dim and 0 <= target < system.dim):
-        raise _fail("validation", f"basis indices must be in 0..{system.dim - 1}")
+        raise _CliError("validation", f"basis indices must be in 0..{system.dim - 1}")
     xi = options.floats("xi", default=[1.0])
     problem = GrapeProblem(
         system=system,
@@ -302,12 +307,10 @@ def _cmd_optimize(options: _Options) -> int:
     )
     grape_options = _grape_options(options)
     scheme = options.get("scheme", default="pwm")
-    if scheme == "pwm":
-        result = optimize(problem, options=grape_options)
-    elif scheme == "pwc":
-        result = optimize_pwc(problem, options=grape_options)
-    else:
-        raise _fail("validation", f"--scheme must be pwm or pwc, got {scheme!r}")
+    optimizer = {"pwm": optimize, "pwc": optimize_pwc}.get(scheme)
+    if optimizer is None:
+        raise _CliError("validation", f"--scheme must be pwm or pwc, got {scheme!r}")
+    result = optimizer(problem, options=grape_options)
     out = _out_dir(options)
     if scheme == "pwm":
         seq = PWMSequence(tau=problem.tau, amplitudes=problem.amplitudes, widths=result.widths)
@@ -412,13 +415,7 @@ def _cmd_demo_fig4(options: _Options) -> int:
 
 
 def _cmd_system(options: _Options) -> int:
-    name = options.get("name", default="ten-level")
-    if name == "ten-level":
-        system = build_ten_level_system()
-    elif name == "two-level":
-        system = _demo_two_level()
-    else:
-        raise _fail("validation", f"unknown built-in system {name!r}")
+    system = _builtin(options.get("name", default="ten-level"))
     out = options.get("out", required=True)
     artifacts.write_system_json(out, system)
     print(f"wrote {out}: dim={system.dim}, controls={system.n_controls}")
@@ -464,7 +461,7 @@ def _build_parser() -> _Parser:
 
     p = command("propagate", _cmd_propagate, "propagator under a chosen scheme")
     p.add_argument("--system", help="system JSON file")
-    p.add_argument("--builtin", choices=["ten-level", "two-level"], help="built-in system")
+    p.add_argument("--builtin", choices=_BUILTIN, help="built-in system")
     p.add_argument("--scheme", help="pwc | spo | pwm | pwm4 | pwm6 ...")
     p.add_argument("--field", help="input field CSV")
     p.add_argument("--sequence", help="input sequence CSV")
@@ -481,7 +478,7 @@ def _build_parser() -> _Parser:
 
     p = command("optimize", _cmd_optimize, "pulse optimization for a state transfer")
     p.add_argument("--system", help="system JSON file")
-    p.add_argument("--builtin", choices=["ten-level", "two-level"], help="built-in system")
+    p.add_argument("--builtin", choices=_BUILTIN, help="built-in system")
     p.add_argument("--initial", type=int, help="initial basis state (0-based)")
     p.add_argument("--target", type=int, help="target basis state (0-based)")
     p.add_argument("--total-time", dest="total_time", type=float, help="control horizon")
@@ -523,35 +520,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
 
     p = command("system", _cmd_system, "emit a built-in system as JSON")
-    p.add_argument("--name", choices=["ten-level", "two-level"], help="which system")
+    p.add_argument("--name", choices=_BUILTIN, help="which system")
     p.add_argument("--out", help="output JSON path")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.handler(_Options(args))
-    except _UsageError as exc:
-        print(f"error:usage:{exc}", file=sys.stderr)
-        return 1
-    except _CliError as exc:
-        print(f"error:{exc.category}:{exc}", file=sys.stderr)
-        return exc.status
-    except artifacts.FileFormatError as exc:
-        print(f"error:io:{exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error:io:{exc}", file=sys.stderr)
-        return 1
-    except (GridError, AmplitudeBoundError, CutoffError, ValueError) as exc:
-        print(f"error:validation:{exc}", file=sys.stderr)
-        return 1
-    except (OptimizationError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"error:numeric:{exc}", file=sys.stderr)
-        return 2
+    except (_CliError, *_FAILURES) as exc:
+        if isinstance(exc, _CliError):
+            category, status = exc.category, exc.status
+        else:
+            category, status = next(_FAILURES[t] for t in type(exc).__mro__ if t in _FAILURES)
+        print(f"error:{category}:{exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

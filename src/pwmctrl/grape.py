@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -569,6 +568,8 @@ def run_fig5_benchmark(
     child_seeds = [s.generate_state(1)[0] for s in np.random.SeedSequence(seed).spawn(repeats)]
     tasks = [(problem, options, run, int(child_seeds[run])) for run in range(repeats)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_fig5_single_run, tasks))
     else:

@@ -60,15 +60,16 @@ def _fmt(x: float) -> str:
 def _write_table(path, columns: dict, comments=()) -> None:
     """``# comment`` lines, a header of the column names and one row per entry.
 
-    Integer columns are written as plain decimals and every other column as
-    the ``repr`` of its float64 values, byte for byte as ``csv.writer`` writes
-    them; each column becomes Python scalars with one ``tolist``.
+    Integer columns are written as plain decimals, string columns as they are
+    (their cells must need no quoting) and every other column as the ``repr``
+    of its float64 values, byte for byte as ``csv.writer`` writes them; each
+    column becomes Python scalars with one ``tolist``.
     """
     cells = [
-        (col if np.issubdtype(col.dtype, np.integer) else col.astype(np.float64)).tolist()
+        (col if col.dtype.kind in "iuU" else col.astype(np.float64)).tolist()
         for col in map(np.asarray, columns.values())
     ]
-    row = ",".join(["{!r}"] * len(cells)) + "\r\n"
+    row = ",".join(["{}"] * len(cells)) + "\r\n"
     with open(path, "w", newline="") as handle:
         handle.writelines(f"# {line}\n" for line in comments)
         handle.write(",".join(columns) + "\r\n")
@@ -108,11 +109,16 @@ def _split_comments(
     return meta, body
 
 
-def _require_header(body: list[list[str]], expected: list[str], path) -> list[list[str]]:
+def _require_header(
+    body: list[list[str]], expected: list[str], path, name: str = ""
+) -> list[list[str]]:
+    """The rows under the header ``expected``; at least one if ``name`` names the table."""
     if not body or [c.strip() for c in body[0]] != expected:
         raise FileFormatError(
             f"{path}: expected header {','.join(expected)}"
         )
+    if name and len(body) == 1:
+        raise FileFormatError(f"{path}: empty {name}")
     return body[1:]
 
 
@@ -241,9 +247,7 @@ def write_propagator_csv(path, u: np.ndarray) -> None:
 
 
 def read_propagator_csv(path) -> np.ndarray:
-    rows = _require_header(_read_rows(path)[1], ["i", "j", "re", "im"], path)
-    if not rows:
-        raise FileFormatError(f"{path}: empty propagator table")
+    rows = _require_header(_read_rows(path)[1], ["i", "j", "re", "im"], path, "propagator table")
     n = int(round(len(rows) ** 0.5))
     if n * n != len(rows):
         raise FileFormatError(f"{path}: {len(rows)} entries do not form a square matrix")
@@ -314,14 +318,12 @@ BENCHMARK_HEADER = ["run", "scheme", "iterations", "final_J", "wall_seconds", "c
 
 def write_benchmark_csv(path, rows) -> None:
     """Benchmark rows; accepts any iterable of BenchmarkRow-like objects."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BENCHMARK_HEADER)
-        for r in rows:
-            writer.writerow(
-                [str(r.run), r.scheme, str(r.iterations), _fmt(r.final_j),
-                 _fmt(r.wall_seconds), str(int(r.converged))]
-            )
+    cells = [
+        (r.run, r.scheme, r.iterations, float(r.final_j), float(r.wall_seconds), int(r.converged))
+        for r in rows
+    ]
+    columns = zip(*cells) if cells else [()] * len(BENCHMARK_HEADER)
+    _write_table(path, dict(zip(BENCHMARK_HEADER, columns)))
 
 
 def read_benchmark_csv(path):
@@ -349,11 +351,7 @@ def write_error_order_csv(path, fit) -> None:
 
 
 def read_trace_csv(path) -> np.ndarray:
-    rows = _require_header(
-        _read_rows(path)[1], ["iteration", "objective"], path
-    )
-    if not rows:
-        raise FileFormatError(f"{path}: empty trace")
+    rows = _require_header(_read_rows(path)[1], ["iteration", "objective"], path, "trace")
     return np.array([objective for _, objective in _parse_rows(rows, (int, float), path)])
 
 
@@ -371,28 +369,19 @@ def write_gamma_grid_csv(path, grid: GammaGrid) -> None:
 
 def read_gamma_grid_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (N, p, gamma) columns as flat arrays."""
-    rows = _require_header(_read_rows(path)[1], ["N", "p", "gamma"], path)
-    if not rows:
-        raise FileFormatError(f"{path}: empty grid")
+    rows = _require_header(_read_rows(path)[1], ["N", "p", "gamma"], path, "grid")
     n, p, g = map(np.asarray, zip(*_parse_rows(rows, (int, int, float), path)))
     return n, p, g
 
 
 def write_contour_csv(path, dims, boundary) -> None:
     """Equal-cost boundary ``N,p_boundary`` (blank cell where undefined)."""
-    dims = np.asarray(dims)
-    boundary = np.asarray(boundary, dtype=float)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["N", "p_boundary"])
-        for n, b in zip(dims, boundary):
-            writer.writerow([str(int(n)), "" if np.isnan(b) else _fmt(b)])
+    cells = ["" if np.isnan(b) else _fmt(b) for b in np.asarray(boundary, dtype=float)]
+    _write_table(path, {"N": np.asarray(dims).astype(np.int64), "p_boundary": cells})
 
 
 def read_contour_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = _require_header(_read_rows(path)[1], ["N", "p_boundary"], path)
-    if not rows:
-        raise FileFormatError(f"{path}: empty contour")
+    rows = _require_header(_read_rows(path)[1], ["N", "p_boundary"], path, "contour")
     parsers = (int, lambda cell: float(cell) if cell else np.nan)
     dims, boundary = map(np.array, zip(*_parse_rows(rows, parsers, path)))
     return dims, boundary

@@ -38,7 +38,7 @@ class ControlSystem:
 
     The constructor only checks shape consistency so that broken systems can
     still be built and inspected; use :func:`validate_system` to check the
-    full set of invariants (hermiticity, N >= 2, K >= 1).
+    full set of invariants (finite entries, hermiticity, N >= 2, K >= 1).
     """
 
     drift: np.ndarray
@@ -74,7 +74,8 @@ class SystemValidation:
     """Outcome of :func:`validate_system`.
 
     ``residuals`` maps each matrix name (``"drift"``, ``"control 0"``, ...)
-    to its max elementwise hermiticity defect ``max |H - H^dag|``.
+    to its max elementwise hermiticity defect ``max |H - H^dag|`` (NaN for a
+    matrix with a non-finite entry).
     """
 
     ok: bool
@@ -85,8 +86,9 @@ class SystemValidation:
 def validate_system(system: ControlSystem) -> SystemValidation:
     """Check dimension and hermiticity invariants of a control system.
 
-    Succeeds iff N >= 2, K >= 1, all matrices are N x N, and every matrix is
-    Hermitian to within ``HERMITICITY_TOL`` elementwise.
+    Succeeds iff N >= 2, K >= 1, all matrices are N x N, every entry is
+    finite, and every matrix is Hermitian to within ``HERMITICITY_TOL``
+    elementwise.
     """
     issues: list[str] = []
     residuals: dict[str, float] = {}
@@ -97,6 +99,10 @@ def validate_system(system: ControlSystem) -> SystemValidation:
     named = [("drift", system.drift)]
     named += [(f"control {k}", h) for k, h in enumerate(system.controls)]
     for name, h in named:
+        if not np.isfinite(h).all():
+            issues.append(f"{name} has non-finite entries")
+            residuals[name] = float("nan")
+            continue
         residual = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
         residuals[name] = residual
         if residual > HERMITICITY_TOL:

@@ -19,7 +19,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from pwmctrl.costmodel import boundary_order, cost_pwc, cost_pwm, gamma, gamma_grid
+from pwmctrl.costmodel import cost_pwc, cost_pwm, gamma, gamma_grid
 from pwmctrl.grape import (
     gradient,
     objective,

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from pwmctrl import cli
 from pwmctrl.cli import main
 from pwmctrl.io import (
     read_field_csv,
@@ -101,6 +102,63 @@ class TestErrorReporting:
         assert capsys.readouterr().err.startswith("error:validation:")
 
 
+class TestErrorContract:
+    def test_linalg_error_is_numeric(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(cli, "evolve", fail)
+        field = write_zero_field(tmp_path / "zero.csv")
+        assert main([
+            "propagate", "--builtin", "two-level", "--field", str(field),
+            "--tau", "0.5", "--out", str(tmp_path / "u.csv"),
+        ]) == 2
+        assert capsys.readouterr().err == "error:numeric:eigh did not converge\n"
+
+    def test_system_and_builtin_together_is_validation_error(self, tmp_path, capsys):
+        system_path = tmp_path / "system.json"
+        assert main(["system", "--name", "two-level", "--out", str(system_path)]) == 0
+        field = write_zero_field(tmp_path / "zero.csv")
+        assert main([
+            "propagate", "--system", str(system_path), "--builtin", "two-level",
+            "--field", str(field), "--out", str(tmp_path / "u.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:validation:")
+        assert "not both" in err
+
+    def test_non_finite_system_is_validation_error(self, tmp_path, capsys):
+        system_path = tmp_path / "system.json"
+        assert main(["system", "--name", "two-level", "--out", str(system_path)]) == 0
+        payload = json.loads(system_path.read_text())
+        payload["drift"][0][0][0] = float("nan")
+        system_path.write_text(json.dumps(payload))
+        field = write_zero_field(tmp_path / "zero.csv")
+        out = tmp_path / "u.csv"
+        assert main([
+            "propagate", "--system", str(system_path), "--scheme", "pwm",
+            "--field", str(field), "--tau", "0.5", "--xi", "1.0", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:validation:")
+        assert "drift has non-finite entries" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, category", [
+        pytest.param(None, "io", id="missing"),
+        pytest.param("{not json", "io", id="invalid-json"),
+        pytest.param("[1, 2]", "validation", id="not-an-object"),
+    ])
+    def test_config_errors(self, tmp_path, capsys, text, category):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        assert main([
+            "system", "--config", str(config), "--out", str(tmp_path / "s.json"),
+        ]) == 1
+        assert capsys.readouterr().err.startswith(f"error:{category}:")
+
+
 class TestSignalAndReconstruct:
     @pytest.fixture()
     def sequence_path(self, tmp_path):
@@ -173,6 +231,20 @@ class TestPropagate:
             "--field", str(field), "--tau", "0.1", "--out", str(out),
         ]) == 0
         assert read_propagator_csv(out).shape == (10, 10)
+
+    def test_two_level_round_trip_through_json(self, tmp_path):
+        system_path = tmp_path / "system.json"
+        assert main(["system", "--name", "two-level", "--out", str(system_path)]) == 0
+        field = write_sine_field(tmp_path / "field.csv")
+        written = []
+        for source in (["--system", str(system_path)], ["--builtin", "two-level"]):
+            out = tmp_path / f"u_{len(written)}.csv"
+            assert main([
+                "propagate", *source, "--scheme", "pwm", "--field", str(field),
+                "--tau", "0.25", "--xi", "1.2", "--out", str(out),
+            ]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestSpectrumCommand:

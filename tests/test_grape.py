@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -631,3 +635,14 @@ class TestBenchmark:
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
             run_fig5_benchmark(repeats=0)
+
+    def test_package_import_leaves_the_process_pool_unloaded(self):
+        paths = [str(Path(grape.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code = (
+            "import sys, pwmctrl; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"

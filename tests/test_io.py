@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pwmctrl.costmodel import gamma_grid
@@ -454,6 +454,35 @@ class TestByteLayout:
             for i, n in enumerate(grid.dims) for j, p in enumerate(grid.orders)
         ])
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @given(values=st.lists(ANY_FLOAT, max_size=8))
+    @example(values=[])
+    @example(values=[-0.0, float("nan"), 0.25])
+    def test_benchmark_matches_row_writer(self, tmp_path_factory, values):
+        rows = [
+            BenchmarkRow(i // 2, ("pwm", "pwc")[i % 2], 7 * i, v, values[-1 - i], i % 3 == 0)
+            for i, v in enumerate(values)
+        ]
+        path, ref = self._paths(tmp_path_factory)
+        write_benchmark_csv(path, iter(rows))
+        _ref_rows(ref, BENCHMARK_HEADER, [
+            [str(r.run), r.scheme, str(r.iterations), _ref_fmt(r.final_j),
+             _ref_fmt(r.wall_seconds), str(int(r.converged))]
+            for r in rows
+        ])
+        assert path.read_bytes() == ref.read_bytes()
+
+    @given(boundary=st.lists(ANY_FLOAT, max_size=8))
+    @example(boundary=[])
+    @example(boundary=[-0.0, float("nan"), 12.25])
+    def test_contour_matches_row_writer(self, tmp_path_factory, boundary):
+        dims = np.arange(2, 2 + len(boundary)) ** 2
+        path, ref = self._paths(tmp_path_factory)
+        write_contour_csv(path, dims, boundary)
+        _ref_rows(ref, ["N", "p_boundary"], [
+            [str(int(n)), "" if np.isnan(b) else _ref_fmt(b)] for n, b in zip(dims, boundary)
+        ])
+        assert path.read_bytes() == ref.read_bytes()
 
     @staticmethod
     def _paths(tmp_path_factory):

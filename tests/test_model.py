@@ -3,8 +3,8 @@ import pytest
 
 from pwmctrl.model import (
     ControlSystem,
+    _check_system,
     basis_state,
-    build_ten_level_system,
     validate_system,
 )
 
@@ -73,6 +73,21 @@ class TestValidateSystem:
         report = validate_system(system)
         assert not report.ok
         assert any("control" in issue for issue in report.issues)
+
+    def test_flags_non_finite_entries(self):
+        drift = SIGMA_Z.copy()
+        drift[0, 0] = np.nan
+        report = validate_system(ControlSystem(drift=drift, controls=(SIGMA_X,)))
+        assert not report.ok
+        assert report.issues == ("drift has non-finite entries",)
+
+        control = SIGMA_X.copy()
+        control[0, 1] = control[1, 0] = np.inf
+        report = validate_system(ControlSystem(drift=SIGMA_Z, controls=(control,)))
+        assert not report.ok
+        assert report.issues == ("control 0 has non-finite entries",)
+        with pytest.raises(ValueError, match="non-finite"):
+            _check_system(ControlSystem(drift=SIGMA_Z, controls=(control,)))
 
 
 class TestTenLevelSystem:
