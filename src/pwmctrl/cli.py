@@ -169,11 +169,16 @@ def _out_dir(options: _Options) -> Path:
     return out
 
 
+#: Pulse makers by ``--kind``: the flag's choices and the check of a config value.
+_PULSE_MAKERS = {"rect": pwm_signal, "gauss": gaussian_train}
+
+
 def _sequence_signal(seq: PWMSequence, kind: str, rate: float | None) -> SampledField:
+    if kind not in _PULSE_MAKERS:
+        raise _CliError("validation", f"unknown pulse kind {kind!r}")
     if rate is None:
         rate = 512.0 / seq.tau
-    maker = pwm_signal if kind == "rect" else gaussian_train
-    parts = [maker(seq, k, rate) for k in range(seq.n_controls)]
+    parts = [_PULSE_MAKERS[kind](seq, k, rate) for k in range(seq.n_controls)]
     return SampledField(dt=parts[0].dt, values=np.vstack([f.values for f in parts]))
 
 
@@ -330,6 +335,11 @@ def _cmd_optimize(options: _Options) -> int:
     return 0
 
 
+def _seconds(value: float) -> str:
+    """``value`` as ``1.234s``, or ``nan`` without a unit when nothing was timed."""
+    return f"{value:.3f}s" if np.isfinite(value) else "nan"
+
+
 def _cmd_benchmark(options: _Options) -> int:
     total_time = float(options.get("total_time", default=100.0))
     tau = float(options.get("tau", default=0.1))
@@ -350,10 +360,8 @@ def _cmd_benchmark(options: _Options) -> int:
     }
     runs = len(report.rows) // 2
     print(f"converged pwm={conv['pwm']}/{runs} pwc={conv['pwc']}/{runs}")
-    print(
-        f"median_wall pwm={report.median_wall['pwm']:.3f}s "
-        f"pwc={report.median_wall['pwc']:.3f}s ratio={report.wall_ratio:.3f}"
-    )
+    pwm, pwc = (_seconds(report.median_wall[s]) for s in ("pwm", "pwc"))
+    print(f"median_wall pwm={pwm} pwc={pwc} ratio={report.wall_ratio:.3f}")
     print(f"spectral peak hits: {report.peak_hits}/{len(report.spectra)}")
     return 0
 
@@ -442,7 +450,7 @@ def _build_parser() -> _Parser:
 
     p = command("signal", _cmd_signal, "sample a pulse train as a field CSV")
     p.add_argument("--sequence", help="input sequence CSV")
-    p.add_argument("--kind", choices=["rect", "gauss"], help="pulse shape (default rect)")
+    p.add_argument("--kind", choices=list(_PULSE_MAKERS), help="pulse shape (default rect)")
     p.add_argument("--rate", type=float, help="samples per unit time (default 512/tau)")
     p.add_argument("--out", help="output field CSV")
 
@@ -466,7 +474,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--field", help="input field CSV")
     p.add_argument("--sequence", help="input sequence CSV")
     p.add_argument("--tau", type=float, help="subinterval length (field input)")
-    p.add_argument("--xi", help="pulse amplitudes for pwm schemes with field input")
+    p.add_argument("--xi", help="pulse amplitudes for pwm schemes with field input "
+                   "(with --sequence, only the sequence's own)")
     p.add_argument("--out", help="output propagator CSV")
 
     p = command("error-order", _cmd_error_order, "fit single-step error order on a driven qubit")

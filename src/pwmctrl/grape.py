@@ -15,26 +15,27 @@ non-differentiability are sorting ties and sign changes at ``w = 0``, where
 the derivative is one-sided; a warning is emitted if a gradient is requested
 exactly there.  :func:`objective` and :func:`gradient` reject ``|w| > tau``.
 
-All M subintervals are evaluated together by the batched PWM kernel of
-:mod:`pwmctrl.propagate`, which :func:`~pwmctrl.propagate.evolve` shares: in
-the interaction frame of the drift a step costs ``2K - 1`` batched matrix
-products over cached eigendecompositions and basis changes, and each
-derivative bracket is a diagonal sum over the eigenvalues.  The
-forward/adjoint sweep, shared with the baseline below, walks down the levels
-of the objective's pairwise product.  The optimizer hands the point of each
-accepted objective value to the gradient, which reuses what was built for it.
+Both optimizers run on one engine, which owns the endpoint states, the
+forward/adjoint sweep over the levels of the objective's pairwise product,
+:meth:`~_Engine.evaluate` and :meth:`~_Engine.gradient`.  The only
+per-scheme code is a step kernel of :mod:`pwmctrl.propagate`, which builds
+all M steps at once and differentiates the overlap with respect to its own
+parameters.  The PWM kernel, which :func:`~pwmctrl.propagate.evolve` shares,
+works in the interaction frame of the drift: a step costs ``2K - 1`` batched
+matrix products over cached eigendecompositions and basis changes, and each
+derivative bracket is a diagonal sum over the eigenvalues.  The optimizer
+hands the point of each accepted objective value to the gradient, which
+reuses what was built for it.
 
 A piecewise-constant GRAPE baseline (a fresh matrix exponential per
-subinterval from the batched Taylor kernel of :mod:`pwmctrl.propagate`,
-standard first-order gradient) is included for benchmarking the
-cached-propagator speedup.
+subinterval from the batched Taylor kernel, standard first-order gradient)
+is included for benchmarking the cached-propagator speedup.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,92 +223,68 @@ def _sweep(levels, psi_initial, psi_target, phi, chi):
     return phi[: m_count + 1], chi[: m_count + 1], complex(np.vdot(psi_target, phi[m_count]))
 
 
-class _PwmEngine:
-    """Batched forward/adjoint passes under the PWM step propagator.
+class _Engine:
+    """Forward/adjoint passes of one optimizer over a batched step kernel.
 
-    The steps of all M subintervals come from one M-row PWM kernel, in the
-    eigenbasis ``V_0`` of the drift, so the endpoint states are mapped by
-    ``V_0^dagger`` once.  The sweep states, kets, bras and brackets are
-    allocated once and filled in place; :meth:`gradient` at a layout the
-    kernel still holds reuses its steps and the levels :meth:`evaluate` built.
+    The engine owns what both optimizers share: the endpoint states mapped
+    into the kernel's frame, the sweep states allocated once, the levels of
+    the objective's pairwise product, :meth:`evaluate` and :meth:`gradient`.
+    A subclass names its kernel and frame, turns parameters into the point
+    the kernel fills (:meth:`_point`) and fills it (:meth:`_fill`); the
+    kernel's ``overlap_derivative`` differentiates the factors it holds.
+    :meth:`gradient` at a point the kernel still holds reuses its steps and
+    the levels :meth:`evaluate` built.
     """
 
-    def __init__(self, problem: GrapeProblem) -> None:
-        self.problem = problem
-        k_count, m_count, n = problem.n_controls, problem.n_steps, problem.system.dim
-        self.kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), m_count)
-        v0 = self.kernel.v0
-        self._psi_initial = v0.conj().T @ problem.psi_initial
-        self._psi_target = v0.conj().T @ problem.psi_target
+    def __init__(self, problem: GrapeProblem, kernel, frame: np.ndarray | None = None) -> None:
+        self.problem, self.kernel = problem, kernel
+        m_count, n = problem.n_steps, problem.system.dim
+        self._psi_initial, self._psi_target = (
+            psi if frame is None else frame.conj().T @ psi
+            for psi in (problem.psi_initial, problem.psi_target)
+        )
         self._phi = np.empty((m_count + 1 + _level_rows(m_count), n), dtype=np.complex128)
         self._chi = np.empty_like(self._phi)
-        self._kets = np.empty((2 * k_count - 1, m_count, n), dtype=np.complex128)
-        self._bras = np.empty_like(self._kets)
-        self._brackets = np.empty((2 * k_count + 1, m_count), dtype=np.complex128)
         self._levels: list[np.ndarray] = []
 
-    def evaluate(self, widths: np.ndarray) -> tuple[float, _Layout]:
-        """Infidelity at ``widths`` and the layout :meth:`gradient` takes."""
-        layout = self.kernel.layout(widths, self.problem.tau)
-        self._levels = _chain(self.kernel.fill(layout), self.kernel.scratch)
-        return infidelity(self._levels[-1][0], self._psi_initial, self._psi_target), layout
+    def evaluate(self, params: np.ndarray):
+        """Infidelity at ``params`` and the point :meth:`gradient` takes."""
+        point = self._point(params)
+        self._levels = _chain(self._fill(point), self.kernel.scratch)
+        return infidelity(self._levels[-1][0], self._psi_initial, self._psi_target), point
 
-    def gradient(self, layout: _Layout) -> tuple[np.ndarray, float]:
-        """Exact gradient of J and the objective value at ``layout``'s widths.
+    def gradient(self, point) -> tuple[np.ndarray, float]:
+        """Gradient of J and the objective value at ``point``.
 
-        The kernel's factors and the levels are rebuilt unless it holds ``layout``.
-
-        Split point ``p`` (``0 .. 2K``) of the factor list cuts ``S`` into
-        the bra ``<l_p| = <chi| F_0 ... F_{p-1}`` and the ket ``|r_p> = F_p
-        ... F_{2K-1} |phi>``; it sits at one of the two copies of ``D_j``
-        with ``j = min(p, 2K - p)``, and differentiating that copy's dwell
-        inserts ``-i H_j``, giving the bracket ``sum_n l_n lambda_n r_n``.
-        Width ``w`` at sorted position ``r`` with sign ``delta`` feeds dwell
-        ``d_r`` at rate ``-delta/2`` and ``d_{r+1}`` at ``+delta/2`` (both
-        on two palindromic copies), or at ``+delta`` on the single centre
-        factor when ``r + 1 = K``.  ``|r_0> = S |phi>`` and ``<l_2K| = <chi|
-        S`` are the sweep's states one boundary later and earlier.
+        The kernel's steps and the levels are rebuilt unless it holds ``point``.
         """
-        kernel = self.kernel
-        if layout is not kernel.held:
-            self._levels = _chain(kernel.fill(layout), kernel.scratch)
-        self._warn_on_ties(layout.sorted_abs)
+        if point is not self.kernel.held:
+            self._levels = _chain(self._fill(point), self.kernel.scratch)
         phi, chi, overlap = _sweep(
             self._levels, self._psi_initial, self._psi_target, self._phi, self._chi
         )
-        factors = kernel.factors()
-        k_count = len(kernel.forward)
-        kets = [phi[1:], *self._kets, phi[:-1]]
-        bras = [chi[1:], *self._bras, chi[:-1]]
-        for p in range(2 * k_count - 1, 0, -1):
-            np.matmul(factors[p], kets[p + 1][..., None], out=kets[p][..., None])
-        for p in range(1, 2 * k_count):
-            np.matmul(bras[p - 1][:, None, :], factors[p - 1], out=bras[p][:, None, :])
-        brackets = self._brackets
-        for p in range(2 * k_count + 1):
-            np.einsum("mn,mn,mn->m", bras[p], kernel.lam[min(p, 2 * k_count - p)], kets[p],
-                      out=brackets[p])
-        # i d<overlap>/d dwell_j times the dwell's rate per unit |w|
-        # (1/2 for the doubled outer dwells, 1 at the centre)
-        per_dwell = np.concatenate(
-            [(brackets[:k_count] + brackets[:k_count:-1]) / 2, brackets[k_count:k_count + 1]]
-        )
-        dc = np.empty(layout.order.shape, dtype=np.complex128)
-        np.put_along_axis(
-            dc, layout.order, -1j * layout.signs * (per_dwell[1:] - per_dwell[:-1]), axis=0
-        )
+        dc = self.kernel.overlap_derivative(phi, chi)
         grad = -2.0 * np.real(np.conj(overlap) * dc)
         return grad, float(1.0 - abs(overlap) ** 2)
 
-    @staticmethod
-    def _warn_on_ties(sorted_abs: np.ndarray) -> None:
-        """Warn on a zero width or an exact tie in the sorted ``|w|`` columns."""
-        if np.any(sorted_abs[-1] == 0.0) or np.any(sorted_abs[:-1] == sorted_abs[1:]):
-            warnings.warn(
-                "widths contain an exact sorting tie or a zero width; "
-                "the gradient there is one-sided",
-                stacklevel=3,
-            )
+
+class _PwmEngine(_Engine):
+    """Exact-gradient engine over pulse widths and the PWM kernel.
+
+    The steps of all M subintervals come from one M-row PWM kernel, in the
+    eigenbasis ``V_0`` of the drift, so the endpoint states are mapped by
+    ``V_0^dagger`` once.  The point of a width array is its kernel layout.
+    """
+
+    def __init__(self, problem: GrapeProblem) -> None:
+        kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), problem.n_steps)
+        super().__init__(problem, kernel, kernel.v0)
+
+    def _point(self, widths: np.ndarray) -> _Layout:
+        return self.kernel.layout(widths, self.problem.tau)
+
+    def _fill(self, layout: _Layout) -> np.ndarray:
+        return self.kernel.fill(layout)
 
 
 def objective(problem: GrapeProblem, widths) -> float:
@@ -318,8 +295,7 @@ def objective(problem: GrapeProblem, widths) -> float:
 def gradient(problem: GrapeProblem, widths) -> np.ndarray:
     """Exact gradient of :func:`objective` with respect to every width."""
     engine = _PwmEngine(problem)
-    layout = engine.kernel.layout(_check_pulse_widths(problem, widths), problem.tau)
-    return engine.gradient(layout)[0]
+    return engine.gradient(engine._point(_check_pulse_widths(problem, widths)))[0]
 
 
 def _check_widths(problem: GrapeProblem, widths) -> np.ndarray:
@@ -335,6 +311,14 @@ def _check_widths(problem: GrapeProblem, widths) -> np.ndarray:
 def _check_pulse_widths(problem: GrapeProblem, widths) -> np.ndarray:
     """Validated pulse widths; ``|w| <= tau`` up to 1e-9 relative, then clipped to it."""
     return _as_widths(_check_widths(problem, widths), problem.tau)
+
+
+def _width_bound(problem: GrapeProblem, options: GrapeOptions) -> float:
+    """``options.width_bound``, or ``tau`` if unset; ``ValueError`` beyond ``tau``."""
+    bound = options.width_bound if options.width_bound is not None else problem.tau
+    if bound > problem.tau:
+        raise ValueError(f"width_bound {bound!r} exceeds tau = {problem.tau!r}")
+    return bound
 
 
 def _descend(evaluate, grad_fn, params, bound, options):
@@ -408,9 +392,7 @@ def optimize(
     the width bound exceed ``tau``.
     """
     options = options or GrapeOptions()
-    bound = options.width_bound if options.width_bound is not None else problem.tau
-    if bound > problem.tau:
-        raise ValueError(f"width_bound {bound!r} exceeds tau = {problem.tau!r}")
+    bound = _width_bound(problem, options)
     engine = _PwmEngine(problem)
     if init_widths is None:
         init_widths = random_initial_widths(problem, np.random.default_rng(options.rng_seed))
@@ -420,47 +402,23 @@ def optimize(
     return _descend(engine.evaluate, engine.gradient, params, bound, options)
 
 
-class _PwcEngine:
+class _PwcEngine(_Engine):
     """Piecewise-constant GRAPE baseline: one Taylor exponential per step.
 
     Parameters are the subinterval field amplitudes ``eps_k(m)``; the step
     propagators ``exp(-i tau (H0 + sum_k eps_k H_k))`` come from one M-row
-    PWC kernel, and the gradient uses the standard first-order rule ``dU/deps
-    ~= -i tau H_k U``.  The point :meth:`evaluate` hands to :meth:`gradient`
-    is a read-only copy of the amplitudes; the kernel's steps and the levels
-    are rebuilt unless the kernel holds it.  The sweep states and brackets
-    are allocated once and filled in place.
+    PWC kernel, whose gradient is the standard first-order rule.  The point
+    of an amplitude array is a read-only copy of it.
     """
 
     def __init__(self, problem: GrapeProblem) -> None:
-        self.problem = problem
-        self._controls = np.stack(problem.system.controls)
-        k_count, m_count, n = problem.n_controls, problem.n_steps, problem.system.dim
-        self.kernel = _PwcKernel(problem.system, m_count)
-        self._phi = np.empty((m_count + 1 + _level_rows(m_count), n), dtype=np.complex128)
-        self._chi = np.empty_like(self._phi)
-        self._images = np.empty((k_count, n, m_count), dtype=np.complex128)
-        self._brackets = np.empty((k_count, m_count), dtype=np.complex128)
-        self._levels: list[np.ndarray] = []
+        super().__init__(problem, _PwcKernel(problem.system, problem.n_steps))
 
-    def evaluate(self, eps: np.ndarray) -> tuple[float, np.ndarray]:
-        problem, point = self.problem, _locked(np.array(eps, dtype=np.float64))
-        self._levels = _chain(self.kernel.fill(point, problem.tau), self.kernel.scratch)
-        return infidelity(self._levels[-1][0], problem.psi_initial, problem.psi_target), point
+    def _point(self, eps: np.ndarray) -> np.ndarray:
+        return _locked(np.array(eps, dtype=np.float64))
 
-    def gradient(self, point: np.ndarray) -> tuple[np.ndarray, float]:
-        problem, kernel = self.problem, self.kernel
-        if point is not kernel.held:
-            self._levels = _chain(kernel.fill(point, problem.tau), kernel.scratch)
-        phi, chi, overlap = _sweep(
-            self._levels, problem.psi_initial, problem.psi_target, self._phi, self._chi
-        )
-        # <chi_m| H_k |phi_m>: one (N, N) x (N, M) product per control
-        np.matmul(self._controls, phi[1:].T, out=self._images)
-        np.einsum("mn,knm->km", chi[1:], self._images, out=self._brackets)
-        dc = -1j * problem.tau * self._brackets
-        grad = -2.0 * np.real(np.conj(overlap) * dc)
-        return grad, float(1.0 - abs(overlap) ** 2)
+    def _fill(self, point: np.ndarray) -> np.ndarray:
+        return self.kernel.fill(point, self.problem.tau)
 
 
 def optimize_pwc(
@@ -472,11 +430,11 @@ def optimize_pwc(
 
     The box bound on amplitudes is ``xi_k * width_bound / tau``, the exact
     image of the PWM width bound under area matching, so both optimizers
-    search the same feasible set of subinterval areas.
+    search the same feasible set of subinterval areas.  Raises
+    ``ValueError`` when the width bound exceeds ``tau``.
     """
     options = options or GrapeOptions()
-    bound_w = options.width_bound if options.width_bound is not None else problem.tau
-    bound = problem.amplitudes[:, None] * bound_w / problem.tau
+    bound = problem.amplitudes[:, None] * _width_bound(problem, options) / problem.tau
     engine = _PwcEngine(problem)
     if init_field is None:
         init_field = _random_field(problem, np.random.default_rng(options.rng_seed))

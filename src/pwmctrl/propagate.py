@@ -26,7 +26,10 @@ drift and of each control alone, so :func:`evolve` takes it through the same
 kernel; :func:`step_spo` is its frame-by-frame reference.  Piecewise-constant
 steps come from a second batched kernel, a scaling-and-squaring Taylor
 exponential; :func:`expm_hermitian` and :func:`reference_propagator` keep their
-own eigendecompositions and are its independent references.
+own eigendecompositions and are its independent references.  The two kernels
+are the only per-scheme code: each also differentiates the overlap of the
+steps it holds for GRAPE, and every multi-step propagator multiplies its
+blocks of steps out with one block product.
 
 Fields are accepted either as :class:`~pwmctrl.pwm.SampledField` (integrated
 exactly as piecewise-constant data) or as a smooth callable ``u(t)``.  A
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -176,7 +180,8 @@ class _PwmKernel:
     on first use.  Folding every ``D`` into a neighbouring ``W`` leaves
     ``2K`` dense factors, so a step costs ``2K - 1`` batched matrix
     products.  All arrays are allocated once for ``rows`` rows and filled
-    in place; ``held`` is the layout that they hold.
+    in place; ``held`` is the layout that they hold, and
+    :meth:`overlap_derivative` differentiates its factors.
 
     Built on a :class:`TermCache` the kernel takes Strang split-operator
     steps instead: ``V_j`` is the eigenbasis of the drift (``j = 0``) or of
@@ -199,15 +204,19 @@ class _PwmKernel:
             for (_, basis_a), (lam_b, basis_b) in zip(bases, bases[1:]):
                 self._add_slot(basis_a, lam_b, basis_b)
             self._stack_slots()
-        self.lam = np.empty((k_count + 1, rows, n))
-        self.lam[0] = lam0
-        self._angle = np.empty(self.lam.shape)
-        self._phase = np.empty(self.lam.shape, dtype=np.complex128)
-        self.forward = np.empty((k_count, rows, n, n), dtype=np.complex128)
-        self.backward = np.empty_like(self.forward)
+        self._lam = np.empty((k_count + 1, rows, n))
+        self._lam[0] = lam0
+        self._angle = np.empty(self._lam.shape)
+        self._phase = np.empty(self._lam.shape, dtype=np.complex128)
+        self._forward = np.empty((k_count, rows, n, n), dtype=np.complex128)
+        self._backward = np.empty_like(self._forward)
         self.steps = np.empty((rows, n, n), dtype=np.complex128)
         self.scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
         self.held: _Layout | None = None
+        # split-point kets and bras and the brackets of overlap_derivative
+        self._kets = np.empty((2 * k_count - 1, rows, n), dtype=np.complex128)
+        self._bras = np.empty_like(self._kets)
+        self._brackets = np.empty((2 * k_count + 1, rows), dtype=np.complex128)
 
     def _prefix(self, code: int) -> tuple:
         """Cache key ``((k, delta), ...)`` of a base-3 prefix code."""
@@ -270,15 +279,19 @@ class _PwmKernel:
         slots = np.broadcast_to(np.arange(k_count)[:, None], values.shape)
         return _Layout(None, None, None, dwell, slots)
 
-    def factors(self, rows: int | None = None) -> list[np.ndarray]:
+    def to_lab(self, u: np.ndarray) -> np.ndarray:
+        """The lab-frame matrix ``V_0 u V_0^dagger`` of a drift-frame product ``u``."""
+        return self.v0 @ u @ self.v0.conj().T
+
+    def _factors(self, rows: int) -> list[np.ndarray]:
         """The ``2K`` dense factors of ``S`` in product order, for the first ``rows`` rows."""
-        return [*self.forward[:, :rows], *self.backward[::-1, :rows]]
+        return [*self._forward[:, :rows], *self._backward[::-1, :rows]]
 
     def fill(self, layout: _Layout) -> np.ndarray:
         """Gather the factors of ``layout`` and multiply out its step stack ``S``."""
         rows = layout.dwell.shape[1]
-        lam, angle, phase = self.lam[:, :rows], self._angle[:, :rows], self._phase[:, :rows]
-        fwd, bwd = self.forward[:, :rows], self.backward[:, :rows]
+        lam, angle, phase = self._lam[:, :rows], self._angle[:, :rows], self._phase[:, :rows]
+        fwd, bwd = self._forward[:, :rows], self._backward[:, :rows]
         np.take(self._lam_b, layout.slots, axis=0, out=lam[1:], mode="clip")
         np.take(self._w, layout.slots, axis=0, out=fwd, mode="clip")
         np.take(self._w_adjoint, layout.slots, axis=0, out=bwd, mode="clip")
@@ -290,7 +303,7 @@ class _PwmKernel:
         fwd *= phase[:-1, :, :, None]
         fwd[-1] *= phase[-1, :, None, :]
         bwd *= phase[:-1, :, None, :]
-        factors = self.factors(rows)
+        factors = self._factors(rows)
         steps, scratch = self.steps[:rows], self.scratch[:rows]
         acc = factors[0]
         for i, f in enumerate(factors[1:]):
@@ -299,6 +312,53 @@ class _PwmKernel:
             acc = out
         self.held = layout
         return steps
+
+    def overlap_derivative(self, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
+        """Exact ``d<chi_0|phi_0>`` with respect to every width of the held layout.
+
+        ``phi`` and ``chi`` hold the kets ``S_m ... S_1 |phi_0>`` and bras
+        ``<chi_0| S_r ... S_{m+1}`` at the ``r + 1`` step boundaries.  Split
+        point ``p`` (``0 .. 2K``) of the factor list cuts ``S`` into the bra
+        ``<l_p| = <chi| F_0 ... F_{p-1}`` and the ket ``|r_p> = F_p ...
+        F_{2K-1} |phi>``; it sits at one of the two copies of ``D_j`` with
+        ``j = min(p, 2K - p)``, and differentiating that copy's dwell inserts
+        ``-i H_j``, giving the bracket ``sum_n l_n lambda_n r_n``.  Width
+        ``w`` at sorted position ``r`` with sign ``delta`` feeds dwell ``d_r``
+        at rate ``-delta/2`` and ``d_{r+1}`` at ``+delta/2`` (both on two
+        palindromic copies), or at ``+delta`` on the single centre factor
+        when ``r + 1 = K``.  ``|r_0> = S |phi>`` and ``<l_2K| = <chi| S``
+        are the states one boundary later and earlier.  Warns at an exact
+        sorting tie or a zero width, where the derivative is one-sided.
+        """
+        layout = self.held
+        sorted_abs, rows = layout.sorted_abs, layout.dwell.shape[1]
+        if np.any(sorted_abs[-1] == 0.0) or np.any(sorted_abs[:-1] == sorted_abs[1:]):
+            warnings.warn(
+                "widths contain an exact sorting tie or a zero width; "
+                "the gradient there is one-sided",
+                stacklevel=3,
+            )
+        factors, k_count = self._factors(rows), len(self._forward)
+        kets = [phi[1:], *self._kets[:, :rows], phi[:-1]]
+        bras = [chi[1:], *self._bras[:, :rows], chi[:-1]]
+        for p in range(2 * k_count - 1, 0, -1):
+            np.matmul(factors[p], kets[p + 1][..., None], out=kets[p][..., None])
+        for p in range(1, 2 * k_count):
+            np.matmul(bras[p - 1][:, None, :], factors[p - 1], out=bras[p][:, None, :])
+        brackets = self._brackets[:, :rows]
+        for p in range(2 * k_count + 1):
+            np.einsum("mn,mn,mn->m", bras[p], self._lam[min(p, 2 * k_count - p), :rows],
+                      kets[p], out=brackets[p])
+        # i d<overlap>/d dwell_j times the dwell's rate per unit |w|
+        # (1/2 for the doubled outer dwells, 1 at the centre)
+        per_dwell = np.concatenate(
+            [(brackets[:k_count] + brackets[:k_count:-1]) / 2, brackets[k_count:k_count + 1]]
+        )
+        dc = np.empty(layout.order.shape, dtype=np.complex128)
+        np.put_along_axis(
+            dc, layout.order, -1j * layout.signs * (per_dwell[1:] - per_dwell[:-1]), axis=0
+        )
+        return dc
 
 
 #: Degree of :class:`_PwcKernel`'s Taylor polynomial, and the largest 1-norm
@@ -332,7 +392,7 @@ class _PwcKernel:
     which is six batched matrix products (``A^2``, ``A^3``, ``A^4`` and three
     in ``B``) before the ``s`` squarings.  All arrays are allocated once for
     ``rows`` rows and filled in place; ``held`` is the values array the step
-    stack was built from.
+    stack was built from, and :meth:`overlap_derivative` differentiates it.
     """
 
     def __init__(self, system: ControlSystem, rows: int) -> None:
@@ -349,6 +409,10 @@ class _PwcKernel:
         self.steps = np.empty((rows, n, n), dtype=np.complex128)
         self.scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
         self.held: np.ndarray | None = None
+        self._tau = math.nan
+        self._controls = np.stack(system.controls)
+        self._images = np.empty((system.n_controls, n, rows), dtype=np.complex128)
+        self._brackets = np.empty((system.n_controls, rows), dtype=np.complex128)
 
     def fill(self, values: np.ndarray, tau: float) -> np.ndarray:
         """The step stack of the ``(K, r)`` control ``values``, ``r <= rows``, over ``tau``.
@@ -383,8 +447,23 @@ class _PwcKernel:
             np.matmul(steps, steps, out=product)
             steps[...] = product
         steps *= np.exp(-1j * tau * (coeffs.real @ self._mu))[:, None, None]
-        self.held = values
+        self.held, self._tau = values, tau
         return steps
+
+    def overlap_derivative(self, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
+        """First-order ``d<chi_0|phi_0>`` with respect to every held control value.
+
+        ``phi`` and ``chi`` hold the kets and bras at the ``r + 1`` step
+        boundaries, as for :meth:`_PwmKernel.overlap_derivative`.  The rule
+        ``dU_m/du_k ~= -i tau H_k U_m`` gives ``-i tau <chi_m| H_k |phi_m>``
+        at the boundary after step ``m``: one (N, N) x (N, r) product per
+        control.
+        """
+        rows = self.held.shape[1]
+        images, brackets = self._images[..., :rows], self._brackets[:, :rows]
+        np.matmul(self._controls, phi[1:].T, out=images)
+        np.einsum("mn,knm->km", chi[1:], images, out=brackets)
+        return -1j * self._tau * brackets
 
 
 def _level_rows(m_count: int) -> int:
@@ -518,7 +597,13 @@ def build_frame(seq: PWMSequence, m: int) -> PulseFrame:
 
 
 def _checked_cache(cache, system: ControlSystem, amplitudes=None):
-    """``cache`` if it was built for this system object (and amplitudes)."""
+    """``cache`` if it was built for this system object (and amplitudes).
+
+    Without a ``cache`` a new one is built: a :class:`HamiltonianCache` for
+    ``amplitudes``, or a :class:`TermCache` when they are ``None``.
+    """
+    if cache is None:
+        return TermCache(system) if amplitudes is None else HamiltonianCache(system, amplitudes)
     if cache.system is not system:
         raise ValueError("cache was built for another system object")
     if amplitudes is not None and not np.array_equal(
@@ -545,19 +630,21 @@ def step_pwm(
     Multiplies the factors one by one, the reference for the batched kernel.
     A ``cache`` must have been built for ``system`` and ``amplitudes``.
     """
-    if cache is None:
-        cache = HamiltonianCache(system, amplitudes)
-    else:
-        cache = _checked_cache(cache, system, amplitudes)
+    cache = _checked_cache(cache, system, amplitudes)
     return functools.reduce(np.matmul, _pwm_factors(cache, frame))
+
+
+def _control_values(system: ControlSystem, control_values) -> np.ndarray:
+    """One subinterval's control values as a ``(K,)`` float array."""
+    u_mid = np.atleast_1d(np.asarray(control_values, dtype=np.float64))
+    if u_mid.shape != (system.n_controls,):
+        raise ValueError(f"expected {system.n_controls} control values")
+    return u_mid
 
 
 def step_pwc(system: ControlSystem, control_values, tau: float) -> np.ndarray:
     """Piecewise-constant propagator ``exp(-i tau H(t_mid))`` for one subinterval."""
-    u_mid = np.atleast_1d(np.asarray(control_values, dtype=np.float64))
-    if u_mid.shape != (system.n_controls,):
-        raise ValueError(f"expected {system.n_controls} control values")
-    return _pwc_steps(system, u_mid[:, None], tau)[0]
+    return _pwc_steps(system, _control_values(system, control_values)[:, None], tau)[0]
 
 
 def _pwc_steps(system: ControlSystem, values: np.ndarray, tau: float) -> np.ndarray:
@@ -582,10 +669,8 @@ def step_spo(
     one, the reference for :func:`evolve`'s batched steps.  A ``cache`` must
     have been built for ``system``.
     """
-    u_mid = np.atleast_1d(np.asarray(control_values, dtype=np.float64))
-    if u_mid.shape != (system.n_controls,):
-        raise ValueError(f"expected {system.n_controls} control values")
-    cache = TermCache(system) if cache is None else _checked_cache(cache, system)
+    u_mid = _control_values(system, control_values)
+    cache = _checked_cache(cache, system)
     half = tau / 2
     ascending = [cache.factor(None, half)]
     ascending += [cache.factor(k, half * u_mid[k]) for k in range(u_mid.size)]
@@ -608,6 +693,15 @@ def suzuki_coefficient(n: int) -> float:
     return 1.0 / (2.0 - 2.0 ** (1.0 / (2 * n - 1)))
 
 
+def _is_sampled(field, n_controls: int) -> bool:
+    """Whether ``field`` is a :class:`SampledField`; ``ValueError`` on a wrong control count."""
+    if not isinstance(field, SampledField):
+        return False
+    if field.n_controls != n_controls:
+        raise ValueError(f"field has {field.n_controls} controls, system has {n_controls}")
+    return True
+
+
 def _field_values(field, times, n_controls: int) -> np.ndarray:
     """Field samples at the flattened ``times`` as a ``(K, times.size)`` array.
 
@@ -615,11 +709,7 @@ def _field_values(field, times, n_controls: int) -> np.ndarray:
     return shape ``(K, n)``, or ``(n,)`` when ``K = 1``.
     """
     times = np.asarray(times, dtype=np.float64).ravel()
-    if isinstance(field, SampledField):
-        if field.n_controls != n_controls:
-            raise ValueError(
-                f"field has {field.n_controls} controls, system has {n_controls}"
-            )
+    if _is_sampled(field, n_controls):
         return np.atleast_2d(field.value(times))
     values = np.asarray(field(times), dtype=np.float64)
     if n_controls == 1 and values.shape == times.shape:
@@ -639,11 +729,7 @@ def _field_integral(field, a: np.ndarray, b: np.ndarray, n_controls: int) -> np.
     its domain); 64-node Gauss-Legendre for callables, which is effectively
     exact for smooth fields on subinterval-sized windows.
     """
-    if isinstance(field, SampledField):
-        if field.n_controls != n_controls:
-            raise ValueError(
-                f"field has {field.n_controls} controls, system has {n_controls}"
-            )
+    if _is_sampled(field, n_controls):
         return field.integral(a, b)
     half = (b - a) / 2
     mid = (a + b) / 2
@@ -686,6 +772,21 @@ def _suzuki_steps(
     return last @ middle @ first
 
 
+def _check_sequence(seq: PWMSequence, tau: float | None, amplitudes=None) -> float:
+    """``tau``, or ``seq.tau`` when it is ``None``.
+
+    Raises ``ValueError`` when a given ``tau`` or ``amplitudes`` disagree
+    with the sequence's own (beyond 1e-12 relative).
+    """
+    if tau is not None and not math.isclose(tau, seq.tau, rel_tol=1e-12):
+        raise ValueError("tau disagrees with the sequence subinterval")
+    if amplitudes is not None and not np.allclose(
+        _as_amplitudes(amplitudes, seq.n_controls), seq.amplitudes, rtol=1e-12, atol=0
+    ):
+        raise ValueError("amplitudes disagree with the sequence amplitudes")
+    return seq.tau if tau is None else tau
+
+
 def step_pwm_higher(
     system: ControlSystem,
     amplitudes,
@@ -707,15 +808,14 @@ def step_pwm_higher(
     sees intra-subinterval field variation.  Every sub-window is one call of
     the batched kernel with a signed length; a backward sub-window negates
     all dwells, which gives the exact inverse of the forward step.  A
-    ``cache`` must have been built for ``system`` and ``amplitudes``.
+    ``cache`` must have been built for ``system`` and ``amplitudes``; with a
+    sequence, ``amplitudes`` or a ``tau`` that disagree with its own raise
+    ``ValueError``.
     """
     if n < 2:
         raise ValueError(f"order index n must be >= 2, got {n}")
     if isinstance(source, PWMSequence):
-        if tau is None:
-            tau = source.tau
-        elif not math.isclose(tau, source.tau, rel_tol=1e-12):
-            raise ValueError("tau disagrees with the sequence subinterval")
+        tau = _check_sequence(source, tau, amplitudes)
         if not 1 <= m <= source.n_pulses:
             raise ValueError(f"subinterval index m={m} outside 1..{source.n_pulses}")
         base_widths = source.widths[:, m - 1 : m]
@@ -725,14 +825,9 @@ def step_pwm_higher(
             raise ValueError("tau is required with a field source")
         base_widths = None
         field = source
-    if cache is None:
-        cache = HamiltonianCache(system, amplitudes)
-    else:
-        cache = _checked_cache(cache, system, amplitudes)
-    kernel = _PwmKernel(cache, 1)
+    kernel = _PwmKernel(_checked_cache(cache, system, amplitudes), 1)
     start = np.array([(m - 1) * tau])
-    step = _suzuki_steps(kernel, field, base_widths, tau, m - 1, start, tau, n)[0]
-    return kernel.v0 @ step @ kernel.v0.conj().T
+    return kernel.to_lab(_suzuki_steps(kernel, field, base_widths, tau, m - 1, start, tau, n)[0])
 
 
 def reference_propagator(
@@ -760,15 +855,15 @@ def reference_propagator(
     u_vals = _field_values(field, mids, system.n_controls)
     controls, n = np.stack(system.controls), system.dim
     rows = _block_rows(system, resolution)
-    scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
-    u = np.eye(n, dtype=np.complex128)
-    for first in range(0, resolution, rows):
-        h = np.einsum("kr,kab->rab", u_vals[:, first : first + rows], controls)
+
+    def steps(block: slice) -> np.ndarray:
+        h = np.einsum("kr,kab->rab", u_vals[:, block], controls)
         h += system.drift
         lam, basis = np.linalg.eigh(h)
-        steps = (basis * np.exp(-1j * dt * lam)[:, None, :]) @ basis.conj().transpose(0, 2, 1)
-        u = _chain(steps, scratch)[-1][0] @ u
-    return u
+        return (basis * np.exp(-1j * dt * lam)[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+
+    scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
+    return _block_product(steps, resolution, rows, scratch)
 
 
 def _parse_scheme(scheme: str) -> tuple[str, int | None]:
@@ -793,6 +888,22 @@ def _block_rows(system: ControlSystem, m_count: int) -> int:
     return max(1, min(m_count, _BLOCK_ENTRIES // per_row))
 
 
+def _block_product(steps, m_count: int, rows: int, scratch: np.ndarray) -> np.ndarray:
+    """``U_M ... U_1`` of ``m_count`` steps built ``rows`` at a time.
+
+    ``steps(block)`` returns the step stack of the subintervals in the slice
+    ``block``; each stack is reduced pairwise by :func:`_chain` in ``scratch``.
+    """
+    u = np.eye(scratch.shape[-1], dtype=np.complex128)
+    for first in range(0, m_count, rows):
+        # a stack freed before the next one is built lets the allocator return
+        # the heap top to the system, and every block faults it in again
+        # (about 100x the minor faults of the reference at N = 32)
+        block = steps(slice(first, first + rows))
+        u = _chain(block, scratch)[-1][0] @ u
+    return u
+
+
 def evolve(
     system: ControlSystem,
     scheme: str,
@@ -805,7 +916,9 @@ def evolve(
     ``scheme`` is ``"pwc"``, ``"spo"``, ``"pwm"``, or ``"pwm4"``, ``"pwm6"``,
     ... for the Suzuki-composed higher orders.  PWM schemes take a
     :class:`PWMSequence`, or a :class:`SampledField` plus ``amplitudes`` and
-    ``tau`` (converted internally).  PWC and split-operator take a
+    ``tau`` (converted internally); with a sequence, a ``tau`` or
+    ``amplitudes`` that disagree with its own raise ``ValueError`` (equal
+    ones are accepted).  PWC and split-operator take a
     :class:`SampledField` plus ``tau``; amplitudes are read at subinterval
     midpoints.
 
@@ -830,23 +943,22 @@ def evolve(
             raise ValueError("field duration is not an integer number of subintervals")
         mids = (np.arange(m_count) + 0.5) * tau
         u_vals = _field_values(source, mids, system.n_controls)
-        u = np.eye(system.dim, dtype=np.complex128)
         rows = _block_rows(system, m_count)
         if kind == "spo":
             kernel = _PwmKernel(TermCache(system), rows)
-            for first in range(0, m_count, rows):
-                steps = kernel.fill(kernel.split_layout(u_vals[:, first : first + rows], tau))
-                u = _chain(steps, kernel.scratch)[-1][0] @ u
-            return kernel.v0 @ u @ kernel.v0.conj().T
+            u = _block_product(
+                lambda block: kernel.fill(kernel.split_layout(u_vals[:, block], tau)),
+                m_count, rows, kernel.scratch,
+            )
+            return kernel.to_lab(u)
         kernel = _PwcKernel(system, rows)
-        for first in range(0, m_count, rows):
-            steps = kernel.fill(u_vals[:, first : first + rows], tau)
-            u = _chain(steps, kernel.scratch)[-1][0] @ u
-        return u
+        return _block_product(
+            lambda block: kernel.fill(u_vals[:, block], tau), m_count, rows, kernel.scratch
+        )
 
     if isinstance(source, PWMSequence):
-        seq = source
-        field = None
+        seq, field = source, None
+        _check_sequence(seq, tau, amplitudes)
     elif not isinstance(source, SampledField):
         raise ValueError(
             f"scheme {scheme!r} takes a PWMSequence, or a SampledField with amplitudes and tau"
@@ -859,14 +971,12 @@ def evolve(
     tau, rows = seq.tau, _block_rows(system, seq.n_pulses)
     kernel = _PwmKernel(HamiltonianCache(system, seq.amplitudes), rows)
     starts = np.arange(seq.n_pulses) * tau
-    u = np.eye(system.dim, dtype=np.complex128)
-    for first in range(0, seq.n_pulses, rows):
-        block = slice(first, first + rows)
-        steps = _suzuki_steps(
-            kernel, field, seq.widths[:, block], tau, first, starts[block], tau, level
-        )
-        u = _chain(steps, kernel.scratch)[-1][0] @ u
-    return kernel.v0 @ u @ kernel.v0.conj().T
+
+    def steps(block: slice) -> np.ndarray:
+        widths = seq.widths[:, block]
+        return _suzuki_steps(kernel, field, widths, tau, block.start, starts[block], tau, level)
+
+    return kernel.to_lab(_block_product(steps, seq.n_pulses, rows, kernel.scratch))
 
 
 @dataclass(frozen=True)
@@ -916,15 +1026,12 @@ def error_order(
     errors = []
     for tau in taus:
         ref = reference_propagator(system, field, t_start, t_start + tau, resolution)
-        if kind == "pwc":
+        if kind in ("pwc", "spo"):
             u_mid = _field_values(field, [t_start + tau / 2], system.n_controls)[:, 0]
-            step = step_pwc(system, u_mid, tau)
-        elif kind == "spo":
-            u_mid = _field_values(field, [t_start + tau / 2], system.n_controls)[:, 0]
-            step = step_spo(system, u_mid, tau)
+            step = (step_pwc if kind == "pwc" else step_spo)(system, u_mid, tau)
         else:
-            step = _suzuki_steps(kernel, field, None, tau, 0, np.array([t_start]), tau, level)[0]
-            step = kernel.v0 @ step @ kernel.v0.conj().T
+            start = np.array([t_start])
+            step = kernel.to_lab(_suzuki_steps(kernel, field, None, tau, 0, start, tau, level)[0])
         errors.append(frobenius_distance(step, ref))
     saturated = max(errors) <= 1e-13
     slope = intercept = math.nan

@@ -187,6 +187,17 @@ class TestSignalAndReconstruct:
         expected = inverse_pwm_pwc(read_sequence_csv(sequence_path))
         assert np.array_equal(recon.values, expected.values)
 
+    def test_unknown_kind_from_config_is_validation_error(self, tmp_path, sequence_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "triangle"}))
+        out = tmp_path / "signal.csv"
+        assert main([
+            "signal", "--sequence", str(sequence_path), "--config", str(config),
+            "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error:validation:unknown pulse kind")
+        assert not out.exists()
+
     def test_lowpass_needs_cutoff(self, tmp_path, sequence_path, capsys):
         assert main([
             "reconstruct", "--sequence", str(sequence_path),
@@ -217,6 +228,17 @@ class TestPropagate:
         u_pwm = read_propagator_csv(u_paths["pwm"])
         u_pwc = read_propagator_csv(u_paths["pwc"])
         assert np.max(np.abs(u_pwm - u_pwc)) < 1e-12
+
+    def test_xi_other_than_the_sequence_amplitudes_is_validation_error(self, tmp_path, capsys):
+        field = write_sine_field(tmp_path / "field.csv")
+        seq = tmp_path / "seq.csv"
+        assert main(["approximate", "--field", str(field), "--tau", "0.25",
+                     "--xi", "1.5", "--out", str(seq)]) == 0
+        argv = ["propagate", "--builtin", "two-level", "--sequence", str(seq)]
+        assert main([*argv, "--xi", "1.5", "--out", str(tmp_path / "u.csv")]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--xi", "3", "--out", str(tmp_path / "u3.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error:validation:amplitudes disagree")
 
     def test_system_round_trip_through_json(self, tmp_path):
         system_path = tmp_path / "system.json"
@@ -325,7 +347,10 @@ class TestBenchmarkCommand:
         lines = (tmp_path / "benchmark.csv").read_text().splitlines()
         assert lines[0] == "run,scheme,iterations,final_J,wall_seconds,converged"
         assert len(lines) == 3
-        assert "converged pwm=" in capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
+        # two iterations converge neither run: the medians are NaN, without a unit
+        assert out[0] == "converged pwm=0/1 pwc=0/1"
+        assert out[1] == "median_wall pwm=nan pwc=nan ratio=nan"
 
 
 class TestComplexityCommand:

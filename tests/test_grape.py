@@ -202,8 +202,9 @@ class TestWidthBound:
 
     def test_optimize_rejects_bound_or_start_beyond_tau(self):
         problem = two_level_problem()
-        with pytest.raises(ValueError, match="width_bound"):
-            optimize(problem, options=GrapeOptions(width_bound=2 * problem.tau))
+        for fn in (optimize, optimize_pwc):
+            with pytest.raises(ValueError, match="width_bound"):
+                fn(problem, options=GrapeOptions(width_bound=2 * problem.tau))
         too_wide = np.full((1, problem.n_steps), 1.5 * problem.tau)
         with pytest.raises(ValueError, match="exceeds tau"):
             optimize(problem, init_widths=too_wide)
@@ -394,6 +395,24 @@ class TestGradient:
         assert np.array_equal(held, _PwcEngine(problem).gradient(point)[0])
         engine.evaluate(rng.uniform(-0.5, 0.5, size=field.shape))
         assert np.array_equal(engine.gradient(point)[0], held)
+
+    @pytest.mark.parametrize("k_count", [1, 3])
+    def test_pwc_gradient_matches_the_first_order_formula(self, rng, k_count):
+        """The baseline's gradient is ``-2 Re(conj(c) dc)`` with ``dc[k, m] =
+        -i tau <chi_m| H_k |phi_m>`` at the boundary after step m, here from
+        a step-by-step sweep and an explicit loop over m and k."""
+        problem = random_problem(rng, 5, k_count, total_time=1.6, tau=0.2)
+        field = rng.uniform(-0.5, 0.5, size=(k_count, problem.n_steps))
+        engine = _PwcEngine(problem)
+        grad = engine.gradient(engine.evaluate(field)[1])[0]
+        steps = _pwc_steps(problem.system, field, problem.tau)
+        phi, chi, overlap = sequential_sweep(steps, problem.psi_initial, problem.psi_target)
+        expected = np.empty_like(field)
+        for m in range(problem.n_steps):
+            for k, control in enumerate(problem.system.controls):
+                dc = -1j * problem.tau * (chi[m + 1] @ control @ phi[m + 1])
+                expected[k, m] = -2.0 * np.real(np.conj(overlap) * dc)
+        assert np.max(np.abs(grad - expected)) <= 1e-12
 
     @given(
         k_count=st.integers(1, 3),

@@ -325,6 +325,20 @@ class TestEvolve:
         u_seq = evolve(two_level, "pwm", seq)
         assert np.allclose(u_field, u_seq, atol=1e-14)
 
+    def test_sequence_rejects_another_tau_or_amplitudes(self, two_level):
+        """A sequence carries its own grid and amplitudes: equal values are
+        accepted, other ones raise instead of being ignored."""
+        field, tau = _sine_field()
+        seq = pwm_approximate(field, np.array([1.5]), tau)
+        u = evolve(two_level, "pwm", seq)
+        assert np.array_equal(evolve(two_level, "pwm", seq, tau=tau, amplitudes=[1.5]), u)
+        with pytest.raises(ValueError, match="tau disagrees with the sequence subinterval"):
+            evolve(two_level, "pwm", seq, tau=2 * tau)
+        with pytest.raises(ValueError, match="amplitudes disagree"):
+            evolve(two_level, "pwm4", seq, amplitudes=[3.0])
+        with pytest.raises(ValueError, match="amplitudes disagree"):
+            step_pwm_higher(two_level, [3.0], seq, 2, 2)
+
     def test_zero_field_all_schemes_agree(self, two_level):
         field = SampledField(dt=0.01, values=np.zeros((1, 100)))
         mats = [
