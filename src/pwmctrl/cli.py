@@ -329,8 +329,8 @@ def _cmd_optimize(options: _Options) -> int:
     artifacts.write_trace_csv(out / "trace.csv", result.trace)
     print(
         f"scheme={scheme} converged={result.converged} iterations={result.iterations} "
-        f"final_J={result.trace[-1]:.6e} wall_seconds={result.wall_time:.3f} "
-        f"stop_reason={result.stop_reason}"
+        f"evaluations={result.evaluations} final_J={result.trace[-1]:.6e} "
+        f"wall_seconds={result.wall_time:.3f} stop_reason={result.stop_reason}"
     )
     return 0
 
@@ -363,6 +363,9 @@ def _cmd_benchmark(options: _Options) -> int:
     pwm, pwc = (_seconds(report.median_wall[s]) for s in ("pwm", "pwc"))
     print(f"median_wall pwm={pwm} pwc={pwc} ratio={report.wall_ratio:.3f}")
     print(f"spectral peak hits: {report.peak_hits}/{len(report.spectra)}")
+    pwm, pwc = (_seconds(report.mean_wall[s]) for s in ("pwm", "pwc"))
+    top = report.max_iterations
+    print(f"max_iterations pwm={top['pwm']} pwc={top['pwc']} mean_wall pwm={pwm} pwc={pwc}")
     return 0
 
 

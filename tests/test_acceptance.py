@@ -278,6 +278,19 @@ def test_criterion_09_optimized_field_peaks(fig5_report):
     assert passed, detail
 
 
+def test_benchmark_iteration_tail(fig5_report):
+    """No PWM run of the criterion-07 benchmark needs 30 iterations or more:
+    the median iteration count hides the slowest starts."""
+    top, mean = fig5_report.max_iterations, fig5_report.mean_wall
+    detail = (
+        f"max iterations pwm {top['pwm']}, pwc {top['pwc']}; "
+        f"mean wall pwm {mean['pwm']:.3f}s, pwc {mean['pwc']:.3f}s"
+    )
+    passed = top["pwm"] < 30
+    print(f"iteration tail: {'PASS' if passed else 'FAIL'} - {detail}")
+    assert passed, detail
+
+
 def test_criterion_10_cost_model():
     """Frozen spot values of the multiplication-count model, and a default
     grid that contains both regimes separated by a finite boundary."""

@@ -6,6 +6,8 @@ import pytest
 
 from pwmctrl import cli
 from pwmctrl.cli import main
+from pwmctrl.grape import GrapeOptions, GrapeProblem, optimize
+from pwmctrl.model import basis_state
 from pwmctrl.io import (
     read_field_csv,
     read_gamma_grid_csv,
@@ -313,6 +315,19 @@ class TestOptimizeCommand:
         assert "converged=True" in printed
         assert "stop_reason=tolerance" in printed
 
+    def test_prints_evaluations_after_iterations(self, tmp_path, capsys):
+        assert main(self.OPTIMIZE_ARGS + ["--out-dir", str(tmp_path)]) == 0
+        result = optimize(
+            GrapeProblem(
+                system=cli._builtin("two-level"), psi_initial=basis_state(2, 0),
+                psi_target=basis_state(2, 1), total_time=5.0, tau=0.25, amplitudes=[1.0],
+            ),
+            options=GrapeOptions(rng_seed=7),
+        )
+        expected = f" iterations={result.iterations} evaluations={result.evaluations} "
+        assert expected in capsys.readouterr().out
+        assert result.evaluations > result.iterations
+
     def test_same_seed_gives_identical_artifacts(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         assert main(self.OPTIMIZE_ARGS + ["--out-dir", str(dir_a)]) == 0
@@ -351,6 +366,17 @@ class TestBenchmarkCommand:
         # two iterations converge neither run: the medians are NaN, without a unit
         assert out[0] == "converged pwm=0/1 pwc=0/1"
         assert out[1] == "median_wall pwm=nan pwc=nan ratio=nan"
+
+    def test_prints_the_iteration_maximum_and_mean_wall(self, tmp_path, capsys):
+        assert main([
+            "benchmark-fig5", "--repeats", "2", "--seed", "1",
+            "--total-time", "1.0", "--tau", "0.1",
+            "--max-iterations", "2", "--out-dir", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[2].startswith("spectral peak hits: ")
+        # nothing converges in two iterations: the maxima are the cap, the means NaN
+        assert out[3] == "max_iterations pwm=2 pwc=2 mean_wall pwm=nan pwc=nan"
 
 
 class TestComplexityCommand:
