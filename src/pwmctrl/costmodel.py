@@ -7,7 +7,9 @@ multiplications per time step.  These are closed-form estimates for
 comparing scheme cost across Hilbert-space dimension ``N``, Taylor order
 ``p``, and control count ``K`` — not measured FLOPs of the kernels.
 The PWC side is now the code's own kernel too: a degree-16 Taylor
-polynomial by Paterson-Stockmeyer, six matrix products per step plus one per
+polynomial by Paterson-Stockmeyer, whose blocks in ``A``, ``A^2``, ``A^3``
+and ``A^4`` come from one product of the control monomials against a
+precomputed table, then three matrix products per step plus one per
 squaring, where this model's plain Horner form charges ``p - 1 = 15``.
 """
 

@@ -504,15 +504,22 @@ def optimize_pwc(
 
     The box bound on amplitudes is ``xi_k * width_bound / tau``, the exact
     image of the PWM width bound under area matching, so both optimizers
-    search the same feasible set of subinterval areas.  Raises
-    ``ValueError`` when the width bound exceeds ``tau``.
+    search the same feasible set of subinterval areas.  ``init_field``
+    passes the check of :func:`optimize`'s ``init_widths`` through that
+    image: ``ValueError`` when an area-matched width ``eps_k tau / xi_k``
+    exceeds ``tau`` (``|eps_k| > xi_k``), or when the width bound exceeds
+    ``tau``.  The start is then clipped to the box.
     """
     options = options or GrapeOptions()
-    bound = problem.amplitudes[:, None] * _width_bound(problem, options) / problem.tau
+    xi = problem.amplitudes[:, None]
+    bound = xi * _width_bound(problem, options) / problem.tau
     engine = _PwcEngine(problem)
     if init_field is None:
-        init_field = _random_field(problem, np.random.default_rng(options.rng_seed))
-    eps = np.clip(_check_widths(problem, init_field), -bound, bound)
+        eps = _random_field(problem, np.random.default_rng(options.rng_seed))
+    else:
+        eps = _check_widths(problem, init_field)
+        _check_pulse_widths(problem, eps * problem.tau / xi)
+    eps = np.clip(eps, -bound, bound)
     return _descend(engine.evaluate, engine.gradient, eps, bound, options)
 
 

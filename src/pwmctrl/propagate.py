@@ -43,6 +43,7 @@ whose sub-windows reach slightly outside the nominal subinterval.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from collections import namedtuple
@@ -366,13 +367,48 @@ class _PwmKernel:
 #: ``theta^17 / 17!``, is the unit roundoff 2^-53.
 _TAYLOR_DEGREE = 16
 _TAYLOR_THETA = (2.0**-53 * math.factorial(_TAYLOR_DEGREE + 1)) ** (1 / (_TAYLOR_DEGREE + 1))
-_TAYLOR_COEFFS = np.array([1 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1)],
-                          dtype=np.complex128)
+#: Coefficient of ``A^i`` (column ``i <= 4``) in each Paterson-Stockmeyer
+#: block of :class:`_PwcKernel`: ``B = A^4``, ``C_3 + B / 16!``, ``C_2``,
+#: ``C_1`` and ``C_0``.
+_BLOCK_COEFFS = np.array(
+    [[0, 0, 0, 0, 1]]
+    + [[1 / math.factorial(4 * j + i) if i < 4 or j == 3 else 0 for i in range(5)]
+       for j in (3, 2, 1, 0)]
+)
 
 
 def _squarings(norm: float) -> int:
     """Squarings that bring a 1-norm ``norm`` down to ``_TAYLOR_THETA``."""
     return max(0, math.ceil(math.log2(norm / _TAYLOR_THETA))) if norm > 0 else 0
+
+
+@functools.lru_cache
+def _monomial_plan(k_count: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, tuple]:
+    """Read-only index plan of the control monomials of degree at most 4 in ``k_count`` values.
+
+    Monomials are ordered by degree, so the first ``counts[d]`` are those of
+    degree at most ``d``; monomial 0 is 1 and monomial ``k`` is ``x_k``.
+    Monomial ``j`` of degree 2 or more is ``parent[j] * x_{last[j]}``.
+    ``scatter[i - 1]``, ``i = 1, 2, 3``, is the 0/1 matrix that sums the
+    products of monomial ``b < counts[i]`` with term ``k`` (``k = 0`` the
+    drift, else ``x_k``), at flat position ``b (K + 1) + k``, into the
+    ``counts[i + 1]`` monomials of degree at most ``i + 1``.
+    """
+    monomials = [
+        word for d in range(5) for word in itertools.combinations_with_replacement(
+            range(1, k_count + 1), d)
+    ]
+    index = {word: j for j, word in enumerate(monomials)}
+    counts = tuple(math.comb(k_count + d, d) for d in range(5))
+    parent = np.array([index[word[:-1]] if word else 0 for word in monomials])
+    last = np.array([word[-1] if word else 0 for word in monomials])
+    scatter = []
+    for i in range(1, 4):
+        targets = [index[tuple(sorted(word + ((k,) if k else ())))]
+                   for word in monomials[: counts[i]] for k in range(k_count + 1)]
+        scatter.append(np.zeros((counts[i + 1], len(targets))))
+        scatter[-1][targets, np.arange(len(targets))] = 1
+    return counts, _locked(parent), _locked(last), tuple(map(_locked, scatter))
 
 
 class _PwcKernel:
@@ -384,35 +420,62 @@ class _PwcKernel:
     count ``s`` per call brings the largest 1-norm of ``A = -i tau (H - mu)
     / 2^s`` in the stack to at most ``_TAYLOR_THETA`` (for Hermitian ``H``
     the 1-norm bounds the 2-norm).  The degree-16 polynomial is evaluated by
-    Paterson-Stockmeyer in ``B = A^4``,
+    Paterson-Stockmeyer in ``B = A^4`` (Paterson & Stockmeyer 1973),
 
         p(A) = C_0 + B (C_1 + B (C_2 + B (C_3 + B / 16!))),
-        C_j = sum_{i<4} A^i / (4j + i)!,
+        C_j = sum_{i<4} A^i / (4j + i)!.
 
-    which is six batched matrix products (``A^2``, ``A^3``, ``A^4`` and three
-    in ``B``) before the ``s`` squarings.  All arrays are allocated once for
-    ``rows`` rows and filled in place; ``held`` is the values array the step
-    stack was built from, and :meth:`overlap_derivative` differentiates it.
+    ``A = z (T_0 + sum_k x_k T_k)`` is linear in the control values, with
+    ``z = -i tau / 2^s`` and ``T_k`` the shifted terms, so every power
+    ``A^i``, ``i <= 4``, is ``z^i sum_alpha x^alpha Q_{i,alpha}`` over the
+    ``C(K + 4, 4)`` control monomials ``x^alpha`` of degree at most 4, where
+    ``Q_{i,alpha}`` sums the length-``i`` words in the ``T_k`` with that
+    monomial.  The ``Q`` are built once per kernel, one batched product per
+    degree, and recombined into a table of the five blocks only when
+    ``(tau, s)`` changes.  A fill then takes all five blocks of every row
+    from one real matrix product of the monomials against that table, three
+    batched products in ``B`` and the ``s`` squarings.  The monomial sum
+    rounds relative to ``sum_k |x_k| ||T_k||`` rather than ``||H - mu||``,
+    which is the same scale unless the terms nearly cancel.  All arrays are
+    allocated once for ``rows`` rows and filled in place; ``held`` is the
+    values array the step stack was built from, and
+    :meth:`overlap_derivative` differentiates it.
     """
 
     def __init__(self, system: ControlSystem, rows: int) -> None:
         _check_system(system)
-        n = system.dim
+        n, k_count = system.dim, system.n_controls
         terms = np.stack([system.drift, *system.controls]).astype(np.complex128)
         self._mu = np.trace(terms, axis1=1, axis2=2).real / n
-        self._terms = (terms - self._mu[:, None, None] * np.eye(n)).reshape(len(terms), n * n)
-        self._coeffs = np.ones((rows, len(terms)), dtype=np.complex128)
-        # rows 1-4 hold A .. A^4 and row 0 each product in B, so C_3 + B / 16!
-        # (rows 1-4) and C_j + that product (rows 0-3) are one matrix-vector
-        # product each over adjacent rows
-        self._powers = np.empty((5, rows * n * n), dtype=np.complex128)
+        terms -= self._mu[:, None, None] * np.eye(n)
+        self._terms = terms.reshape(k_count + 1, n * n).view(np.float64)
+        counts, self._parent, self._last, scatter = _monomial_plan(k_count)
+        # Q_i of every monomial, degree by degree: the Q_{i-1} stacked above
+        # each other times the terms side by side, summed into the monomial
+        # of each product
+        side_by_side = terms.transpose(1, 0, 2).reshape(n, -1)
+        self._q = np.zeros((5, counts[-1], n * n), dtype=np.complex128)
+        self._q[0, 0] = np.eye(n).ravel()
+        self._q[1, : k_count + 1] = terms.reshape(k_count + 1, n * n)
+        for i in range(2, 5):
+            lower = self._q[i - 1, : counts[i - 1]].reshape(-1, n)
+            words = (lower @ side_by_side).reshape(-1, n, k_count + 1, n).transpose(0, 2, 1, 3)
+            np.matmul(scatter[i - 2], words.reshape(-1, n * n).view(np.float64),
+                      out=self._q[i, : counts[i]].view(np.float64))
+        self._q = self._q.reshape(5, -1)
+        self._table = np.empty((5, counts[-1], n * n), dtype=np.complex128)
+        self._table_key = None
+        self._monomials = np.ones((rows, counts[-1]))
+        self._counts = counts
+        # the blocks B, C_3 + B / 16!, C_2, C_1 and C_0 of every row
+        self._blocks = np.empty((5, rows * n * n), dtype=np.complex128)
         self.steps = np.empty((rows, n, n), dtype=np.complex128)
         self.scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
         self.held: np.ndarray | None = None
         self._tau = math.nan
         self._controls = np.stack(system.controls)
-        self._images = np.empty((system.n_controls, n, rows), dtype=np.complex128)
-        self._brackets = np.empty((system.n_controls, rows), dtype=np.complex128)
+        self._images = np.empty((k_count, n, rows), dtype=np.complex128)
+        self._brackets = np.empty((k_count, rows), dtype=np.complex128)
 
     def fill(self, values: np.ndarray, tau: float) -> np.ndarray:
         """The step stack of the ``(K, r)`` control ``values``, ``r <= rows``, over ``tau``.
@@ -422,31 +485,40 @@ class _PwcKernel:
         if not (math.isfinite(tau) and np.all(np.isfinite(values))):
             raise ValueError("PWC control values and tau must be finite")
         rows, n = values.shape[1], self.steps.shape[1]
-        coeffs, steps = self._coeffs[:rows], self.steps[:rows]
-        coeffs[:, 1:] = values.T
-        powers = self._powers[:, : rows * n * n]
-        product, a, a2, a3, b = (p.reshape(rows, n, n) for p in powers)
-        np.dot(coeffs, -1j * tau * self._terms, out=a.reshape(rows, n * n))
-        # the product row is free until the polynomial: |A| is taken in it
-        magnitude = powers[0].view(np.float64)[: rows * n * n].reshape(rows, n, n)
-        squarings = _squarings(float(np.max(np.abs(a, out=magnitude).sum(axis=1))))
-        if squarings:
-            a *= 0.5**squarings
-        np.matmul(a, a, out=a2)
-        np.matmul(a, a2, out=a3)
-        np.matmul(a2, a2, out=b)
-        c = _TAYLOR_COEFFS
-        flat, diagonal = steps.reshape(-1), steps.reshape(rows, n * n)[:, :: n + 1]
-        np.dot(c[13:], powers[1:], out=flat)
-        diagonal += c[12]
-        for j in (2, 1, 0):
-            np.matmul(b, steps, out=product)
-            np.dot(np.array([1, *c[4 * j + 1 : 4 * j + 4]]), powers[:4], out=flat)
-            diagonal += c[4 * j]
+        k_count, counts = len(values), self._counts
+        monomials, steps = self._monomials[:rows], self.steps[:rows]
+        monomials[:, 1 : k_count + 1] = values.T
+        linear = monomials[:, : k_count + 1]
+        blocks = self._blocks[:, : rows * n * n]
+        # H - mu in the step buffer and |H - mu| in the first block
+        np.matmul(linear, self._terms, out=steps.reshape(rows, -1).view(np.float64))
+        magnitude = blocks[0].view(np.float64)[: rows * n * n].reshape(rows, n, n)
+        norm = float(np.max(np.abs(steps, out=magnitude).sum(axis=1)))
+        squarings = _squarings(abs(tau) * norm)
+        for d in range(2, 5):
+            high = slice(counts[d - 1], counts[d])
+            np.multiply(monomials[:, self._parent[high]], monomials[:, self._last[high]],
+                        out=monomials[:, high])
+        if self._table_key != (tau, squarings):
+            z = -1j * tau * 0.5**squarings
+            np.matmul(_BLOCK_COEFFS * z ** np.arange(5), self._q,
+                      out=self._table.reshape(5, -1))
+            self._table_key = (tau, squarings)
+        np.matmul(monomials, self._table.view(np.float64),
+                  out=blocks.view(np.float64).reshape(5, rows, 2 * n * n))
+        b, top, c2, c1, c0 = (block.reshape(rows, n, n) for block in blocks)
+        np.matmul(b, top, out=steps)
+        c2 += steps
+        np.matmul(b, c2, out=steps)
+        c1 += steps
+        # p(A) goes where the squarings, alternating with the top block, end in steps
+        p, spare = (top, steps) if squarings % 2 else (steps, top)
+        np.matmul(b, c1, out=p)
+        p += c0
         for _ in range(squarings):
-            np.matmul(steps, steps, out=product)
-            steps[...] = product
-        steps *= np.exp(-1j * tau * (coeffs.real @ self._mu))[:, None, None]
+            np.matmul(p, p, out=spare)
+            p, spare = spare, p
+        steps *= np.exp(-1j * tau * (linear @ self._mu))[:, None, None]
         self.held, self._tau = values, tau
         return steps
 

@@ -209,6 +209,22 @@ class TestWidthBound:
         with pytest.raises(ValueError, match="exceeds tau"):
             optimize(problem, init_widths=too_wide)
 
+    def test_optimize_pwc_rejects_a_start_beyond_the_amplitudes(self):
+        """A field start beyond xi is rejected by the check of a width start
+        beyond tau, not silently clipped to the bound; a start at xi within
+        the 1e-9 tolerance runs."""
+        problem = two_level_problem()
+        too_strong = np.full((1, problem.n_steps), 0.1)
+        too_strong[0, 2] = 5.0
+        with pytest.raises(ValueError, match=r"exceeds tau.*k=0, subinterval m=3"):
+            optimize_pwc(problem, init_field=too_strong)
+        near, at = (
+            optimize_pwc(problem, init_field=np.full((1, problem.n_steps), value),
+                         options=GrapeOptions(max_iterations=1))
+            for value in (1.0 + 5e-10, 1.0)
+        )
+        assert near.trace[0] == at.trace[0]
+
 
 class TestBatchedKernel:
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,73 @@ class TestPwcKernel:
         for step, hamiltonian in zip(steps, h):
             assert np.max(np.abs(step - expm_hermitian(hamiltonian, tau))) <= 1e-14
             assert unitarity_defect(step) <= 1e-14
+
+    @pytest.mark.parametrize("k_count", [1, 2, 3])
+    @pytest.mark.parametrize("squarings", [0, 1, 3])
+    def test_equals_a_plain_taylor_sum_at_the_same_squarings(self, rng, k_count, squarings):
+        """The monomial table and Paterson-Stockmeyer blocks reproduce the
+        term-by-term degree-16 sum of the same scaled matrix, squared as often."""
+        dim, rows = 10, 7
+        system = ControlSystem(
+            drift=random_hermitian(dim, rng),
+            controls=tuple(random_hermitian(dim, rng) for _ in range(k_count)),
+        )
+        values = rng.uniform(-1.0, 1.0, size=(k_count, rows))
+        h = system.drift + np.einsum("km,kab->mab", values, np.stack(system.controls))
+        mu = np.trace(h, axis1=1, axis2=2).real / dim
+        shifted = h - mu[:, None, None] * np.eye(dim)
+        norm = np.max(np.abs(shifted).sum(axis=1))
+        tau = {0: 0.7, 1: 1.5, 3: 6.0}[squarings] * propagate._TAYLOR_THETA / norm
+        assert propagate._squarings(tau * norm) == squarings
+        a = -1j * tau / 2**squarings * shifted
+        term = np.broadcast_to(np.eye(dim, dtype=np.complex128), a.shape)
+        plain = term.copy()
+        for degree in range(1, propagate._TAYLOR_DEGREE + 1):
+            term = term @ a / degree
+            plain += term
+        for _ in range(squarings):
+            plain = plain @ plain
+        plain *= np.exp(-1j * tau * mu)[:, None, None]
+        steps = propagate._PwcKernel(system, rows).fill(values, tau)
+        assert np.max(np.abs(steps - plain)) <= 1e-14
+
+    def test_refills_at_other_squaring_counts_equal_fresh_kernels(self, rng):
+        """One kernel filled alternately at taus of 0 and 4 squarings, and at
+        a second tau of 0 squarings, gives the bits of a fresh kernel each
+        time: the block table follows every change of tau or squarings."""
+        system = ControlSystem(
+            drift=random_hermitian(6, rng),
+            controls=tuple(random_hermitian(6, rng) for _ in range(2)),
+        )
+        values = [rng.uniform(-1.0, 1.0, size=(2, 5)) for _ in range(2)]
+        kernel = propagate._PwcKernel(system, 5)
+        taus = [0.05, 1.0, 0.05, 0.04, 1.0]
+        squarings = set()
+        for step, tau in enumerate(taus):
+            x = values[step % 2]
+            fresh = propagate._PwcKernel(system, 5).fill(x, tau)
+            assert np.array_equal(kernel.fill(x, tau), fresh)
+            squarings.add(kernel._table_key[1])
+        assert squarings == {0, 4}
+
+    def test_second_fill_allocates_no_step_sized_array(self, rng):
+        """The kernel alone at K = 3, whose 35 monomials give the widest
+        temporaries; the engine test in ``test_grape`` covers K = 1."""
+        k_count, dim, rows = 3, 10, 200
+        system = ControlSystem(
+            drift=random_hermitian(dim, rng),
+            controls=tuple(random_hermitian(dim, rng) for _ in range(k_count)),
+        )
+        values = rng.uniform(-1.0, 1.0, size=(k_count, rows))
+        kernel = propagate._PwcKernel(system, rows)
+        kernel.fill(values, 0.3)
+        tracemalloc.start()
+        try:
+            kernel.fill(values, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * dim * dim * np.dtype(np.complex128).itemsize
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, ten_level, bad):
