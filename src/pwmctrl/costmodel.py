@@ -11,6 +11,10 @@ polynomial by Paterson-Stockmeyer, whose blocks in ``A``, ``A^2``, ``A^3``
 and ``A^4`` come from one product of the control monomials against a
 precomputed table, then three matrix products per step plus one per
 squaring, where this model's plain Horner form charges ``p - 1 = 15``.
+The PWM kernel may take a step's inner congruence from one GEMM per inner
+basis change instead of one batched product.  That GEMM does the same
+``N^3`` multiplications per step, so this analytic model and criterion 10
+are unchanged.
 """
 
 from __future__ import annotations

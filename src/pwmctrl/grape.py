@@ -21,11 +21,14 @@ forward/adjoint sweep over the levels of the objective's pairwise product,
 per-scheme code is a step kernel of :mod:`pwmctrl.propagate`, which builds
 all M steps at once and differentiates the overlap with respect to its own
 parameters.  The PWM kernel, which :func:`~pwmctrl.propagate.evolve` shares,
-works in the interaction frame of the drift: a step costs ``2K - 1`` batched
-matrix products over cached eigendecompositions and basis changes, and each
-derivative bracket is a diagonal sum over the eigenvalues.  The optimizer
-hands the point of each accepted objective value to the gradient, which
-reuses what was built for it.
+works in the interaction frame of the drift over cached eigendecompositions
+and basis changes.  With at least ``N`` subintervals per distinct inner
+basis change, a step's inner congruence comes from one GEMM per inner basis
+change and the rest of the step from ``2K - 2`` batched matrix products, so
+a fig5 step (``K = 1``) is the GEMM alone; otherwise a step costs ``2K - 1``
+batched products.  Each derivative bracket is a diagonal sum over the
+eigenvalues.  The optimizer hands the point of each accepted objective value
+to the gradient, which reuses what was built for it.
 
 Both optimizers also share one descent, projected L-BFGS on the box (Byrd,
 Lu, Nocedal & Zhu 1995): a two-loop recursion over the last ten curvature

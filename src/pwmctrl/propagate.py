@@ -158,6 +158,14 @@ _BLOCK_ENTRIES = 1 << 18
 _Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots")
 
 
+def _gemm_route(rows: int, dim: int, inner_slots: int) -> bool:
+    """Whether :class:`_PwmKernel` fills ``rows`` rows over ``inner_slots`` inner slots by GEMM.
+
+    One GEMM per slot pays off once the slots average ``N`` rows or more.
+    """
+    return rows >= dim * inner_slots
+
+
 class _PwmKernel:
     """Batched PWM steps of up to ``rows`` windows of one signed length.
 
@@ -180,9 +188,21 @@ class _PwmKernel:
     per pair of adjacent prefix codes, filled from its ``HamiltonianCache``
     on first use.  Folding every ``D`` into a neighbouring ``W`` leaves
     ``2K`` dense factors, so a step costs ``2K - 1`` batched matrix
-    products.  All arrays are allocated once for ``rows`` rows and filled
-    in place; ``held`` is the layout that they hold, and
-    :meth:`overlap_derivative` differentiates its factors.
+    products on the product route.
+
+    The innermost congruence ``C = D_{K-1} W D_K W^dagger D_{K-1}``, with
+    ``W = W_{K-1,K}`` the row's inner slot, is linear in the phases of
+    ``D_K``: ``W D_K W^dagger`` is the row's phase vector times the slot's
+    table ``T[c, (a, b)] = W_ac conj(W_bc)``.  When ``rows >= N`` times the
+    number of distinct inner slots, a fill takes this GEMM route: one
+    ``(rows_s, N) @ (N, N^2)`` product per inner slot ``s``, the two outer
+    phase scalings, and ``2K - 2`` batched products for the outer factor
+    pairs (none at ``K = 1``).  Fewer rows take the product route.  Tables
+    are built for the slots the GEMM route uses, on first use.  All arrays
+    are allocated once for ``rows`` rows and filled in place (the GEMM
+    route works in the inner pair's factor stacks); ``held`` is the layout
+    that they hold, and :meth:`overlap_derivative` differentiates its
+    factors.
 
     Built on a :class:`TermCache` the kernel takes Strang split-operator
     steps instead: ``V_j`` is the eigenbasis of the drift (``j = 0``) or of
@@ -214,6 +234,11 @@ class _PwmKernel:
         self.steps = np.empty((rows, n, n), dtype=np.complex128)
         self.scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
         self.held: _Layout | None = None
+        # GEMM route: the tables by slot, and for the held layout the row
+        # order grouped by inner slot and each slot's (slot, start, end) in it
+        self._tables: dict[int, np.ndarray] = {}
+        self._groups: tuple | None = None
+        self._grouped = np.empty((2, rows, n), dtype=np.complex128)
         # split-point kets and bras and the brackets of overlap_derivative
         self._kets = np.empty((2 * k_count - 1, rows, n), dtype=np.complex128)
         self._bras = np.empty_like(self._kets)
@@ -288,24 +313,45 @@ class _PwmKernel:
         """The ``2K`` dense factors of ``S`` in product order, for the first ``rows`` rows."""
         return [*self._forward[:, :rows], *self._backward[::-1, :rows]]
 
+    def _table(self, slot: int) -> np.ndarray:
+        """The GEMM route's ``(N, N^2)`` table ``T[c, (a, b)] = W_ac conj(W_bc)`` of ``slot``."""
+        table = self._tables.get(slot)
+        if table is None:
+            w = self._w[slot].T
+            table = self._tables[slot] = (w[:, :, None] * w[:, None, :].conj()).reshape(len(w), -1)
+        return table
+
     def fill(self, layout: _Layout) -> np.ndarray:
-        """Gather the factors of ``layout`` and multiply out its step stack ``S``."""
-        rows = layout.dwell.shape[1]
+        """Gather the factors of ``layout`` and multiply out its step stack ``S``.
+
+        The route is chosen first, from the rows and the distinct inner slots.
+        """
+        rows, n = layout.dwell.shape[1], self.steps.shape[1]
+        counts = np.bincount(layout.slots[-1], minlength=len(self._basis_changes))
+        gemm = _gemm_route(rows, n, np.count_nonzero(counts))
+        # the factor pairs gathered into the stacks: all K, or the outer K - 1
+        pairs = len(self._forward) - gemm
         lam, angle, phase = self._lam[:, :rows], self._angle[:, :rows], self._phase[:, :rows]
-        fwd, bwd = self._forward[:, :rows], self._backward[:, :rows]
+        fwd, bwd = self._forward[:pairs, :rows], self._backward[:pairs, :rows]
         np.take(self._lam_b, layout.slots, axis=0, out=lam[1:], mode="clip")
-        np.take(self._w, layout.slots, axis=0, out=fwd, mode="clip")
-        np.take(self._w_adjoint, layout.slots, axis=0, out=bwd, mode="clip")
+        np.take(self._w, layout.slots[:pairs], axis=0, out=fwd, mode="clip")
+        np.take(self._w_adjoint, layout.slots[:pairs], axis=0, out=bwd, mode="clip")
         # exp(-i d lambda) as cos and sin of the real angle: np.exp's values, bit for bit
         np.multiply(-layout.dwell[..., None], lam, out=angle)
         np.cos(angle, out=phase.real)
         np.sin(angle, out=phase.imag)
         # forward factors D_j W_{j,j+1} (D_K joins the last), backward W_{j+1,j} D_j
-        fwd *= phase[:-1, :, :, None]
-        fwd[-1] *= phase[-1, :, None, :]
-        bwd *= phase[:-1, :, None, :]
-        factors = self._factors(rows)
+        fwd *= phase[:pairs, :, :, None]
+        bwd *= phase[:pairs, :, None, :]
         steps, scratch = self.steps[:rows], self.scratch[:rows]
+        if gemm:
+            centre = steps if pairs == 0 else self._backward[-1, :rows]
+            self._fill_centre(layout.slots[-1], counts, centre)
+            factors = [*fwd, centre, *bwd[::-1]]
+        else:
+            fwd[-1] *= phase[-1, :, None, :]
+            self._groups = None
+            factors = self._factors(rows)
         acc = factors[0]
         for i, f in enumerate(factors[1:]):
             out = steps if (len(factors) - i) % 2 == 0 else scratch
@@ -313,6 +359,52 @@ class _PwmKernel:
             acc = out
         self.held = layout
         return steps
+
+    def _fill_centre(self, inner: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
+        """The congruences ``C`` of the rows with ``inner`` slots, one GEMM per slot, into ``out``.
+
+        ``counts`` holds the rows per slot.  The products of the rows grouped
+        by slot go to the first inner stack, then back in row order to
+        ``out``, which the outer phases ``D_{K-1}`` scale on both sides.
+        """
+        rows, n = out.shape[:2]
+        phase = self._phase[:, :rows]
+        order = np.argsort(inner, kind="stable")
+        used = np.flatnonzero(counts)
+        ends = np.cumsum(counts)[used]
+        starts = ends - counts[used]
+        self._groups = order, list(zip(used.tolist(), starts.tolist(), ends.tolist()))
+        grouped, products = self._grouped[0, :rows], self._forward[-1, :rows].reshape(rows, n * n)
+        np.take(phase[-1], order, axis=0, out=grouped)
+        for slot, lo, hi in self._groups[1]:
+            np.matmul(grouped[lo:hi], self._table(slot), out=products[lo:hi])
+        out.reshape(rows, n * n)[order] = products
+        out *= phase[-2, :, :, None]
+        out *= phase[-2, :, None, :]
+
+    def _through_inner(self, p: int, vectors: np.ndarray, out: np.ndarray, ket: bool) -> None:
+        """``F_p |v>`` (``ket``) or ``<v| F_p`` per row into ``out``, for ``p = K - 1`` or ``K``.
+
+        The GEMM route holds neither inner factor, ``F_{K-1} = D_{K-1} W D_K``
+        or ``F_K = W^dagger D_{K-1}``: the rows are grouped by slot for one
+        ``(rows_s, N) @ (N, N)`` product each, between the diagonal phases.
+        """
+        k_count = len(self._forward)
+        order, groups = self._groups
+        phase = self._phase[:, : len(order)]
+        if p == k_count - 1:
+            left, right, w = phase[k_count - 1], phase[k_count], self._w
+        else:
+            left, right, w = 1.0, phase[k_count - 1], self._w_adjoint
+        if ket:  # F |v> as a row is v F^T
+            left, right, w = right, left, w.transpose(0, 2, 1)
+        np.multiply(vectors, left, out=out)
+        grouped, products = self._grouped[:, : len(order)]
+        np.take(out, order, axis=0, out=grouped)
+        for slot, lo, hi in groups:
+            np.matmul(grouped[lo:hi], w[slot], out=products[lo:hi])
+        out[order] = products
+        out *= right
 
     def overlap_derivative(self, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """Exact ``d<chi_0|phi_0>`` with respect to every width of the held layout.
@@ -328,8 +420,10 @@ class _PwmKernel:
         at rate ``-delta/2`` and ``d_{r+1}`` at ``+delta/2`` (both on two
         palindromic copies), or at ``+delta`` on the single centre factor
         when ``r + 1 = K``.  ``|r_0> = S |phi>`` and ``<l_2K| = <chi| S``
-        are the states one boundary later and earlier.  Warns at an exact
-        sorting tie or a zero width, where the derivative is one-sided.
+        are the states one boundary later and earlier.  On the GEMM route the
+        inner factors ``F_{K-1}`` and ``F_K`` are applied through their
+        phases and basis changes.  Warns at an exact sorting tie or a zero
+        width, where the derivative is one-sided.
         """
         layout = self.held
         sorted_abs, rows = layout.sorted_abs, layout.dwell.shape[1]
@@ -342,10 +436,17 @@ class _PwmKernel:
         factors, k_count = self._factors(rows), len(self._forward)
         kets = [phi[1:], *self._kets[:, :rows], phi[:-1]]
         bras = [chi[1:], *self._bras[:, :rows], chi[:-1]]
+        inner = () if self._groups is None else (k_count - 1, k_count)
         for p in range(2 * k_count - 1, 0, -1):
-            np.matmul(factors[p], kets[p + 1][..., None], out=kets[p][..., None])
+            if p in inner:
+                self._through_inner(p, kets[p + 1], kets[p], ket=True)
+            else:
+                np.matmul(factors[p], kets[p + 1][..., None], out=kets[p][..., None])
         for p in range(1, 2 * k_count):
-            np.matmul(bras[p - 1][:, None, :], factors[p - 1], out=bras[p][:, None, :])
+            if p - 1 in inner:
+                self._through_inner(p - 1, bras[p - 1], bras[p], ket=False)
+            else:
+                np.matmul(bras[p - 1][:, None, :], factors[p - 1], out=bras[p][:, None, :])
         brackets = self._brackets[:, :rows]
         for p in range(2 * k_count + 1):
             np.einsum("mn,mn,mn->m", bras[p], self._lam[min(p, 2 * k_count - p), :rows],

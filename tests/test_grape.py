@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pwmctrl import grape
+from pwmctrl import grape, propagate
 from pwmctrl.grape import (
     GrapeOptions,
     GrapeProblem,
@@ -237,21 +237,7 @@ class TestBatchedKernel:
         forward and backward windows.  The last input's drift has a
         threefold eigenvalue in a random basis, so its eigenvectors are not
         unique."""
-        problem = random_problem(rng, 4, k_count, total_time=2.0, tau=0.2)
-        if drift_spectrum is not None:
-            u, _ = np.linalg.qr(random_hermitian(4, rng) + 1j * np.eye(4))
-            drift = u @ np.diag(drift_spectrum) @ u.conj().T
-            drift = (drift + drift.conj().T) / 2
-            system = ControlSystem(drift=drift, controls=problem.system.controls)
-            problem = dataclasses.replace(problem, system=system)
-        widths = rng.uniform(-0.2, 0.2, size=(k_count, problem.n_steps))
-        widths[:, 0] = 0.0
-        widths[0, 1] = 0.0
-        widths[0, 2] = -0.2
-        widths[:, 3] = 0.1
-        if k_count > 1:
-            widths[1, 4] = -widths[0, 4]
-        assert_steps_match_step_pwm(problem, widths)
+        assert_steps_match_step_pwm(*kernel_input(rng, k_count, drift_spectrum, 10))
 
     @given(
         k_count=st.integers(1, 3),
@@ -271,6 +257,83 @@ class TestBatchedKernel:
         unit = np.eye(dim)
         for steps in assert_steps_match_step_pwm(problem, widths):
             assert np.max(np.abs(steps @ steps.conj().transpose(0, 2, 1) - unit)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "k_count, drift_spectrum",
+        [(1, None), (2, None), (3, None), (2, [1.0, 1.0, 1.0, -0.5])],
+        ids=["1", "2", "3", "degenerate-drift"],
+    )
+    def test_gemm_route_matches_the_product_route(self, rng, k_count, drift_spectrum):
+        """The same widths filled as one M-row layout (GEMM route) and as M
+        one-row layouts (product route) agree to 1e-13, with negative and
+        zero widths, full-width pulses and exact ties, in forward and
+        backward windows.  M = 120 is at least N times the 24 inner slots
+        that K = 3 can reach."""
+        problem, widths = kernel_input(rng, k_count, drift_spectrum, 120)
+        cache = HamiltonianCache(problem.system, problem.amplitudes)
+        whole, single = _PwmKernel(cache, problem.n_steps), _PwmKernel(cache, 1)
+        for length in (problem.tau, -problem.tau):
+            steps = whole.fill(whole.layout(widths, length))
+            assert whole._groups is not None
+            for m in range(problem.n_steps):
+                step = single.fill(single.layout(widths[:, m : m + 1], length))[0]
+                assert single._groups is None
+                assert np.max(np.abs(steps[m] - step)) <= 1e-13
+
+    @pytest.mark.parametrize("k_count", [1, 2, 3])
+    def test_engine_agrees_across_routes(self, rng, monkeypatch, k_count):
+        """J and the gradient of the GEMM route against the product route,
+        forced by the route rule, to 1e-12 relative."""
+        problem = random_problem(rng, 4, k_count, total_time=24.0, tau=0.2)
+        widths = random_initial_widths(problem, rng)
+        engine = _PwmEngine(problem)
+        value, point = engine.evaluate(widths)
+        grad = engine.gradient(point)[0]
+        assert engine.kernel._groups is not None
+        monkeypatch.setattr(propagate, "_gemm_route", lambda rows, dim, slots: False)
+        engine = _PwmEngine(problem)
+        expected, point = engine.evaluate(widths)
+        expected_grad = engine.gradient(point)[0]
+        assert engine.kernel._groups is None
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert np.max(np.abs(grad - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))
+
+    def test_route_rule_boundary(self, rng):
+        """A fill takes the GEMM route at ``rows = N x`` its distinct inner
+        slots and the product route one row fewer, with the same steps."""
+        problem = random_problem(rng, 4, 1, total_time=1.6, tau=0.2)
+        widths = np.array([[0.1, -0.1, 0.15, -0.05, 0.02, -0.12, 0.18, -0.07]])
+        kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), 8)
+        layout = kernel.layout(widths, problem.tau)
+        assert len(np.unique(layout.slots[-1])) == 2
+        at = kernel.fill(layout).copy()
+        assert kernel._groups is not None
+        below = kernel.fill(kernel.layout(widths[:, :7], problem.tau))
+        assert kernel._groups is None
+        assert np.max(np.abs(below - at[:7])) <= 1e-13
+        kernel.fill(kernel.layout(np.abs(widths[:, :4]), problem.tau))
+        assert kernel._groups is not None
+
+
+def kernel_input(rng, k_count: int, drift_spectrum, m_count: int):
+    """A random N = 4 problem of ``m_count`` steps, with its drift's spectrum
+    replaced by ``drift_spectrum`` unless that is ``None``, and its widths:
+    negative and zero widths, a full-width pulse and exact ties."""
+    problem = random_problem(rng, 4, k_count, total_time=0.2 * m_count, tau=0.2)
+    if drift_spectrum is not None:
+        u, _ = np.linalg.qr(random_hermitian(4, rng) + 1j * np.eye(4))
+        drift = u @ np.diag(drift_spectrum) @ u.conj().T
+        drift = (drift + drift.conj().T) / 2
+        system = ControlSystem(drift=drift, controls=problem.system.controls)
+        problem = dataclasses.replace(problem, system=system)
+    widths = rng.uniform(-0.2, 0.2, size=(k_count, problem.n_steps))
+    widths[:, 0] = 0.0
+    widths[0, 1] = 0.0
+    widths[0, 2] = -0.2
+    widths[:, 3] = 0.1
+    if k_count > 1:
+        widths[1, 4] = -widths[0, 4]
+    return problem, widths
 
 
 def assert_steps_match_step_pwm(problem: GrapeProblem, widths: np.ndarray) -> list[np.ndarray]:

@@ -323,6 +323,87 @@ class TestPwcKernel:
             kernel.fill(np.array([[0.1, 0.3, 0.2]]), bad)
 
 
+class TestPwmKernelRoutes:
+    """The GEMM route of the PWM kernel against its product route."""
+
+    @staticmethod
+    def recording_kernels(monkeypatch) -> list:
+        kernels = []
+
+        class Recorded(propagate._PwmKernel):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
+
+        monkeypatch.setattr(propagate, "_PwmKernel", Recorded)
+        return kernels
+
+    @pytest.mark.parametrize("scheme", ["pwm", "pwm4", "spo"])
+    def test_evolve_agrees_across_routes(self, rng, monkeypatch, scheme):
+        """Sixty subintervals of a random N = 5, K = 2 input fill one block by
+        GEMM, and within 1e-13 of the product route forced by the rule."""
+        system = ControlSystem(
+            drift=random_hermitian(5, rng),
+            controls=(random_hermitian(5, rng), random_hermitian(5, rng)),
+        )
+        field = SampledField(dt=0.05, values=rng.uniform(-1.0, 1.0, size=(2, 240)))
+        xi = np.array([1.2, 1.5])
+        kernels = self.recording_kernels(monkeypatch)
+        gemm = evolve(system, scheme, field, tau=0.2, amplitudes=xi)
+        assert kernels[-1]._groups is not None
+        monkeypatch.setattr(propagate, "_gemm_route", lambda rows, dim, slots: False)
+        product = evolve(system, scheme, field, tau=0.2, amplitudes=xi)
+        assert kernels[-1]._groups is None
+        assert np.max(np.abs(gemm - product)) <= 1e-13
+
+    def test_product_route_builds_no_tables(self, rng, monkeypatch):
+        """Blocks of three rows at N = 5 stay on the product route, so no
+        kernel of the evolution builds a GEMM table."""
+        system, field, tau = _random_two_control_input(rng)
+        monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 3 * 8 * system.dim**2)
+        kernels = self.recording_kernels(monkeypatch)
+        for scheme in ("pwm", "pwm4", "spo"):
+            evolve(system, scheme, field, tau=tau, amplitudes=np.array([1.2, 1.5]))
+        assert kernels and all(not kernel._tables for kernel in kernels)
+
+    def test_tables_only_for_the_inner_slots_used(self, rng):
+        """A GEMM fill builds the tables of its rows' inner slots, no others."""
+        system = ControlSystem(
+            drift=random_hermitian(4, rng),
+            controls=(random_hermitian(4, rng), random_hermitian(4, rng)),
+        )
+        kernel = propagate._PwmKernel(HamiltonianCache(system, [1.0, 1.0]), 40)
+        widths = rng.uniform(0.0, 0.2, size=(2, 40))
+        widths[1] = widths[0] / 2
+        layout = kernel.layout(widths, 0.2)
+        kernel.fill(layout)
+        assert kernel._groups is not None
+        assert sorted(kernel._tables) == sorted(set(layout.slots[-1].tolist()))
+        assert len(kernel._tables) < len(kernel._basis_changes)
+
+    def test_second_fill_and_gradient_allocate_no_step_sized_array(self, rng):
+        """At K = 2 on the GEMM route the kernel works in its own stacks."""
+        dim, rows = 10, 200
+        system = ControlSystem(
+            drift=random_hermitian(dim, rng),
+            controls=(random_hermitian(dim, rng), random_hermitian(dim, rng)),
+        )
+        kernel = propagate._PwmKernel(HamiltonianCache(system, [1.0, 1.0]), rows)
+        layout = kernel.layout(rng.uniform(-0.1, 0.1, size=(2, rows)), 0.1)
+        states = rng.standard_normal((2, rows + 1, dim)) + 0j
+        kernel.fill(layout)
+        kernel.overlap_derivative(*states)
+        assert kernel._groups is not None
+        tracemalloc.start()
+        try:
+            kernel.fill(layout)
+            kernel.overlap_derivative(*states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * dim * dim * np.dtype(np.complex128).itemsize
+
+
 class TestCacheOwnership:
     """A cache built for another system or other amplitudes is rejected,
     not silently used in place of the arguments."""
