@@ -13,8 +13,11 @@ precomputed table, then three matrix products per step plus one per
 squaring, where this model's plain Horner form charges ``p - 1 = 15``.
 The PWM kernel may take a step's inner congruence from one GEMM per inner
 basis change instead of one batched product.  That GEMM does the same
-``N^3`` multiplications per step, so this analytic model and criterion 10
-are unchanged.
+``N^3`` multiplications per step.  At ``K = 1`` a step may instead be one
+row of a ``(rows, 2J) @ (2J, 2N^2)`` real GEMM against a Chebyshev table in
+the pulse width, which does ``4 J N^2`` real multiplications per step for a
+degree ``J`` set by ``tau`` times the spectral spread.  This analytic model
+counts the product form and is unchanged, and so is criterion 10.
 """
 
 from __future__ import annotations

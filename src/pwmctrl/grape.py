@@ -24,11 +24,14 @@ parameters.  The PWM kernel, which :func:`~pwmctrl.propagate.evolve` shares,
 works in the interaction frame of the drift over cached eigendecompositions
 and basis changes.  With at least ``N`` subintervals per distinct inner
 basis change, a step's inner congruence comes from one GEMM per inner basis
-change and the rest of the step from ``2K - 2`` batched matrix products, so
-a fig5 step (``K = 1``) is the GEMM alone; otherwise a step costs ``2K - 1``
-batched products.  Each derivative bracket is a diagonal sum over the
-eigenvalues.  The optimizer hands the point of each accepted objective value
-to the gradient, which reuses what was built for it.
+change and the rest of the step from ``2K - 2`` batched matrix products;
+otherwise a step costs ``2K - 1`` batched products.  Each derivative bracket
+is a diagonal sum over the eigenvalues.  At ``K = 1`` (fig5) a step depends
+on the one width alone, so all M steps come from one real GEMM of their
+Chebyshev basis in the width against a table built once per kernel, and the
+gradient from a second table of the exact width derivative.  The optimizer
+hands the point of each accepted objective value to the gradient, which
+reuses what was built for it.
 
 Both optimizers also share one descent, projected L-BFGS on the box (Byrd,
 Lu, Nocedal & Zhu 1995): a two-loop recursion over the last ten curvature
@@ -261,8 +264,10 @@ class _Engine:
             psi if frame is None else frame.conj().T @ psi
             for psi in (problem.psi_initial, problem.psi_target)
         )
-        self._phi = np.empty((m_count + 1 + _level_rows(m_count), n), dtype=np.complex128)
-        self._chi = np.empty_like(self._phi)
+        # one allocation for both, as for the kernel's stacks (propagate._carve)
+        self._phi, self._chi = np.empty(
+            (2, m_count + 1 + _level_rows(m_count), n), dtype=np.complex128
+        )
         self._levels: list[np.ndarray] = []
 
     def evaluate(self, params: np.ndarray):

@@ -151,11 +151,23 @@ class HamiltonianCache:
 #: subintervals are sized from it by N and K, so its memory does not grow with M.
 _BLOCK_ENTRIES = 1 << 18
 
-# One width array as laid out by _PwmKernel: order, signs and sorted_abs are
-# (K, rows), dwell is (K + 1, rows), and slots (K, rows) names the basis change W
-# between sorted positions j and j + 1 of every row.  A split-operator layout
-# holds only dwell and slots.
-_Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots")
+
+def _degree_cap(dim: int) -> int:
+    """Largest Chebyshev degree ``J`` that :class:`_PwmKernel`'s spectral route takes.
+
+    The spectral fill costs about ``J N^2`` per row and the GEMM route ``N^3``
+    plus elementwise work in ``N^2``; their fill times cross near ``J = 1.5 N
+    + 50`` (measured at N = 4, 10 and 32, README "PWM kernel"), and the cap
+    keeps below that.
+    """
+    return 3 * dim // 2 + 40
+
+
+# One width array as laid out by _PwmKernel for windows of the signed length:
+# order, signs and sorted_abs are (K, rows), dwell is (K + 1, rows), and slots
+# (K, rows) names the basis change W between sorted positions j and j + 1 of
+# every row.  A split-operator layout holds only dwell, slots and length.
+_Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots length")
 
 
 def _gemm_route(rows: int, dim: int, inner_slots: int) -> bool:
@@ -164,6 +176,38 @@ def _gemm_route(rows: int, dim: int, inner_slots: int) -> bool:
     One GEMM per slot pays off once the slots average ``N`` rows or more.
     """
     return rows >= dim * inner_slots
+
+
+def _chebyshev_degree(bandwidth: float, cap: int) -> int | None:
+    """Smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``, ``b = bandwidth``; ``None`` above ``cap``.
+
+    The Chebyshev coefficients of ``exp(i b t)`` on ``[-1, 1]`` are ``2 i^k
+    J_k(b)`` (Bessel), and ``|J_k(b)| <= (b/2)^k / k!``, so ``J`` terms leave
+    out about that bound.
+    """
+    if bandwidth == 0.0:
+        return 1
+    log_half = math.log(bandwidth / 2)
+    for degree in range(1, cap + 1):
+        if degree * log_half - math.lgamma(degree + 1) <= -54 * math.log(2):
+            return degree
+    return None
+
+
+def _carve(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """Arrays of the given ``(shape, dtype)`` as views of one fresh allocation.
+
+    glibc takes its trim threshold from the largest block freed, so one block
+    for all of a kernel's stacks lets the next kernel of that size reuse the
+    heap instead of faulting fresh pages in.
+    """
+    words = [math.prod(shape) * np.dtype(dtype).itemsize // 8 for shape, dtype in specs]
+    block = np.empty(sum(words))
+    arrays, start = [], 0
+    for (shape, dtype), size in zip(specs, words):
+        arrays.append(block[start : start + size].view(dtype).reshape(shape))
+        start += size
+    return arrays
 
 
 class _PwmKernel:
@@ -186,28 +230,46 @@ class _PwmKernel:
     diagonal phases ``D_j = exp(-i d_j lambda_j)`` and basis changes
     ``W_ab = V_a^dagger V_b``.  The kernel caches ``W_ab`` and its adjoint
     per pair of adjacent prefix codes, filled from its ``HamiltonianCache``
-    on first use.  Folding every ``D`` into a neighbouring ``W`` leaves
-    ``2K`` dense factors, so a step costs ``2K - 1`` batched matrix
-    products on the product route.
+    on first use.  A fill takes one of three routes, chosen first from the
+    rows, the distinct inner slots and, at ``K = 1``, the Chebyshev degree:
 
-    The innermost congruence ``C = D_{K-1} W D_K W^dagger D_{K-1}``, with
-    ``W = W_{K-1,K}`` the row's inner slot, is linear in the phases of
-    ``D_K``: ``W D_K W^dagger`` is the row's phase vector times the slot's
-    table ``T[c, (a, b)] = W_ac conj(W_bc)``.  When ``rows >= N`` times the
-    number of distinct inner slots, a fill takes this GEMM route: one
-    ``(rows_s, N) @ (N, N^2)`` product per inner slot ``s``, the two outer
-    phase scalings, and ``2K - 2`` batched products for the outer factor
-    pairs (none at ``K = 1``).  Fewer rows take the product route.  Tables
-    are built for the slots the GEMM route uses, on first use.  All arrays
-    are allocated once for ``rows`` rows and filled in place (the GEMM
-    route works in the inner pair's factor stacks); ``held`` is the layout
-    that they hold, and :meth:`overlap_derivative` differentiates its
-    factors.
+    - **Product route** (fewer than ``N`` rows per distinct inner slot).
+      Folding every ``D`` into a neighbouring ``W`` leaves ``2K`` dense
+      factors, so a step costs ``2K - 1`` batched matrix products.
+    - **GEMM route** (``K >= 2``, split-operator steps, and ``K = 1`` above
+      the degree cap).  The innermost congruence ``C = D_{K-1} W D_K
+      W^dagger D_{K-1}``, with ``W = W_{K-1,K}`` the row's inner slot, is
+      linear in the phases of ``D_K``: ``W D_K W^dagger`` is the row's phase
+      vector times the slot's table ``T[c, (a, b)] = W_ac conj(W_bc)``.  One
+      ``(rows_s, N) @ (N, N^2)`` product per inner slot ``s``, the two outer
+      phase scalings and ``2K - 2`` batched products for the outer factor
+      pairs give the steps.
+    - **Spectral route** (``K = 1``).  A step ``S(u) = D_0 W D_1 W^dagger
+      D_0`` depends on the one width ``u = |w|`` in ``[0, |L|]`` through
+      ``d_0 = (L - u)/2`` and ``d_1 = u`` (both negated when ``L < 0``), and
+      entry ``(a, b)`` is a sum of ``exp(-i u (lambda_1c - (lambda_0a +
+      lambda_0b)/2))`` over ``c``.  So its Chebyshev series in ``t = 2u/|L|
+      - 1`` converges geometrically: ``J`` terms suffice at the smallest
+      ``J`` with ``2 (b/2)^J / J! <= 2^-53``, ``b = |L|/2 max |lambda_1c -
+      (lambda_0a + lambda_0b)/2|`` (:func:`_chebyshev_degree`).  Per signed
+      length ``L`` and sign slot the kernel samples ``S`` and the exact
+      ``dS/du`` at ``J`` Chebyshev nodes and takes their coefficients by a
+      ``J x J`` cosine transform, on first use.  A fill evaluates ``T_k(t)``
+      by the three-term recurrence into the row's sign half of a ``(rows,
+      2J)`` basis and makes all steps, in row order, by one real GEMM
+      against both signs' tables.  Above ``J = 3N/2 + 40`` (:func:`_degree_cap`)
+      the GEMM route is faster, and the fill takes it.
+
+    Tables are built for the slots (and lengths) that a route uses, on first
+    use.  All step-sized arrays are views of one allocation for ``rows`` rows
+    and filled in place; ``held`` is the layout that they hold, and
+    :meth:`overlap_derivative` differentiates it.
 
     Built on a :class:`TermCache` the kernel takes Strang split-operator
     steps instead: ``V_j`` is the eigenbasis of the drift (``j = 0``) or of
     control ``j`` alone, the ``K`` slots are seeded once with ``W_{j,j+1}``
-    and :meth:`split_layout` gives the dwells.
+    and :meth:`split_layout` gives the dwells.  Split-operator fills never
+    take the spectral route.
     """
 
     def __init__(self, cache: HamiltonianCache | TermCache, rows: int) -> None:
@@ -215,7 +277,7 @@ class _PwmKernel:
         k_count, n = cache.system.n_controls, cache.system.dim
         self._place = 3 ** np.arange(k_count)
         split = isinstance(cache, TermCache)
-        lam0, self.v0 = cache.entry(None if split else ())
+        self._lam0, self.v0 = cache.entry(None if split else ())
         # W_ab, W_ab^dagger and lambda_b per slot; slots keyed by code_a * 3^K + code_b
         self._slots: dict[int, int] = {}
         self._basis_changes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -225,24 +287,35 @@ class _PwmKernel:
             for (_, basis_a), (lam_b, basis_b) in zip(bases, bases[1:]):
                 self._add_slot(basis_a, lam_b, basis_b)
             self._stack_slots()
-        self._lam = np.empty((k_count + 1, rows, n))
-        self._lam[0] = lam0
-        self._angle = np.empty(self._lam.shape)
-        self._phase = np.empty(self._lam.shape, dtype=np.complex128)
-        self._forward = np.empty((k_count, rows, n, n), dtype=np.complex128)
-        self._backward = np.empty_like(self._forward)
-        self.steps = np.empty((rows, n, n), dtype=np.complex128)
-        self.scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
+        # the largest Chebyshev degree of the spectral route, 0 where it is not taken
+        self._cap = _degree_cap(n) if k_count == 1 and not split else 0
+        step, c = (rows, n, n), np.complex128
+        (self._forward, self._backward, self.steps, self.scratch, self._lam, self._angle,
+         self._phase, self._grouped, self._kets, self._bras, self._brackets,
+         self._basis, self._grouped_basis, self._t2) = _carve(
+            ((k_count, *step), c), ((k_count, *step), c), (step, c),
+            ((_level_rows(rows), n, n), c),
+            ((k_count + 1, rows, n), float), ((k_count + 1, rows, n), float),
+            ((k_count + 1, rows, n), c), ((2, rows, n), c),
+            # split-point kets and bras and the brackets of overlap_derivative
+            ((2 * k_count - 1, rows, n), c), ((2 * k_count - 1, rows, n), c),
+            ((2 * k_count + 1, rows), c),
+            # spectral route: the Chebyshev basis in sign halves, grouped by slot, and 2t
+            ((2 * self._cap * rows,), float), ((self._cap * rows,), float), ((rows,), float),
+        )
+        self._lam[0] = self._lam0
         self.held: _Layout | None = None
-        # GEMM route: the tables by slot, and for the held layout the row
-        # order grouped by inner slot and each slot's (slot, start, end) in it
+        # GEMM route: the tables by slot; GEMM and spectral routes: for the held
+        # layout the row order grouped by inner slot and each slot's (slot, start, end) in it
         self._tables: dict[int, np.ndarray] = {}
         self._groups: tuple | None = None
-        self._grouped = np.empty((2, rows, n), dtype=np.complex128)
-        # split-point kets and bras and the brackets of overlap_derivative
-        self._kets = np.empty((2 * k_count - 1, rows, n), dtype=np.complex128)
-        self._bras = np.empty_like(self._kets)
-        self._brackets = np.empty((2 * k_count + 1, rows), dtype=np.complex128)
+        # spectral route: degrees by (length, slot), the (2, J, 2, N^2) tables of
+        # S and dS/dw by (length, J) with the sign halves built, and for the held
+        # layout its (J, 2, rows) basis and tables
+        self._degrees: dict[tuple[float, int], int | None] = {}
+        self._chebyshev: dict[tuple[float, int], np.ndarray] = {}
+        self._built: set[tuple[float, int, int]] = set()
+        self._spectral: tuple[np.ndarray, np.ndarray] | None = None
 
     def _prefix(self, code: int) -> tuple:
         """Cache key ``((k, delta), ...)`` of a base-3 prefix code."""
@@ -287,7 +360,7 @@ class _PwmKernel:
         slots = np.array([self._slot(int(key)) for key in unique])[inverse.reshape(keys.shape)]
         if len(self._basis_changes) > filled:
             self._stack_slots()
-        return _Layout(order, signs, sorted_abs, dwell, slots)
+        return _Layout(order, signs, sorted_abs, dwell, slots, length)
 
     @staticmethod
     def split_layout(values: np.ndarray, tau: float) -> _Layout:
@@ -303,7 +376,7 @@ class _PwmKernel:
         np.multiply(values, tau / 2, out=dwell[1:])
         dwell[-1] *= 2
         slots = np.broadcast_to(np.arange(k_count)[:, None], values.shape)
-        return _Layout(None, None, None, dwell, slots)
+        return _Layout(None, None, None, dwell, slots, tau)
 
     def to_lab(self, u: np.ndarray) -> np.ndarray:
         """The lab-frame matrix ``V_0 u V_0^dagger`` of a drift-frame product ``u``."""
@@ -324,11 +397,23 @@ class _PwmKernel:
     def fill(self, layout: _Layout) -> np.ndarray:
         """Gather the factors of ``layout`` and multiply out its step stack ``S``.
 
-        The route is chosen first, from the rows and the distinct inner slots.
+        The route is chosen first, from the rows, the distinct inner slots
+        and, for the spectral route, the Chebyshev degree of the slots used.
         """
         rows, n = layout.dwell.shape[1], self.steps.shape[1]
         counts = np.bincount(layout.slots[-1], minlength=len(self._basis_changes))
-        gemm = _gemm_route(rows, n, np.count_nonzero(counts))
+        used = np.flatnonzero(counts).tolist()
+        gemm = _gemm_route(rows, n, len(used))
+        degree = self._degree(layout.length, used) if gemm and self._cap else None
+        steps, scratch = self.steps[:rows], self.scratch[:rows]
+        self.held, self._spectral = layout, None
+        if gemm:
+            self._group(layout.slots[-1], counts)
+        else:
+            self._groups = None
+        if degree is not None:
+            self._fill_spectral(layout, degree, used, steps)
+            return steps
         # the factor pairs gathered into the stacks: all K, or the outer K - 1
         pairs = len(self._forward) - gemm
         lam, angle, phase = self._lam[:, :rows], self._angle[:, :rows], self._phase[:, :rows]
@@ -343,22 +428,27 @@ class _PwmKernel:
         # forward factors D_j W_{j,j+1} (D_K joins the last), backward W_{j+1,j} D_j
         fwd *= phase[:pairs, :, :, None]
         bwd *= phase[:pairs, :, None, :]
-        steps, scratch = self.steps[:rows], self.scratch[:rows]
         if gemm:
             centre = steps if pairs == 0 else self._backward[-1, :rows]
             self._fill_centre(layout.slots[-1], counts, centre)
             factors = [*fwd, centre, *bwd[::-1]]
         else:
             fwd[-1] *= phase[-1, :, None, :]
-            self._groups = None
             factors = self._factors(rows)
         acc = factors[0]
         for i, f in enumerate(factors[1:]):
             out = steps if (len(factors) - i) % 2 == 0 else scratch
             np.matmul(acc, f, out=out)
             acc = out
-        self.held = layout
         return steps
+
+    def _group(self, inner: np.ndarray, counts: np.ndarray) -> None:
+        """Group the rows by their ``inner`` slots, ``counts`` rows per slot, into ``_groups``."""
+        used = np.flatnonzero(counts)
+        ends = np.cumsum(counts)[used]
+        starts = ends - counts[used]
+        order = np.argsort(inner, kind="stable")
+        self._groups = order, list(zip(used.tolist(), starts.tolist(), ends.tolist()))
 
     def _fill_centre(self, inner: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
         """The congruences ``C`` of the rows with ``inner`` slots, one GEMM per slot, into ``out``.
@@ -369,18 +459,88 @@ class _PwmKernel:
         """
         rows, n = out.shape[:2]
         phase = self._phase[:, :rows]
-        order = np.argsort(inner, kind="stable")
-        used = np.flatnonzero(counts)
-        ends = np.cumsum(counts)[used]
-        starts = ends - counts[used]
-        self._groups = order, list(zip(used.tolist(), starts.tolist(), ends.tolist()))
+        order, groups = self._groups
         grouped, products = self._grouped[0, :rows], self._forward[-1, :rows].reshape(rows, n * n)
         np.take(phase[-1], order, axis=0, out=grouped)
-        for slot, lo, hi in self._groups[1]:
+        for slot, lo, hi in groups:
             np.matmul(grouped[lo:hi], self._table(slot), out=products[lo:hi])
         out.reshape(rows, n * n)[order] = products
         out *= phase[-2, :, :, None]
         out *= phase[-2, :, None, :]
+
+    def _degree(self, length: float, slots) -> int | None:
+        """The spectral degree at ``length`` over ``slots``; ``None`` above the cap."""
+        degree = 0
+        for slot in slots:
+            key = (length, slot)
+            if key not in self._degrees:
+                lam, lam0 = self._lam_b[slot], self._lam0
+                spread = max(lam.max() - lam0.min(), lam0.max() - lam.min())
+                self._degrees[key] = _chebyshev_degree(abs(length) / 2 * spread, self._cap)
+            if self._degrees[key] is None:
+                return None
+            degree = max(degree, self._degrees[key])
+        return degree
+
+    def _chebyshev_tables(self, length: float, degree: int, slots) -> np.ndarray:
+        """The ``(2, J, 2, N^2)`` Chebyshev coefficients of ``S`` and ``dS/dw`` at ``length``.
+
+        Axis 2 is the sign half (``+1``, ``-1``, where ``dS/dw = -dS/du``
+        with ``u = |w|``).  The halves of ``slots`` are sampled on first use
+        at the ``J`` Chebyshev nodes ``t_j = cos(pi (j + 1/2) / J)`` from the
+        cached eigensystems and transformed by ``c_k = (2 - delta_k0) / J
+        sum_j f(t_j) cos(k pi (j + 1/2) / J)``.
+        """
+        tables = self._chebyshev.get((length, degree))
+        if tables is None:
+            n = self.steps.shape[1]
+            tables = self._chebyshev[length, degree] = np.zeros((2, degree, 2, n * n), complex)
+        keys = {slot: key for key, slot in self._slots.items()}
+        for slot in slots:
+            half = keys[slot] - 1  # the prefix code: 1 for sign +1, 2 for -1
+            if (length, degree, half) in self._built:
+                continue
+            k = np.arange(degree)
+            angles = np.pi * (k + 0.5) / degree
+            sign, u = math.copysign(1.0, length), abs(length) / 2 * (np.cos(angles) + 1)
+            lam0, lam, w = self._lam0, self._lam_b[slot], self._w[slot]
+            outer = np.exp(-1j * sign * (abs(length) - u)[:, None] / 2 * lam0)
+            left = outer[:, :, None] * w * np.exp(-1j * sign * u[:, None] * lam)[:, None, :]
+            right = self._w_adjoint[slot] * outer[:, None, :]
+            # dS/du = -i sign (D_0 W (lambda_1 - c) D_1 W^dagger D_0
+            #                 - ((lambda_0a + lambda_0b)/2 - c) S), centred on c
+            # to keep the two terms small
+            centre = lam0.mean()
+            samples = np.stack([left @ right, (left * (lam - centre)) @ right])
+            samples[1] -= ((lam0[:, None] + lam0) / 2 - centre) * samples[0]
+            # times d|w|/dw = -1 in the negative half: the derivative table is dS/dw
+            samples[1] *= -1j * sign * (-1 if half else 1)
+            cosine = np.cos(np.outer(k, angles)) * np.where(k == 0, 1, 2)[:, None] / degree
+            tables[:, :, half] = cosine @ samples.reshape(2, degree, -1)
+            self._built.add((length, degree, half))
+        return tables
+
+    def _fill_spectral(self, layout: _Layout, degree: int, slots, out: np.ndarray) -> None:
+        """The ``K = 1`` steps of ``layout`` into ``out``: one GEMM against the tables."""
+        rows = len(out)
+        tables = self._chebyshev_tables(layout.length, degree, slots)
+        # T_k(t) of each row in its sign half, zero in the other
+        basis = self._basis[: 2 * degree * rows].reshape(degree, 2, rows)
+        np.less(layout.signs[0], 0, out=basis[0, 1])
+        np.subtract(1.0, basis[0, 1], out=basis[0, 0])
+        if degree > 1:
+            t2 = self._t2[:rows]
+            np.multiply(layout.sorted_abs[0], 4 / abs(layout.length), out=t2)
+            t2 -= 2
+            np.multiply(basis[0], t2, out=basis[1])
+            basis[1] /= 2
+            for k in range(2, degree):
+                np.multiply(basis[k - 1], t2, out=basis[k])
+                basis[k] -= basis[k - 2]
+        table = tables[0].view(np.float64).reshape(2 * degree, -1)
+        real_out = out.reshape(rows, -1).view(np.float64)
+        np.matmul(basis.reshape(2 * degree, rows).T, table, out=real_out)
+        self._spectral = basis, tables
 
     def _through_inner(self, p: int, vectors: np.ndarray, out: np.ndarray, ket: bool) -> None:
         """``F_p |v>`` (``ket``) or ``<v| F_p`` per row into ``out``, for ``p = K - 1`` or ``K``.
@@ -422,8 +582,10 @@ class _PwmKernel:
         when ``r + 1 = K``.  ``|r_0> = S |phi>`` and ``<l_2K| = <chi| S``
         are the states one boundary later and earlier.  On the GEMM route the
         inner factors ``F_{K-1}`` and ``F_K`` are applied through their
-        phases and basis changes.  Warns at an exact sorting tie or a zero
-        width, where the derivative is one-sided.
+        phases and basis changes.  The spectral route takes ``<chi_m| dS/dw
+        |phi_{m-1}>`` from the derivative table instead
+        (:meth:`_spectral_derivative`).  Warns at an exact sorting tie or a
+        zero width, where the derivative is one-sided.
         """
         layout = self.held
         sorted_abs, rows = layout.sorted_abs, layout.dwell.shape[1]
@@ -433,6 +595,8 @@ class _PwmKernel:
                 "the gradient there is one-sided",
                 stacklevel=3,
             )
+        if self._spectral is not None:
+            return self._spectral_derivative(phi, chi)
         factors, k_count = self._factors(rows), len(self._forward)
         kets = [phi[1:], *self._kets[:, :rows], phi[:-1]]
         bras = [chi[1:], *self._bras[:, :rows], chi[:-1]]
@@ -460,6 +624,33 @@ class _PwmKernel:
         np.put_along_axis(
             dc, layout.order, -1j * layout.signs * (per_dwell[1:] - per_dwell[:-1]), axis=0
         )
+        return dc
+
+    def _spectral_derivative(self, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
+        """``<chi_m| dS_m/dw |phi_{m-1}>`` of the held spectral fill, as ``(1, rows)``.
+
+        Per sign slot, the rows' grouped basis times the derivative table
+        gives their ``dS/dw`` in the (unused) factor stack, one real GEMM for
+        the group; the bras times it, dotted with the kets, give the brackets.
+        """
+        basis, tables = self._spectral
+        degree, rows = basis.shape[0], basis.shape[2]
+        order, groups = self._groups
+        derivative = self._forward[0, :rows]
+        kets, bras, images = self._kets[0, :rows], self._bras[0, :rows], self._grouped[0, :rows]
+        np.take(phi[:-1], order, axis=0, out=kets, mode="clip")
+        np.take(chi[1:], order, axis=0, out=bras, mode="clip")
+        brackets = self._brackets[0, :rows]
+        for _, lo, hi in groups:
+            half = int(self.held.signs[0, order[lo]] < 0)
+            grouped = self._grouped_basis[degree * lo : degree * hi].reshape(degree, hi - lo)
+            np.take(basis[:, half], order[lo:hi], axis=1, out=grouped, mode="clip")
+            np.matmul(grouped.T, tables[1, :, half].view(np.float64),
+                      out=derivative[lo:hi].reshape(hi - lo, -1).view(np.float64))
+        np.matmul(bras[:, None, :], derivative, out=images[:, None, :])
+        np.einsum("mn,mn->m", images, kets, out=brackets)
+        dc = np.empty((1, rows), dtype=np.complex128)
+        dc[0, order] = brackets
         return dc
 
 
@@ -566,17 +757,19 @@ class _PwcKernel:
         self._q = self._q.reshape(5, -1)
         self._table = np.empty((5, counts[-1], n * n), dtype=np.complex128)
         self._table_key = None
-        self._monomials = np.ones((rows, counts[-1]))
         self._counts = counts
-        # the blocks B, C_3 + B / 16!, C_2, C_1 and C_0 of every row
-        self._blocks = np.empty((5, rows * n * n), dtype=np.complex128)
-        self.steps = np.empty((rows, n, n), dtype=np.complex128)
-        self.scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
+        # the blocks B, C_3 + B / 16!, C_2, C_1 and C_0 of every row, in one
+        # allocation with the other step-sized arrays (see _carve)
+        c = np.complex128
+        (self._blocks, self.steps, self.scratch, self._monomials, self._images,
+         self._brackets) = _carve(
+            ((5, rows * n * n), c), ((rows, n, n), c), ((_level_rows(rows), n, n), c),
+            ((rows, counts[-1]), float), ((k_count, n, rows), c), ((k_count, rows), c),
+        )
+        self._monomials[:, 0] = 1.0
         self.held: np.ndarray | None = None
         self._tau = math.nan
         self._controls = np.stack(system.controls)
-        self._images = np.empty((k_count, n, rows), dtype=np.complex128)
-        self._brackets = np.empty((k_count, rows), dtype=np.complex128)
 
     def fill(self, values: np.ndarray, tau: float) -> np.ndarray:
         """The step stack of the ``(K, r)`` control ``values``, ``r <= rows``, over ``tau``.

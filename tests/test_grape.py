@@ -282,14 +282,16 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("k_count", [1, 2, 3])
     def test_engine_agrees_across_routes(self, rng, monkeypatch, k_count):
-        """J and the gradient of the GEMM route against the product route,
-        forced by the route rule, to 1e-12 relative."""
+        """J and the gradient of the spectral route (K = 1) or the GEMM route
+        (K >= 2) against the product route, forced by the route rule, to
+        1e-12 relative."""
         problem = random_problem(rng, 4, k_count, total_time=24.0, tau=0.2)
         widths = random_initial_widths(problem, rng)
         engine = _PwmEngine(problem)
         value, point = engine.evaluate(widths)
         grad = engine.gradient(point)[0]
         assert engine.kernel._groups is not None
+        assert (engine.kernel._spectral is not None) == (k_count == 1)
         monkeypatch.setattr(propagate, "_gemm_route", lambda rows, dim, slots: False)
         engine = _PwmEngine(problem)
         expected, point = engine.evaluate(widths)

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -394,6 +395,163 @@ class TestPwmKernelRoutes:
         kernel.fill(layout)
         kernel.overlap_derivative(*states)
         assert kernel._groups is not None
+        tracemalloc.start()
+        try:
+            kernel.fill(layout)
+            kernel.overlap_derivative(*states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * dim * dim * np.dtype(np.complex128).itemsize
+
+
+class TestPwmKernelSpectralRoute:
+    """The K = 1 spectral route of the PWM kernel against its product route."""
+
+    @staticmethod
+    def one_control_system(rng, dim: int = 4, trace: float = 0.0) -> ControlSystem:
+        drift = random_hermitian(dim, rng) + trace / dim * np.eye(dim)
+        return ControlSystem(drift=drift, controls=(random_hermitian(dim, rng),))
+
+    @staticmethod
+    def widths(rng, rows: int, tau: float) -> np.ndarray:
+        """Random widths with zeros, both full widths and a zero of each sign slot."""
+        widths = rng.uniform(-tau, tau, size=(1, rows))
+        widths[0, :4] = [0.0, tau, -tau, -0.0]
+        return widths
+
+    @staticmethod
+    def product_steps(kernel, widths: np.ndarray, length: float) -> np.ndarray:
+        """The same kernel's steps of ``widths``, one row per fill (product route)."""
+        steps = []
+        for m in range(widths.shape[1]):
+            steps.append(kernel.fill(kernel.layout(widths[:, m : m + 1], length))[0].copy())
+            assert kernel._groups is None
+        return np.array(steps)
+
+    @pytest.mark.parametrize("trace", [0.0, 200.0], ids=["traceless", "large-trace"])
+    @pytest.mark.parametrize("length", [0.2, -0.2, 0.2 * (1 - 2 * suzuki_coefficient(2))],
+                             ids=["forward", "backward", "suzuki-middle"])
+    def test_steps_match_the_product_route(self, rng, trace, length):
+        """Zero widths, ``|w| = tau`` and both sign slots, in forward and
+        backward windows, with a traceless drift and one of trace 200."""
+        kernel = propagate._PwmKernel(HamiltonianCache(self.one_control_system(rng, trace=trace),
+                                                       [1.3]), 40)
+        widths = self.widths(rng, 40, abs(length))
+        spectral = kernel.fill(kernel.layout(widths, length)).copy()
+        assert kernel._spectral is not None
+        assert np.max(np.abs(spectral - self.product_steps(kernel, widths, length))) <= 1e-13
+
+    def test_derivative_matches_the_product_route(self, rng):
+        """``overlap_derivative`` of the two routes, with zero and full widths."""
+        kernel = propagate._PwmKernel(HamiltonianCache(self.one_control_system(rng), [1.3]), 40)
+        widths = self.widths(rng, 40, 0.2)
+        steps = self.product_steps(kernel, widths, 0.2)
+        # kets and bras at the step boundaries, as the product route needs them
+        phi, chi = rng.standard_normal((2, 41, 4)) + 1j * rng.standard_normal((2, 41, 4))
+        for m, step in enumerate(steps):
+            phi[m + 1] = step @ phi[m]
+        for m in range(39, -1, -1):
+            chi[m] = chi[m + 1] @ steps[m]
+        results = []
+        for route in (True, False):
+            layout = kernel.layout(widths, 0.2)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(propagate, "_gemm_route", lambda rows, dim, slots: route)
+                kernel.fill(layout)
+            assert (kernel._spectral is not None) == route
+            with pytest.warns(UserWarning, match="zero width"):
+                results.append(kernel.overlap_derivative(phi, chi))
+        spectral, product = results
+        assert spectral.shape == (1, 40)
+        assert np.max(np.abs(spectral - product)) <= 1e-12 * np.max(np.abs(product))
+
+    def test_evolve_pwm4_tables_per_window_length(self, rng, monkeypatch):
+        """``evolve("pwm4")`` at K = 1 takes the spectral route with tables for
+        its forward and its backward sub-window lengths, within 1e-13 of the
+        product route forced by the rule."""
+        system = self.one_control_system(rng, dim=5)
+        field = SampledField(dt=0.05, values=rng.uniform(-1.0, 1.0, size=(1, 240)))
+        kernels = TestPwmKernelRoutes.recording_kernels(monkeypatch)
+        spectral = evolve(system, "pwm4", field, tau=0.2, amplitudes=[1.4])
+        s = suzuki_coefficient(2)
+        assert {length for length, _ in kernels[-1]._chebyshev} == {s * 0.2, (1 - 2 * s) * 0.2}
+        assert kernels[-1]._spectral is not None
+        monkeypatch.setattr(propagate, "_gemm_route", lambda rows, dim, slots: False)
+        product = evolve(system, "pwm4", field, tau=0.2, amplitudes=[1.4])
+        assert kernels[-1]._spectral is None
+        assert np.max(np.abs(spectral - product)) <= 1e-13
+
+    def test_large_bandwidth_meets_the_bound_or_falls_back(self, rng):
+        """A window long against the spectrum: at the largest degree the route
+        takes, the steps still meet 1e-13; beyond it the fill takes the GEMM
+        route, with the same steps."""
+        system = self.one_control_system(rng)
+        kernel = propagate._PwmKernel(HamiltonianCache(system, [1.3]), 40)
+        cap = propagate._degree_cap(system.dim)
+        for length in (2.0, 6.0):
+            widths = self.widths(rng, 40, length)
+            steps = kernel.fill(kernel.layout(widths, length)).copy()
+            degrees = {degree for (at, _), degree in kernel._degrees.items() if at == length}
+            if kernel._spectral is None:
+                assert None in degrees and kernel._groups is not None
+            else:
+                assert max(degrees) > system.dim
+            assert np.max(np.abs(steps - self.product_steps(kernel, widths, length))) <= 1e-13
+        assert kernel._spectral is None  # the longer window falls back
+        assert max(degree for (at, _), degree in kernel._degrees.items()
+                   if at == 2.0) <= cap
+
+    def test_degree_rule_boundary(self, rng):
+        """The degree is the smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``;
+        the route takes the cap's degree and falls back one degree above it."""
+        for bandwidth in (0.0, 1e-3, 0.571, 1.24, 7.0):
+            degree = propagate._chebyshev_degree(bandwidth, 100)
+            bound = [2 * (bandwidth / 2) ** j / math.factorial(j) for j in (degree - 1, degree)]
+            assert bound[1] <= 2.0**-53
+            assert degree == 1 or bound[0] > 2.0**-53
+        assert propagate._chebyshev_degree(7.0, 21) is None
+        system = self.one_control_system(rng)
+        kernel = propagate._PwmKernel(HamiltonianCache(system, [1.3]), 40)
+        cap = propagate._degree_cap(system.dim)
+        widths = np.abs(self.widths(rng, 40, 1.0))  # one sign slot
+        layout = kernel.layout(widths, 1.0)
+        lam, lam0 = kernel._lam_b[layout.slots[0, 0]], kernel._lam0
+        spread = max(lam.max() - lam0.min(), lam0.max() - lam.min())
+        # the bandwidth b at which 2 (b/2)^cap / cap! = 2^-53
+        edge = 2 * (2.0**-54 * math.factorial(cap)) ** (1 / cap) * 2 / spread
+        for length, spectral in ((edge * (1 - 1e-9), True), (edge * (1 + 1e-9), False)):
+            scaled = widths * length
+            steps = kernel.fill(kernel.layout(scaled, length)).copy()
+            assert (kernel._spectral is not None) == spectral
+            if spectral:
+                assert kernel._spectral[0].shape[0] == cap
+            assert np.max(np.abs(steps - self.product_steps(kernel, scaled, length))) <= 1e-13
+
+    def test_tables_only_for_the_sign_and_length_pairs_used(self, rng):
+        """One sign slot per fill, at two lengths: each builds its own half only."""
+        kernel = propagate._PwmKernel(HamiltonianCache(self.one_control_system(rng), [1.3]), 40)
+        widths = np.abs(self.widths(rng, 40, 0.2))[:, 4:]
+        kernel.fill(kernel.layout(widths, 0.2))
+        negative = kernel.layout(-widths / 2, 0.1)
+        kernel.fill(negative)
+        assert kernel._spectral is not None
+        # half 0 holds sign +1 (and zero widths), half 1 sign -1
+        assert {(length, half) for length, _, half in kernel._built} == {(0.2, 0), (0.1, 1)}
+        for (length, _), tables in kernel._chebyshev.items():
+            unused = 1 if length == 0.2 else 0
+            assert not np.any(tables[:, :, unused])
+
+    def test_second_fill_and_gradient_allocate_no_step_sized_array(self, rng):
+        """At K = 1 on the spectral route the kernel works in its own stacks."""
+        dim, rows = 10, 200
+        kernel = propagate._PwmKernel(HamiltonianCache(self.one_control_system(rng, dim), [1.0]),
+                                      rows)
+        layout = kernel.layout(rng.uniform(-0.1, 0.1, size=(1, rows)), 0.1)
+        states = rng.standard_normal((2, rows + 1, dim)) + 0j
+        kernel.fill(layout)
+        kernel.overlap_derivative(*states)
+        assert kernel._spectral is not None
         tracemalloc.start()
         try:
             kernel.fill(layout)
