@@ -11,9 +11,8 @@ polynomial by Paterson-Stockmeyer, whose blocks in ``A``, ``A^2``, ``A^3``
 and ``A^4`` come from one product of the control monomials against a
 precomputed table, then three matrix products per step plus one per
 squaring, where this model's plain Horner form charges ``p - 1 = 15``.
-The PWM kernel may take a step's inner congruence from one GEMM per inner
-basis change instead of one batched product.  That GEMM does the same
-``N^3`` multiplications per step.  At ``K = 1`` a step may instead be one
+The PWM kernel's product route multiplies the ``2K`` factors out by
+``2K - 1`` batched products.  At ``K = 1`` a step may instead be one
 row of a ``(rows, 2J) @ (2J, 2N^2)`` real GEMM against a Chebyshev table in
 the pulse width, which does ``4 J N^2`` real multiplications per step for a
 degree ``J`` set by ``tau`` times the spectral spread.  This analytic model

@@ -22,14 +22,12 @@ per-scheme code is a step kernel of :mod:`pwmctrl.propagate`, which builds
 all M steps at once and differentiates the overlap with respect to its own
 parameters.  The PWM kernel, which :func:`~pwmctrl.propagate.evolve` shares,
 works in the interaction frame of the drift over cached eigendecompositions
-and basis changes.  With at least ``N`` subintervals per distinct inner
-basis change, a step's inner congruence comes from one GEMM per inner basis
-change and the rest of the step from ``2K - 2`` batched matrix products;
-otherwise a step costs ``2K - 1`` batched products.  Each derivative bracket
-is a diagonal sum over the eigenvalues.  At ``K = 1`` (fig5) a step depends
-on the one width alone, so all M steps come from one real GEMM of their
-Chebyshev basis in the width against a table built once per kernel, and the
-gradient from a second table of the exact width derivative.  The optimizer
+and basis changes.  A step costs ``2K - 1`` batched matrix products, and
+each derivative bracket is a diagonal sum over the eigenvalues.  At ``K =
+1`` (fig5) a step depends on the one width alone, so all M steps come from
+one real GEMM of their Chebyshev basis in the width against a table built
+once per kernel, and the gradient from the same GEMM against a second table
+of the exact width derivative.  The optimizer
 hands the point of each accepted objective value to the gradient, which
 reuses what was built for it.
 

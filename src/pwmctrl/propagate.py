@@ -155,10 +155,11 @@ _BLOCK_ENTRIES = 1 << 18
 def _degree_cap(dim: int) -> int:
     """Largest Chebyshev degree ``J`` that :class:`_PwmKernel`'s spectral route takes.
 
-    The spectral fill costs about ``J N^2`` per row and the GEMM route ``N^3``
-    plus elementwise work in ``N^2``; their fill times cross near ``J = 1.5 N
-    + 50`` (measured at N = 4, 10 and 32, README "PWM kernel"), and the cap
-    keeps below that.
+    The spectral fill costs about ``J N^2`` per row and the product route
+    ``N^3`` plus elementwise work in ``N^2``.  At 1,000 rows and one BLAS
+    thread their fill times cross near ``J = 69`` at N = 4, 82 at N = 10 and
+    140 at N = 32 (medians over five processes, README "PWM kernel"), and
+    the cap keeps below that.
     """
     return 3 * dim // 2 + 40
 
@@ -170,12 +171,12 @@ def _degree_cap(dim: int) -> int:
 _Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots length")
 
 
-def _gemm_route(rows: int, dim: int, inner_slots: int) -> bool:
-    """Whether :class:`_PwmKernel` fills ``rows`` rows over ``inner_slots`` inner slots by GEMM.
+def _spectral_route(rows: int, dim: int, slots: int, degree: int | None) -> bool:
+    """Whether :class:`_PwmKernel` takes its spectral route for ``rows`` rows over ``slots``.
 
-    One GEMM per slot pays off once the slots average ``N`` rows or more.
+    It does at ``N`` rows or more per sign slot and a ``degree`` within :func:`_degree_cap`.
     """
-    return rows >= dim * inner_slots
+    return degree is not None and rows >= dim * slots
 
 
 def _chebyshev_degree(bandwidth: float, cap: int) -> int | None:
@@ -230,40 +231,32 @@ class _PwmKernel:
     diagonal phases ``D_j = exp(-i d_j lambda_j)`` and basis changes
     ``W_ab = V_a^dagger V_b``.  The kernel caches ``W_ab`` and its adjoint
     per pair of adjacent prefix codes, filled from its ``HamiltonianCache``
-    on first use.  A fill takes one of three routes, chosen first from the
-    rows, the distinct inner slots and, at ``K = 1``, the Chebyshev degree:
+    on first use.  A fill takes one of two routes:
 
-    - **Product route** (fewer than ``N`` rows per distinct inner slot).
-      Folding every ``D`` into a neighbouring ``W`` leaves ``2K`` dense
-      factors, so a step costs ``2K - 1`` batched matrix products.
-    - **GEMM route** (``K >= 2``, split-operator steps, and ``K = 1`` above
-      the degree cap).  The innermost congruence ``C = D_{K-1} W D_K
-      W^dagger D_{K-1}``, with ``W = W_{K-1,K}`` the row's inner slot, is
-      linear in the phases of ``D_K``: ``W D_K W^dagger`` is the row's phase
-      vector times the slot's table ``T[c, (a, b)] = W_ac conj(W_bc)``.  One
-      ``(rows_s, N) @ (N, N^2)`` product per inner slot ``s``, the two outer
-      phase scalings and ``2K - 2`` batched products for the outer factor
-      pairs give the steps.
-    - **Spectral route** (``K = 1``).  A step ``S(u) = D_0 W D_1 W^dagger
-      D_0`` depends on the one width ``u = |w|`` in ``[0, |L|]`` through
-      ``d_0 = (L - u)/2`` and ``d_1 = u`` (both negated when ``L < 0``), and
-      entry ``(a, b)`` is a sum of ``exp(-i u (lambda_1c - (lambda_0a +
-      lambda_0b)/2))`` over ``c``.  So its Chebyshev series in ``t = 2u/|L|
-      - 1`` converges geometrically: ``J`` terms suffice at the smallest
-      ``J`` with ``2 (b/2)^J / J! <= 2^-53``, ``b = |L|/2 max |lambda_1c -
-      (lambda_0a + lambda_0b)/2|`` (:func:`_chebyshev_degree`).  Per signed
-      length ``L`` and sign slot the kernel samples ``S`` and the exact
-      ``dS/du`` at ``J`` Chebyshev nodes and takes their coefficients by a
-      ``J x J`` cosine transform, on first use.  A fill evaluates ``T_k(t)``
-      by the three-term recurrence into the row's sign half of a ``(rows,
-      2J)`` basis and makes all steps, in row order, by one real GEMM
-      against both signs' tables.  Above ``J = 3N/2 + 40`` (:func:`_degree_cap`)
-      the GEMM route is faster, and the fill takes it.
+    - **Spectral route** (``K = 1``, with at least ``N`` rows per sign slot
+      and a degree within the cap, :func:`_spectral_route`).  A step ``S(u)
+      = D_0 W D_1 W^dagger D_0`` depends on the one width ``u = |w|`` in
+      ``[0, |L|]`` through ``d_0 = (L - u)/2`` and ``d_1 = u`` (both negated
+      when ``L < 0``), and entry ``(a, b)`` is a sum of ``exp(-i u
+      (lambda_1c - (lambda_0a + lambda_0b)/2))`` over ``c``.  So its
+      Chebyshev series in ``t = 2u/|L| - 1`` converges geometrically: ``J``
+      terms suffice at the smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``,
+      ``b = |L|/2 max |lambda_1c - (lambda_0a + lambda_0b)/2|``
+      (:func:`_chebyshev_degree`).  Per signed length ``L`` and sign slot the
+      kernel samples ``S`` and the exact ``dS/du`` at ``J`` Chebyshev nodes
+      and takes their coefficients by a ``J x J`` cosine transform, on first
+      use.  A fill evaluates ``T_k(t)`` by the three-term recurrence into the
+      row's sign half of a ``(rows, 2J)`` basis and makes all steps, in row
+      order, by one real GEMM against both signs' tables.  Above ``J = 3N/2
+      + 40`` (:func:`_degree_cap`) the fill takes the product route.
+    - **Product route** (every other fill).  Folding every ``D`` into a
+      neighbouring ``W`` leaves ``2K`` dense factors, so a step costs ``2K -
+      1`` batched matrix products.
 
-    Tables are built for the slots (and lengths) that a route uses, on first
-    use.  All step-sized arrays are views of one allocation for ``rows`` rows
-    and filled in place; ``held`` is the layout that they hold, and
-    :meth:`overlap_derivative` differentiates it.
+    Tables are built for the sign slots and lengths that a fill uses, on
+    first use.  All step-sized arrays are views of one allocation for
+    ``rows`` rows and filled in place; ``held`` is the layout that they
+    hold, and :meth:`overlap_derivative` differentiates it.
 
     Built on a :class:`TermCache` the kernel takes Strang split-operator
     steps instead: ``V_j`` is the eigenbasis of the drift (``j = 0``) or of
@@ -291,27 +284,22 @@ class _PwmKernel:
         self._cap = _degree_cap(n) if k_count == 1 and not split else 0
         step, c = (rows, n, n), np.complex128
         (self._forward, self._backward, self.steps, self.scratch, self._lam, self._angle,
-         self._phase, self._grouped, self._kets, self._bras, self._brackets,
-         self._basis, self._grouped_basis, self._t2) = _carve(
+         self._phase, self._kets, self._bras, self._brackets, self._basis, self._t2) = _carve(
             ((k_count, *step), c), ((k_count, *step), c), (step, c),
             ((_level_rows(rows), n, n), c),
             ((k_count + 1, rows, n), float), ((k_count + 1, rows, n), float),
-            ((k_count + 1, rows, n), c), ((2, rows, n), c),
+            ((k_count + 1, rows, n), c),
             # split-point kets and bras and the brackets of overlap_derivative
             ((2 * k_count - 1, rows, n), c), ((2 * k_count - 1, rows, n), c),
             ((2 * k_count + 1, rows), c),
-            # spectral route: the Chebyshev basis in sign halves, grouped by slot, and 2t
-            ((2 * self._cap * rows,), float), ((self._cap * rows,), float), ((rows,), float),
+            # spectral route: the Chebyshev basis in sign halves, and 2t
+            ((2 * self._cap * rows,), float), ((rows,), float),
         )
         self._lam[0] = self._lam0
         self.held: _Layout | None = None
-        # GEMM route: the tables by slot; GEMM and spectral routes: for the held
-        # layout the row order grouped by inner slot and each slot's (slot, start, end) in it
-        self._tables: dict[int, np.ndarray] = {}
-        self._groups: tuple | None = None
         # spectral route: degrees by (length, slot), the (2, J, 2, N^2) tables of
         # S and dS/dw by (length, J) with the sign halves built, and for the held
-        # layout its (J, 2, rows) basis and tables
+        # layout its (rows, 2J) basis and (2, 2J, 2N^2) real tables
         self._degrees: dict[tuple[float, int], int | None] = {}
         self._chebyshev: dict[tuple[float, int], np.ndarray] = {}
         self._built: set[tuple[float, int, int]] = set()
@@ -386,87 +374,41 @@ class _PwmKernel:
         """The ``2K`` dense factors of ``S`` in product order, for the first ``rows`` rows."""
         return [*self._forward[:, :rows], *self._backward[::-1, :rows]]
 
-    def _table(self, slot: int) -> np.ndarray:
-        """The GEMM route's ``(N, N^2)`` table ``T[c, (a, b)] = W_ac conj(W_bc)`` of ``slot``."""
-        table = self._tables.get(slot)
-        if table is None:
-            w = self._w[slot].T
-            table = self._tables[slot] = (w[:, :, None] * w[:, None, :].conj()).reshape(len(w), -1)
-        return table
-
     def fill(self, layout: _Layout) -> np.ndarray:
         """Gather the factors of ``layout`` and multiply out its step stack ``S``.
 
-        The route is chosen first, from the rows, the distinct inner slots
-        and, for the spectral route, the Chebyshev degree of the slots used.
+        At ``K = 1`` the fill first asks :func:`_spectral_route`, from the
+        rows, the sign slots used and their Chebyshev degree.
         """
-        rows, n = layout.dwell.shape[1], self.steps.shape[1]
-        counts = np.bincount(layout.slots[-1], minlength=len(self._basis_changes))
-        used = np.flatnonzero(counts).tolist()
-        gemm = _gemm_route(rows, n, len(used))
-        degree = self._degree(layout.length, used) if gemm and self._cap else None
-        steps, scratch = self.steps[:rows], self.scratch[:rows]
+        rows = layout.dwell.shape[1]
+        steps = self.steps[:rows]
         self.held, self._spectral = layout, None
-        if gemm:
-            self._group(layout.slots[-1], counts)
-        else:
-            self._groups = None
-        if degree is not None:
-            self._fill_spectral(layout, degree, used, steps)
-            return steps
-        # the factor pairs gathered into the stacks: all K, or the outer K - 1
-        pairs = len(self._forward) - gemm
+        if self._cap:
+            used = np.flatnonzero(np.bincount(layout.slots[-1])).tolist()
+            degree = self._degree(layout.length, used)
+            if _spectral_route(rows, steps.shape[1], len(used), degree):
+                self._fill_spectral(layout, degree, used, steps)
+                return steps
         lam, angle, phase = self._lam[:, :rows], self._angle[:, :rows], self._phase[:, :rows]
-        fwd, bwd = self._forward[:pairs, :rows], self._backward[:pairs, :rows]
+        fwd, bwd = self._forward[:, :rows], self._backward[:, :rows]
         np.take(self._lam_b, layout.slots, axis=0, out=lam[1:], mode="clip")
-        np.take(self._w, layout.slots[:pairs], axis=0, out=fwd, mode="clip")
-        np.take(self._w_adjoint, layout.slots[:pairs], axis=0, out=bwd, mode="clip")
+        np.take(self._w, layout.slots, axis=0, out=fwd, mode="clip")
+        np.take(self._w_adjoint, layout.slots, axis=0, out=bwd, mode="clip")
         # exp(-i d lambda) as cos and sin of the real angle: np.exp's values, bit for bit
         np.multiply(-layout.dwell[..., None], lam, out=angle)
         np.cos(angle, out=phase.real)
         np.sin(angle, out=phase.imag)
         # forward factors D_j W_{j,j+1} (D_K joins the last), backward W_{j+1,j} D_j
-        fwd *= phase[:pairs, :, :, None]
-        bwd *= phase[:pairs, :, None, :]
-        if gemm:
-            centre = steps if pairs == 0 else self._backward[-1, :rows]
-            self._fill_centre(layout.slots[-1], counts, centre)
-            factors = [*fwd, centre, *bwd[::-1]]
-        else:
-            fwd[-1] *= phase[-1, :, None, :]
-            factors = self._factors(rows)
+        fwd *= phase[:-1, :, :, None]
+        bwd *= phase[:-1, :, None, :]
+        fwd[-1] *= phase[-1, :, None, :]
+        factors = self._factors(rows)
         acc = factors[0]
         for i, f in enumerate(factors[1:]):
-            out = steps if (len(factors) - i) % 2 == 0 else scratch
+            out = steps if (len(factors) - i) % 2 == 0 else self.scratch[:rows]
             np.matmul(acc, f, out=out)
             acc = out
         return steps
-
-    def _group(self, inner: np.ndarray, counts: np.ndarray) -> None:
-        """Group the rows by their ``inner`` slots, ``counts`` rows per slot, into ``_groups``."""
-        used = np.flatnonzero(counts)
-        ends = np.cumsum(counts)[used]
-        starts = ends - counts[used]
-        order = np.argsort(inner, kind="stable")
-        self._groups = order, list(zip(used.tolist(), starts.tolist(), ends.tolist()))
-
-    def _fill_centre(self, inner: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
-        """The congruences ``C`` of the rows with ``inner`` slots, one GEMM per slot, into ``out``.
-
-        ``counts`` holds the rows per slot.  The products of the rows grouped
-        by slot go to the first inner stack, then back in row order to
-        ``out``, which the outer phases ``D_{K-1}`` scale on both sides.
-        """
-        rows, n = out.shape[:2]
-        phase = self._phase[:, :rows]
-        order, groups = self._groups
-        grouped, products = self._grouped[0, :rows], self._forward[-1, :rows].reshape(rows, n * n)
-        np.take(phase[-1], order, axis=0, out=grouped)
-        for slot, lo, hi in groups:
-            np.matmul(grouped[lo:hi], self._table(slot), out=products[lo:hi])
-        out.reshape(rows, n * n)[order] = products
-        out *= phase[-2, :, :, None]
-        out *= phase[-2, :, None, :]
 
     def _degree(self, length: float, slots) -> int | None:
         """The spectral degree at ``length`` over ``slots``; ``None`` above the cap."""
@@ -537,34 +479,10 @@ class _PwmKernel:
             for k in range(2, degree):
                 np.multiply(basis[k - 1], t2, out=basis[k])
                 basis[k] -= basis[k - 2]
-        table = tables[0].view(np.float64).reshape(2 * degree, -1)
-        real_out = out.reshape(rows, -1).view(np.float64)
-        np.matmul(basis.reshape(2 * degree, rows).T, table, out=real_out)
+        basis = basis.reshape(2 * degree, rows).T
+        tables = tables.view(np.float64).reshape(2, 2 * degree, -1)
+        np.matmul(basis, tables[0], out=out.reshape(rows, -1).view(np.float64))
         self._spectral = basis, tables
-
-    def _through_inner(self, p: int, vectors: np.ndarray, out: np.ndarray, ket: bool) -> None:
-        """``F_p |v>`` (``ket``) or ``<v| F_p`` per row into ``out``, for ``p = K - 1`` or ``K``.
-
-        The GEMM route holds neither inner factor, ``F_{K-1} = D_{K-1} W D_K``
-        or ``F_K = W^dagger D_{K-1}``: the rows are grouped by slot for one
-        ``(rows_s, N) @ (N, N)`` product each, between the diagonal phases.
-        """
-        k_count = len(self._forward)
-        order, groups = self._groups
-        phase = self._phase[:, : len(order)]
-        if p == k_count - 1:
-            left, right, w = phase[k_count - 1], phase[k_count], self._w
-        else:
-            left, right, w = 1.0, phase[k_count - 1], self._w_adjoint
-        if ket:  # F |v> as a row is v F^T
-            left, right, w = right, left, w.transpose(0, 2, 1)
-        np.multiply(vectors, left, out=out)
-        grouped, products = self._grouped[:, : len(order)]
-        np.take(out, order, axis=0, out=grouped)
-        for slot, lo, hi in groups:
-            np.matmul(grouped[lo:hi], w[slot], out=products[lo:hi])
-        out[order] = products
-        out *= right
 
     def overlap_derivative(self, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """Exact ``d<chi_0|phi_0>`` with respect to every width of the held layout.
@@ -580,10 +498,8 @@ class _PwmKernel:
         at rate ``-delta/2`` and ``d_{r+1}`` at ``+delta/2`` (both on two
         palindromic copies), or at ``+delta`` on the single centre factor
         when ``r + 1 = K``.  ``|r_0> = S |phi>`` and ``<l_2K| = <chi| S``
-        are the states one boundary later and earlier.  On the GEMM route the
-        inner factors ``F_{K-1}`` and ``F_K`` are applied through their
-        phases and basis changes.  The spectral route takes ``<chi_m| dS/dw
-        |phi_{m-1}>`` from the derivative table instead
+        are the states one boundary later and earlier.  The spectral route
+        takes ``<chi_m| dS/dw |phi_{m-1}>`` from the derivative table instead
         (:meth:`_spectral_derivative`).  Warns at an exact sorting tie or a
         zero width, where the derivative is one-sided.
         """
@@ -600,17 +516,10 @@ class _PwmKernel:
         factors, k_count = self._factors(rows), len(self._forward)
         kets = [phi[1:], *self._kets[:, :rows], phi[:-1]]
         bras = [chi[1:], *self._bras[:, :rows], chi[:-1]]
-        inner = () if self._groups is None else (k_count - 1, k_count)
         for p in range(2 * k_count - 1, 0, -1):
-            if p in inner:
-                self._through_inner(p, kets[p + 1], kets[p], ket=True)
-            else:
-                np.matmul(factors[p], kets[p + 1][..., None], out=kets[p][..., None])
+            np.matmul(factors[p], kets[p + 1][..., None], out=kets[p][..., None])
         for p in range(1, 2 * k_count):
-            if p - 1 in inner:
-                self._through_inner(p - 1, bras[p - 1], bras[p], ket=False)
-            else:
-                np.matmul(bras[p - 1][:, None, :], factors[p - 1], out=bras[p][:, None, :])
+            np.matmul(bras[p - 1][:, None, :], factors[p - 1], out=bras[p][:, None, :])
         brackets = self._brackets[:, :rows]
         for p in range(2 * k_count + 1):
             np.einsum("mn,mn,mn->m", bras[p], self._lam[min(p, 2 * k_count - p), :rows],
@@ -629,28 +538,17 @@ class _PwmKernel:
     def _spectral_derivative(self, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """``<chi_m| dS_m/dw |phi_{m-1}>`` of the held spectral fill, as ``(1, rows)``.
 
-        Per sign slot, the rows' grouped basis times the derivative table
-        gives their ``dS/dw`` in the (unused) factor stack, one real GEMM for
-        the group; the bras times it, dotted with the kets, give the brackets.
+        The derivative table gives every row's ``dS/dw`` in the (unused)
+        factor stack, by the fill's one real GEMM; the bras times it, dotted
+        with the kets, give the brackets.
         """
         basis, tables = self._spectral
-        degree, rows = basis.shape[0], basis.shape[2]
-        order, groups = self._groups
-        derivative = self._forward[0, :rows]
-        kets, bras, images = self._kets[0, :rows], self._bras[0, :rows], self._grouped[0, :rows]
-        np.take(phi[:-1], order, axis=0, out=kets, mode="clip")
-        np.take(chi[1:], order, axis=0, out=bras, mode="clip")
-        brackets = self._brackets[0, :rows]
-        for _, lo, hi in groups:
-            half = int(self.held.signs[0, order[lo]] < 0)
-            grouped = self._grouped_basis[degree * lo : degree * hi].reshape(degree, hi - lo)
-            np.take(basis[:, half], order[lo:hi], axis=1, out=grouped, mode="clip")
-            np.matmul(grouped.T, tables[1, :, half].view(np.float64),
-                      out=derivative[lo:hi].reshape(hi - lo, -1).view(np.float64))
-        np.matmul(bras[:, None, :], derivative, out=images[:, None, :])
-        np.einsum("mn,mn->m", images, kets, out=brackets)
+        rows = len(basis)
+        derivative, images = self._forward[0, :rows], self._bras[0, :rows]
+        np.matmul(basis, tables[1], out=derivative.reshape(rows, -1).view(np.float64))
+        np.matmul(chi[1:, None, :], derivative, out=images[:, None, :])
         dc = np.empty((1, rows), dtype=np.complex128)
-        dc[0, order] = brackets
+        np.einsum("mn,mn->m", images, phi[:-1], out=dc[0])
         return dc
 
 

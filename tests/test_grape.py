@@ -263,58 +263,58 @@ class TestBatchedKernel:
         [(1, None), (2, None), (3, None), (2, [1.0, 1.0, 1.0, -0.5])],
         ids=["1", "2", "3", "degenerate-drift"],
     )
-    def test_gemm_route_matches_the_product_route(self, rng, k_count, drift_spectrum):
-        """The same widths filled as one M-row layout (GEMM route) and as M
-        one-row layouts (product route) agree to 1e-13, with negative and
-        zero widths, full-width pulses and exact ties, in forward and
-        backward windows.  M = 120 is at least N times the 24 inner slots
-        that K = 3 can reach."""
+    def test_one_layout_matches_one_row_layouts(self, rng, k_count, drift_spectrum):
+        """The same widths filled as one M-row layout and as M one-row
+        layouts (product route) agree to 1e-13, with negative and zero
+        widths, full-width pulses and exact ties, in forward and backward
+        windows.  At K = 1 the M-row layout takes the spectral route; at
+        K >= 2 both take the product route, M = 120 over up to the 24 inner
+        slots that K = 3 can reach."""
         problem, widths = kernel_input(rng, k_count, drift_spectrum, 120)
         cache = HamiltonianCache(problem.system, problem.amplitudes)
         whole, single = _PwmKernel(cache, problem.n_steps), _PwmKernel(cache, 1)
         for length in (problem.tau, -problem.tau):
             steps = whole.fill(whole.layout(widths, length))
-            assert whole._groups is not None
+            assert (whole._spectral is not None) == (k_count == 1)
             for m in range(problem.n_steps):
                 step = single.fill(single.layout(widths[:, m : m + 1], length))[0]
-                assert single._groups is None
+                assert single._spectral is None
                 assert np.max(np.abs(steps[m] - step)) <= 1e-13
 
-    @pytest.mark.parametrize("k_count", [1, 2, 3])
+    @pytest.mark.parametrize("k_count", [1])
     def test_engine_agrees_across_routes(self, rng, monkeypatch, k_count):
-        """J and the gradient of the spectral route (K = 1) or the GEMM route
-        (K >= 2) against the product route, forced by the route rule, to
-        1e-12 relative."""
+        """J and the gradient of the spectral route against the product
+        route, forced by the route rule, to 1e-12 relative."""
         problem = random_problem(rng, 4, k_count, total_time=24.0, tau=0.2)
         widths = random_initial_widths(problem, rng)
         engine = _PwmEngine(problem)
         value, point = engine.evaluate(widths)
         grad = engine.gradient(point)[0]
-        assert engine.kernel._groups is not None
-        assert (engine.kernel._spectral is not None) == (k_count == 1)
-        monkeypatch.setattr(propagate, "_gemm_route", lambda rows, dim, slots: False)
+        assert engine.kernel._spectral is not None
+        monkeypatch.setattr(propagate, "_spectral_route", lambda rows, dim, slots, degree: False)
         engine = _PwmEngine(problem)
         expected, point = engine.evaluate(widths)
         expected_grad = engine.gradient(point)[0]
-        assert engine.kernel._groups is None
+        assert engine.kernel._spectral is None
         assert value == pytest.approx(expected, rel=1e-12)
         assert np.max(np.abs(grad - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))
 
     def test_route_rule_boundary(self, rng):
-        """A fill takes the GEMM route at ``rows = N x`` its distinct inner
-        slots and the product route one row fewer, with the same steps."""
+        """A K = 1 fill takes the spectral route at ``rows = N x`` its
+        distinct sign slots and the product route one row fewer, with the
+        same steps."""
         problem = random_problem(rng, 4, 1, total_time=1.6, tau=0.2)
         widths = np.array([[0.1, -0.1, 0.15, -0.05, 0.02, -0.12, 0.18, -0.07]])
         kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), 8)
         layout = kernel.layout(widths, problem.tau)
         assert len(np.unique(layout.slots[-1])) == 2
         at = kernel.fill(layout).copy()
-        assert kernel._groups is not None
+        assert kernel._spectral is not None
         below = kernel.fill(kernel.layout(widths[:, :7], problem.tau))
-        assert kernel._groups is None
+        assert kernel._spectral is None
         assert np.max(np.abs(below - at[:7])) <= 1e-13
         kernel.fill(kernel.layout(np.abs(widths[:, :4]), problem.tau))
-        assert kernel._groups is not None
+        assert kernel._spectral is not None
 
 
 def kernel_input(rng, k_count: int, drift_spectrum, m_count: int):

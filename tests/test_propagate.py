@@ -325,7 +325,7 @@ class TestPwcKernel:
 
 
 class TestPwmKernelRoutes:
-    """The GEMM route of the PWM kernel against its product route."""
+    """The product route of the PWM kernel, which every K >= 2 fill takes."""
 
     @staticmethod
     def recording_kernels(monkeypatch) -> list:
@@ -339,51 +339,8 @@ class TestPwmKernelRoutes:
         monkeypatch.setattr(propagate, "_PwmKernel", Recorded)
         return kernels
 
-    @pytest.mark.parametrize("scheme", ["pwm", "pwm4", "spo"])
-    def test_evolve_agrees_across_routes(self, rng, monkeypatch, scheme):
-        """Sixty subintervals of a random N = 5, K = 2 input fill one block by
-        GEMM, and within 1e-13 of the product route forced by the rule."""
-        system = ControlSystem(
-            drift=random_hermitian(5, rng),
-            controls=(random_hermitian(5, rng), random_hermitian(5, rng)),
-        )
-        field = SampledField(dt=0.05, values=rng.uniform(-1.0, 1.0, size=(2, 240)))
-        xi = np.array([1.2, 1.5])
-        kernels = self.recording_kernels(monkeypatch)
-        gemm = evolve(system, scheme, field, tau=0.2, amplitudes=xi)
-        assert kernels[-1]._groups is not None
-        monkeypatch.setattr(propagate, "_gemm_route", lambda rows, dim, slots: False)
-        product = evolve(system, scheme, field, tau=0.2, amplitudes=xi)
-        assert kernels[-1]._groups is None
-        assert np.max(np.abs(gemm - product)) <= 1e-13
-
-    def test_product_route_builds_no_tables(self, rng, monkeypatch):
-        """Blocks of three rows at N = 5 stay on the product route, so no
-        kernel of the evolution builds a GEMM table."""
-        system, field, tau = _random_two_control_input(rng)
-        monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 3 * 8 * system.dim**2)
-        kernels = self.recording_kernels(monkeypatch)
-        for scheme in ("pwm", "pwm4", "spo"):
-            evolve(system, scheme, field, tau=tau, amplitudes=np.array([1.2, 1.5]))
-        assert kernels and all(not kernel._tables for kernel in kernels)
-
-    def test_tables_only_for_the_inner_slots_used(self, rng):
-        """A GEMM fill builds the tables of its rows' inner slots, no others."""
-        system = ControlSystem(
-            drift=random_hermitian(4, rng),
-            controls=(random_hermitian(4, rng), random_hermitian(4, rng)),
-        )
-        kernel = propagate._PwmKernel(HamiltonianCache(system, [1.0, 1.0]), 40)
-        widths = rng.uniform(0.0, 0.2, size=(2, 40))
-        widths[1] = widths[0] / 2
-        layout = kernel.layout(widths, 0.2)
-        kernel.fill(layout)
-        assert kernel._groups is not None
-        assert sorted(kernel._tables) == sorted(set(layout.slots[-1].tolist()))
-        assert len(kernel._tables) < len(kernel._basis_changes)
-
     def test_second_fill_and_gradient_allocate_no_step_sized_array(self, rng):
-        """At K = 2 on the GEMM route the kernel works in its own stacks."""
+        """At K = 2 on the product route the kernel works in its own stacks."""
         dim, rows = 10, 200
         system = ControlSystem(
             drift=random_hermitian(dim, rng),
@@ -394,7 +351,6 @@ class TestPwmKernelRoutes:
         states = rng.standard_normal((2, rows + 1, dim)) + 0j
         kernel.fill(layout)
         kernel.overlap_derivative(*states)
-        assert kernel._groups is not None
         tracemalloc.start()
         try:
             kernel.fill(layout)
@@ -426,7 +382,7 @@ class TestPwmKernelSpectralRoute:
         steps = []
         for m in range(widths.shape[1]):
             steps.append(kernel.fill(kernel.layout(widths[:, m : m + 1], length))[0].copy())
-            assert kernel._groups is None
+            assert kernel._spectral is None
         return np.array(steps)
 
     @pytest.mark.parametrize("trace", [0.0, 200.0], ids=["traceless", "large-trace"])
@@ -457,7 +413,8 @@ class TestPwmKernelSpectralRoute:
         for route in (True, False):
             layout = kernel.layout(widths, 0.2)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(propagate, "_gemm_route", lambda rows, dim, slots: route)
+                patch.setattr(propagate, "_spectral_route",
+                              lambda rows, dim, slots, degree: route)
                 kernel.fill(layout)
             assert (kernel._spectral is not None) == route
             with pytest.warns(UserWarning, match="zero width"):
@@ -477,15 +434,15 @@ class TestPwmKernelSpectralRoute:
         s = suzuki_coefficient(2)
         assert {length for length, _ in kernels[-1]._chebyshev} == {s * 0.2, (1 - 2 * s) * 0.2}
         assert kernels[-1]._spectral is not None
-        monkeypatch.setattr(propagate, "_gemm_route", lambda rows, dim, slots: False)
+        monkeypatch.setattr(propagate, "_spectral_route", lambda rows, dim, slots, degree: False)
         product = evolve(system, "pwm4", field, tau=0.2, amplitudes=[1.4])
         assert kernels[-1]._spectral is None
         assert np.max(np.abs(spectral - product)) <= 1e-13
 
     def test_large_bandwidth_meets_the_bound_or_falls_back(self, rng):
         """A window long against the spectrum: at the largest degree the route
-        takes, the steps still meet 1e-13; beyond it the fill takes the GEMM
-        route, with the same steps."""
+        takes, the steps still meet 1e-13; beyond it the fill takes the
+        product route, with the same steps."""
         system = self.one_control_system(rng)
         kernel = propagate._PwmKernel(HamiltonianCache(system, [1.3]), 40)
         cap = propagate._degree_cap(system.dim)
@@ -494,7 +451,7 @@ class TestPwmKernelSpectralRoute:
             steps = kernel.fill(kernel.layout(widths, length)).copy()
             degrees = {degree for (at, _), degree in kernel._degrees.items() if at == length}
             if kernel._spectral is None:
-                assert None in degrees and kernel._groups is not None
+                assert None in degrees
             else:
                 assert max(degrees) > system.dim
             assert np.max(np.abs(steps - self.product_steps(kernel, widths, length))) <= 1e-13
@@ -525,7 +482,7 @@ class TestPwmKernelSpectralRoute:
             steps = kernel.fill(kernel.layout(scaled, length)).copy()
             assert (kernel._spectral is not None) == spectral
             if spectral:
-                assert kernel._spectral[0].shape[0] == cap
+                assert kernel._spectral[0].shape[1] == 2 * cap
             assert np.max(np.abs(steps - self.product_steps(kernel, scaled, length))) <= 1e-13
 
     def test_tables_only_for_the_sign_and_length_pairs_used(self, rng):
