@@ -89,8 +89,8 @@ def infidelity(u: np.ndarray, psi_initial: np.ndarray, psi_target: np.ndarray) -
 class GrapeProblem:
     """A state-transfer problem on a fixed PWM time grid.
 
-    ``total_time`` must be an integer number of subintervals ``tau``; the
-    endpoint states must be normalized and the system must pass
+    ``total_time`` must be a finite, positive integer number of subintervals
+    ``tau``; the endpoint states must be normalized and the system must pass
     ``validate_system``.
     """
 
@@ -114,7 +114,8 @@ class GrapeProblem:
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         steps = self.total_time / self.tau
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
+        if (not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps)
+                or round(steps) < 1):
             raise ValueError(
                 f"total_time {self.total_time!r} is not an integer number of "
                 f"subintervals tau={self.tau!r}"

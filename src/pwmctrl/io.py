@@ -304,7 +304,7 @@ def read_system_json(path) -> ControlSystem:
             _matrix_from_json(c, dim, f"controls[{i}]")
             for i, c in enumerate(payload["controls"])
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field ({exc})") from exc
     if not controls:
         raise FileFormatError(f"{path}: at least one control matrix is required")

@@ -100,12 +100,13 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class HamiltonianCache:
-    """Lazily filled eigendecompositions of the signed cumulative Hamiltonians.
+    """Eigendecompositions of the signed cumulative Hamiltonians.
 
     Entries are keyed by the *set* of signed active controls
     ``{(k, delta_k)}`` -- the cumulative sum does not depend on the order in
     which pulses were added -- so at most ``3^K`` entries ever exist.  Each
-    entry is computed on first use.  The cache is not synchronized: share it
+    entry is computed on first use, and building a PWM kernel on the cache
+    fills all ``3^K``.  The cache is not synchronized: share it
     within one thread, and let each worker process build its own (a pickled
     copy carries the entries filled so far).
 
@@ -171,12 +172,13 @@ def _degree_cap(dim: int) -> int:
 _Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots length")
 
 
-def _spectral_route(rows: int, dim: int, slots: int, degree: int | None) -> bool:
-    """Whether :class:`_PwmKernel` takes its spectral route for ``rows`` rows over ``slots``.
+def _spectral_route(rows: int, dim: int, degree: int | None) -> bool:
+    """Whether :class:`_PwmKernel` takes its spectral route for ``rows`` rows.
 
-    It does at ``N`` rows or more per sign slot and a ``degree`` within :func:`_degree_cap`.
+    It does at ``2N`` rows or more (``N`` per sign slot) and a ``degree``
+    within :func:`_degree_cap`.
     """
-    return degree is not None and rows >= dim * slots
+    return degree is not None and rows >= 2 * dim
 
 
 def _chebyshev_degree(bandwidth: float, cap: int) -> int | None:
@@ -229,23 +231,29 @@ class _PwmKernel:
         S = D_0 W_01 D_1 ... W_{K-1,K} D_K W_{K,K-1} ... D_1 W_10 D_0,
 
     diagonal phases ``D_j = exp(-i d_j lambda_j)`` and basis changes
-    ``W_ab = V_a^dagger V_b``.  The kernel caches ``W_ab`` and its adjoint
-    per pair of adjacent prefix codes, filled from its ``HamiltonianCache``
-    on first use.  A fill takes one of two routes:
+    ``W_ab = V_a^dagger V_b``.  The constructor fills all ``3^K`` entries
+    of its ``HamiltonianCache`` and builds ``W_ab``, its adjoint and
+    ``lambda_b`` for every pair of adjacent prefix codes -- a slot; 2, 12
+    and 54 slots at K = 1, 2, 3 -- by one batched product.  ``_slot_of``
+    maps ``code_a 3^K + code_b`` to its slot (-1 where the codes are not
+    adjacent), so a layout finds all its slots by one index.  At ``K = 1``
+    slot 0 is sign ``+1`` and slot 1 sign ``-1``.  A fill takes one of two
+    routes:
 
-    - **Spectral route** (``K = 1``, with at least ``N`` rows per sign slot
-      and a degree within the cap, :func:`_spectral_route`).  A step ``S(u)
+    - **Spectral route** (``K = 1``, with at least ``2N`` rows and a
+      degree within the cap, :func:`_spectral_route`).  A step ``S(u)
       = D_0 W D_1 W^dagger D_0`` depends on the one width ``u = |w|`` in
       ``[0, |L|]`` through ``d_0 = (L - u)/2`` and ``d_1 = u`` (both negated
       when ``L < 0``), and entry ``(a, b)`` is a sum of ``exp(-i u
       (lambda_1c - (lambda_0a + lambda_0b)/2))`` over ``c``.  So its
       Chebyshev series in ``t = 2u/|L| - 1`` converges geometrically: ``J``
       terms suffice at the smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``,
-      ``b = |L|/2 max |lambda_1c - (lambda_0a + lambda_0b)/2|``
-      (:func:`_chebyshev_degree`).  Per signed length ``L`` and sign slot the
-      kernel samples ``S`` and the exact ``dS/du`` at ``J`` Chebyshev nodes
-      and takes their coefficients by a ``J x J`` cosine transform, on first
-      use.  A fill evaluates ``T_k(t)`` by the three-term recurrence into the
+      ``b = |L|/2 max |lambda_1c - (lambda_0a + lambda_0b)/2|`` over both
+      sign slots (:func:`_chebyshev_degree`).  Per signed length ``L`` the
+      kernel samples ``S`` and the exact ``dS/du`` of both sign slots at
+      ``J`` Chebyshev nodes and takes their coefficients by a ``J x J``
+      cosine transform, when a fill at ``L`` first takes this route.  A
+      fill evaluates ``T_k(t)`` by the three-term recurrence into the
       row's sign half of a ``(rows, 2J)`` basis and makes all steps, in row
       order, by one real GEMM against both signs' tables.  Above ``J = 3N/2
       + 40`` (:func:`_degree_cap`) the fill takes the product route.
@@ -253,15 +261,14 @@ class _PwmKernel:
       neighbouring ``W`` leaves ``2K`` dense factors, so a step costs ``2K -
       1`` batched matrix products.
 
-    Tables are built for the sign slots and lengths that a fill uses, on
-    first use.  All step-sized arrays are views of one allocation for
-    ``rows`` rows and filled in place; ``held`` is the layout that they
-    hold, and :meth:`overlap_derivative` differentiates it.
+    All step-sized arrays are views of one allocation for ``rows`` rows and
+    filled in place; ``held`` is the layout that they hold, and
+    :meth:`overlap_derivative` differentiates it.
 
     Built on a :class:`TermCache` the kernel takes Strang split-operator
     steps instead: ``V_j`` is the eigenbasis of the drift (``j = 0``) or of
-    control ``j`` alone, the ``K`` slots are seeded once with ``W_{j,j+1}``
-    and :meth:`split_layout` gives the dwells.  Split-operator fills never
+    control ``j`` alone, slot ``j`` holds ``W_{j,j+1}`` and
+    :meth:`split_layout` gives the dwells.  Split-operator fills never
     take the spectral route.
     """
 
@@ -270,16 +277,26 @@ class _PwmKernel:
         k_count, n = cache.system.n_controls, cache.system.dim
         self._place = 3 ** np.arange(k_count)
         split = isinstance(cache, TermCache)
-        self._lam0, self.v0 = cache.entry(None if split else ())
-        # W_ab, W_ab^dagger and lambda_b per slot; slots keyed by code_a * 3^K + code_b
-        self._slots: dict[int, int] = {}
-        self._basis_changes: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._w = self._w_adjoint = self._lam_b = None  # the slots stacked
         if split:
-            bases = [cache.entry(k) for k in (None, *range(k_count))]
-            for (_, basis_a), (lam_b, basis_b) in zip(bases, bases[1:]):
-                self._add_slot(basis_a, lam_b, basis_b)
-            self._stack_slots()
+            entries = [cache.entry(k) for k in (None, *range(k_count))]
+            pairs = [(j, j + 1) for j in range(k_count)]
+            self._slot_of = None
+        else:
+            codes = 3**k_count
+            entries = [cache.entry(self._prefix(code)) for code in range(codes)]
+            # code_b adds control k to code_a with sign +1 (digit 1) or -1 (digit 2)
+            pairs = [(a, a + digit * place) for a in range(codes)
+                     for place in self._place.tolist() if a // place % 3 == 0
+                     for digit in (1, 2)]
+            self._slot_of = np.full(codes * codes, -1)
+            self._slot_of[[a * codes + b for a, b in pairs]] = np.arange(len(pairs))
+        # W_ab, W_ab^dagger and lambda_b per slot
+        lam, bases = map(np.stack, zip(*entries))
+        a, b = np.array(pairs).T
+        self._w = bases[a].conj().transpose(0, 2, 1) @ bases[b]
+        self._w_adjoint = self._w.conj().transpose(0, 2, 1).copy()
+        self._lam_b = lam[b]
+        self._lam0, self.v0 = entries[0]
         # the largest Chebyshev degree of the spectral route, 0 where it is not taken
         self._cap = _degree_cap(n) if k_count == 1 and not split else 0
         step, c = (rows, n, n), np.complex128
@@ -297,36 +314,19 @@ class _PwmKernel:
         )
         self._lam[0] = self._lam0
         self.held: _Layout | None = None
-        # spectral route: degrees by (length, slot), the (2, J, 2, N^2) tables of
-        # S and dS/dw by (length, J) with the sign halves built, and for the held
-        # layout its (rows, 2J) basis and (2, 2J, 2N^2) real tables
-        self._degrees: dict[tuple[float, int], int | None] = {}
-        self._chebyshev: dict[tuple[float, int], np.ndarray] = {}
-        self._built: set[tuple[float, int, int]] = set()
+        # spectral route: the largest |lambda_1c - lambda_0a| over both sign
+        # slots, the (2, 2J, 2N^2) real tables of S and dS/dw by length, and
+        # for the held layout its (rows, 2J) basis and tables
+        if self._cap:
+            lam_b = self._lam_b
+            self._spread = max(lam_b.max() - self._lam0.min(), self._lam0.max() - lam_b.min())
+        self._chebyshev: dict[float, np.ndarray] = {}
         self._spectral: tuple[np.ndarray, np.ndarray] | None = None
 
     def _prefix(self, code: int) -> tuple:
         """Cache key ``((k, delta), ...)`` of a base-3 prefix code."""
         digits = code // self._place % 3
         return tuple((k, 1 if d == 1 else -1) for k, d in enumerate(digits) if d)
-
-    def _add_slot(self, basis_a: np.ndarray, lam_b: np.ndarray, basis_b: np.ndarray) -> int:
-        w = basis_a.conj().T @ basis_b
-        self._basis_changes.append((w, w.conj().T.copy(), lam_b))
-        return len(self._basis_changes) - 1
-
-    def _stack_slots(self) -> None:
-        self._w, self._w_adjoint, self._lam_b = map(np.stack, zip(*self._basis_changes))
-
-    def _slot(self, key: int) -> int:
-        """Slot of the basis change ``code_a -> code_b`` packed in ``key``."""
-        slot = self._slots.get(key)
-        if slot is None:
-            code_a, code_b = divmod(key, 3 ** len(self._place))
-            basis_a = self.cache.entry(self._prefix(code_a))[1]
-            lam_b, basis_b = self.cache.entry(self._prefix(code_b))
-            slot = self._slots[key] = self._add_slot(basis_a, lam_b, basis_b)
-        return slot
 
     def layout(self, widths: np.ndarray, length: float) -> _Layout:
         """Lay out ``(K, rows)`` widths, ``|w| <= |length|``, in windows of ``length``."""
@@ -342,12 +342,7 @@ class _PwmKernel:
             np.negative(dwell, out=dwell)
         codes = np.zeros(dwell.shape, dtype=np.int64)
         np.cumsum(np.where(signs < 0, 2, 1) * self._place[order], axis=0, out=codes[1:])
-        keys = codes[:-1] * 3 ** len(self._place) + codes[1:]
-        unique, inverse = np.unique(keys, return_inverse=True)
-        filled = len(self._basis_changes)
-        slots = np.array([self._slot(int(key)) for key in unique])[inverse.reshape(keys.shape)]
-        if len(self._basis_changes) > filled:
-            self._stack_slots()
+        slots = self._slot_of[codes[:-1] * 3 ** len(self._place) + codes[1:]]
         return _Layout(order, signs, sorted_abs, dwell, slots, length)
 
     @staticmethod
@@ -378,16 +373,16 @@ class _PwmKernel:
         """Gather the factors of ``layout`` and multiply out its step stack ``S``.
 
         At ``K = 1`` the fill first asks :func:`_spectral_route`, from the
-        rows, the sign slots used and their Chebyshev degree.
+        rows and the Chebyshev degree at the layout's length.
         """
         rows = layout.dwell.shape[1]
         steps = self.steps[:rows]
         self.held, self._spectral = layout, None
         if self._cap:
-            used = np.flatnonzero(np.bincount(layout.slots[-1])).tolist()
-            degree = self._degree(layout.length, used)
-            if _spectral_route(rows, steps.shape[1], len(used), degree):
-                self._fill_spectral(layout, degree, used, steps)
+            bandwidth = abs(layout.length) / 2 * self._spread
+            degree = _chebyshev_degree(bandwidth, self._cap)
+            if _spectral_route(rows, steps.shape[1], degree):
+                self._fill_spectral(layout, degree, steps)
                 return steps
         lam, angle, phase = self._lam[:, :rows], self._angle[:, :rows], self._phase[:, :rows]
         fwd, bwd = self._forward[:, :rows], self._backward[:, :rows]
@@ -410,62 +405,44 @@ class _PwmKernel:
             acc = out
         return steps
 
-    def _degree(self, length: float, slots) -> int | None:
-        """The spectral degree at ``length`` over ``slots``; ``None`` above the cap."""
-        degree = 0
-        for slot in slots:
-            key = (length, slot)
-            if key not in self._degrees:
-                lam, lam0 = self._lam_b[slot], self._lam0
-                spread = max(lam.max() - lam0.min(), lam0.max() - lam.min())
-                self._degrees[key] = _chebyshev_degree(abs(length) / 2 * spread, self._cap)
-            if self._degrees[key] is None:
-                return None
-            degree = max(degree, self._degrees[key])
-        return degree
+    def _chebyshev_tables(self, length: float, degree: int) -> np.ndarray:
+        """The ``(2, 2J, 2N^2)`` real Chebyshev coefficients of ``S`` and ``dS/dw`` at ``length``.
 
-    def _chebyshev_tables(self, length: float, degree: int, slots) -> np.ndarray:
-        """The ``(2, J, 2, N^2)`` Chebyshev coefficients of ``S`` and ``dS/dw`` at ``length``.
-
-        Axis 2 is the sign half (``+1``, ``-1``, where ``dS/dw = -dS/du``
-        with ``u = |w|``).  The halves of ``slots`` are sampled on first use
-        at the ``J`` Chebyshev nodes ``t_j = cos(pi (j + 1/2) / J)`` from the
-        cached eigensystems and transformed by ``c_k = (2 - delta_k0) / J
-        sum_j f(t_j) cos(k pi (j + 1/2) / J)``.
+        Row ``2k + h`` of a table holds ``T_k`` of sign half ``h`` (slot
+        ``h``: ``+1``, then ``-1``, where ``dS/dw = -dS/du`` with ``u =
+        |w|``).  Both halves are sampled together, on first use at
+        ``length``, at the ``J`` Chebyshev nodes ``t_j = cos(pi (j + 1/2) /
+        J)`` from the cached eigensystems and transformed by ``c_k = (2 -
+        delta_k0) / J sum_j f(t_j) cos(k pi (j + 1/2) / J)``.
         """
-        tables = self._chebyshev.get((length, degree))
+        tables = self._chebyshev.get(length)
         if tables is None:
-            n = self.steps.shape[1]
-            tables = self._chebyshev[length, degree] = np.zeros((2, degree, 2, n * n), complex)
-        keys = {slot: key for key, slot in self._slots.items()}
-        for slot in slots:
-            half = keys[slot] - 1  # the prefix code: 1 for sign +1, 2 for -1
-            if (length, degree, half) in self._built:
-                continue
             k = np.arange(degree)
             angles = np.pi * (k + 0.5) / degree
             sign, u = math.copysign(1.0, length), abs(length) / 2 * (np.cos(angles) + 1)
-            lam0, lam, w = self._lam0, self._lam_b[slot], self._w[slot]
+            lam0, lam, w = self._lam0, self._lam_b[:, None], self._w[:, None]
             outer = np.exp(-1j * sign * (abs(length) - u)[:, None] / 2 * lam0)
-            left = outer[:, :, None] * w * np.exp(-1j * sign * u[:, None] * lam)[:, None, :]
-            right = self._w_adjoint[slot] * outer[:, None, :]
+            left = outer[:, :, None] * w * np.exp(-1j * sign * u[:, None] * lam)[:, :, None, :]
+            right = self._w_adjoint[:, None] * outer[:, None, :]
             # dS/du = -i sign (D_0 W (lambda_1 - c) D_1 W^dagger D_0
             #                 - ((lambda_0a + lambda_0b)/2 - c) S), centred on c
             # to keep the two terms small
             centre = lam0.mean()
-            samples = np.stack([left @ right, (left * (lam - centre)) @ right])
+            samples = np.stack([left @ right, (left * (lam[..., None, :] - centre)) @ right])
             samples[1] -= ((lam0[:, None] + lam0) / 2 - centre) * samples[0]
             # times d|w|/dw = -1 in the negative half: the derivative table is dS/dw
-            samples[1] *= -1j * sign * (-1 if half else 1)
+            samples[1] *= -1j * sign * np.array([1, -1])[:, None, None, None]
             cosine = np.cos(np.outer(k, angles)) * np.where(k == 0, 1, 2)[:, None] / degree
-            tables[:, :, half] = cosine @ samples.reshape(2, degree, -1)
-            self._built.add((length, degree, half))
+            n = self.steps.shape[1]
+            coefficients = cosine @ samples.reshape(2, 2, degree, n * n)
+            tables = coefficients.transpose(0, 2, 1, 3).reshape(2, 2 * degree, n * n)
+            tables = self._chebyshev[length] = tables.view(np.float64)
         return tables
 
-    def _fill_spectral(self, layout: _Layout, degree: int, slots, out: np.ndarray) -> None:
+    def _fill_spectral(self, layout: _Layout, degree: int, out: np.ndarray) -> None:
         """The ``K = 1`` steps of ``layout`` into ``out``: one GEMM against the tables."""
         rows = len(out)
-        tables = self._chebyshev_tables(layout.length, degree, slots)
+        tables = self._chebyshev_tables(layout.length, degree)
         # T_k(t) of each row in its sign half, zero in the other
         basis = self._basis[: 2 * degree * rows].reshape(degree, 2, rows)
         np.less(layout.signs[0], 0, out=basis[0, 1])
@@ -480,7 +457,6 @@ class _PwmKernel:
                 np.multiply(basis[k - 1], t2, out=basis[k])
                 basis[k] -= basis[k - 2]
         basis = basis.reshape(2 * degree, rows).T
-        tables = tables.view(np.float64).reshape(2, 2 * degree, -1)
         np.matmul(basis, tables[0], out=out.reshape(rows, -1).view(np.float64))
         self._spectral = basis, tables
 

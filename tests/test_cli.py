@@ -351,6 +351,13 @@ class TestOptimizeCommand:
         ]) == 1
         assert capsys.readouterr().err.startswith("error:validation:")
 
+    def test_infinite_total_time_is_validation_error(self, tmp_path, capsys):
+        assert main([
+            "optimize", "--builtin", "two-level", "--initial", "0", "--target", "1",
+            "--total-time", "inf", "--tau", "0.1", "--out-dir", str(tmp_path),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error:validation:")
+
 
 class TestBenchmarkCommand:
     def test_tiny_run_writes_rows(self, tmp_path, capsys):

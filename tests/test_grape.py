@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -105,15 +106,18 @@ class TestProblemValidation:
             )
 
     def test_rejects_non_integer_step_count(self, two_level):
-        with pytest.raises(ValueError, match="integer number"):
-            GrapeProblem(
-                system=two_level,
-                psi_initial=basis_state(2, 0),
-                psi_target=basis_state(2, 1),
-                total_time=1.0,
-                tau=0.3,
-                amplitudes=np.array([1.0]),
-            )
+        """A fractional step count, and one that is not finite: infinite,
+        NaN, or overflowing ``total_time / tau``."""
+        for total_time, tau in ((1.0, 0.3), (math.inf, 0.1), (math.nan, 0.1), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="integer number"):
+                GrapeProblem(
+                    system=two_level,
+                    psi_initial=basis_state(2, 0),
+                    psi_target=basis_state(2, 1),
+                    total_time=total_time,
+                    tau=tau,
+                    amplitudes=np.array([1.0]),
+                )
 
     def test_rejects_non_positive_tau(self, two_level):
         with pytest.raises(ValueError, match="tau"):
@@ -291,7 +295,7 @@ class TestBatchedKernel:
         value, point = engine.evaluate(widths)
         grad = engine.gradient(point)[0]
         assert engine.kernel._spectral is not None
-        monkeypatch.setattr(propagate, "_spectral_route", lambda rows, dim, slots, degree: False)
+        monkeypatch.setattr(propagate, "_spectral_route", lambda rows, dim, degree: False)
         engine = _PwmEngine(problem)
         expected, point = engine.evaluate(widths)
         expected_grad = engine.gradient(point)[0]
@@ -300,9 +304,9 @@ class TestBatchedKernel:
         assert np.max(np.abs(grad - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))
 
     def test_route_rule_boundary(self, rng):
-        """A K = 1 fill takes the spectral route at ``rows = N x`` its
-        distinct sign slots and the product route one row fewer, with the
-        same steps."""
+        """A K = 1 fill takes the spectral route at ``rows = 2N``, with one
+        sign or both, and the product route one row fewer, with the same
+        steps."""
         problem = random_problem(rng, 4, 1, total_time=1.6, tau=0.2)
         widths = np.array([[0.1, -0.1, 0.15, -0.05, 0.02, -0.12, 0.18, -0.07]])
         kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), 8)
@@ -313,8 +317,12 @@ class TestBatchedKernel:
         below = kernel.fill(kernel.layout(widths[:, :7], problem.tau))
         assert kernel._spectral is None
         assert np.max(np.abs(below - at[:7])) <= 1e-13
-        kernel.fill(kernel.layout(np.abs(widths[:, :4]), problem.tau))
+        one_sign = kernel.layout(np.abs(widths), problem.tau)
+        assert len(np.unique(one_sign.slots[-1])) == 1
+        kernel.fill(one_sign)
         assert kernel._spectral is not None
+        kernel.fill(kernel.layout(np.abs(widths[:, :7]), problem.tau))
+        assert kernel._spectral is None
 
 
 def kernel_input(rng, k_count: int, drift_spectrum, m_count: int):

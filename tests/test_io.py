@@ -182,7 +182,21 @@ class TestSystemJson:
         path.write_text(
             '{"dim": 2, "drift": [[[1.0, 0.0]]], "controls": []}'
         )
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
+            read_system_json(path)
+
+    @pytest.mark.parametrize(
+        "dim, cell",
+        [('"two"', "0.0"), ("2", '"a"')],
+        ids=["non-integer-dim", "non-numeric-cell"],
+    )
+    def test_rejects_malformed_values_naming_the_file(self, tmp_path, dim, cell):
+        path = tmp_path / "system.json"
+        row = f"[[1.0, {cell}], [0.0, 0.0]]"
+        path.write_text(
+            f'{{"dim": {dim}, "drift": [{row}, {row}], "controls": [[{row}, {row}]]}}'
+        )
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
             read_system_json(path)
 
 

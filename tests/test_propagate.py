@@ -324,6 +324,61 @@ class TestPwcKernel:
             kernel.fill(np.array([[0.1, 0.3, 0.2]]), bad)
 
 
+class TestPwmKernelSlots:
+    """The basis changes that a PWM kernel builds with itself, one per slot."""
+
+    @staticmethod
+    def kernel(rng, k_count: int, rows: int = 1):
+        system = ControlSystem(
+            drift=random_hermitian(4, rng),
+            controls=tuple(random_hermitian(4, rng) for _ in range(k_count)),
+        )
+        return propagate._PwmKernel(HamiltonianCache(system, np.linspace(1.0, 1.5, k_count)),
+                                    rows)
+
+    @pytest.mark.parametrize("k_count, slots", [(1, 2), (2, 12), (3, 54)])
+    def test_a_fresh_kernel_holds_every_slot(self, rng, k_count, slots):
+        """Every adjacent prefix pair has a slot and every prefix its cache entry."""
+        kernel = self.kernel(rng, k_count)
+        assert len(kernel._w) == len(kernel._w_adjoint) == len(kernel._lam_b) == slots
+        assert kernel.cache.size == 3**k_count
+        assert np.array_equal(np.sort(kernel._slot_of[kernel._slot_of >= 0]), np.arange(slots))
+
+    @pytest.mark.parametrize("k_count", [1, 2, 3])
+    def test_each_slot_holds_its_basis_change(self, rng, k_count):
+        """Slot ``code_a 3^K + code_b`` holds ``V_a^dagger V_b``, its adjoint
+        and ``lambda_b``, bit for bit."""
+        kernel = self.kernel(rng, k_count)
+        for key in np.flatnonzero(kernel._slot_of >= 0):
+            slot = kernel._slot_of[key]
+            code_a, code_b = divmod(int(key), 3**k_count)
+            basis_a = kernel.cache.entry(kernel._prefix(code_a))[1]
+            lam_b, basis_b = kernel.cache.entry(kernel._prefix(code_b))
+            w = basis_a.conj().T @ basis_b
+            assert np.array_equal(kernel._w[slot], w)
+            assert np.array_equal(kernel._w_adjoint[slot], w.conj().T)
+            assert np.array_equal(kernel._lam_b[slot], lam_b)
+        if k_count == 1:
+            # slot 0 adds the control with sign +1, slot 1 with sign -1
+            assert kernel._slot_of[[1, 2]].tolist() == [0, 1]
+
+    @pytest.mark.parametrize("k_count", [1, 2, 3])
+    def test_layout_finds_a_slot_for_every_position(self, rng, k_count):
+        """Random widths of both signs with zeros, full widths and exact ties."""
+        rows = 200
+        kernel = self.kernel(rng, k_count, rows)
+        widths = rng.uniform(-0.2, 0.2, size=(k_count, rows))
+        widths[:, :2] = 0.0
+        widths[0, 2:6] = [0.2, -0.2, 0.0, -0.0]
+        widths[:, 6] = 0.1
+        widths[:, 7] = -0.1
+        widths[:, 8] = 0.1 * np.where(np.arange(k_count) % 2, 1, -1)
+        for length in (0.2, -0.2):
+            slots = kernel.layout(widths, length).slots
+            assert slots.shape == (k_count, rows)
+            assert np.all(slots >= 0)
+
+
 class TestPwmKernelRoutes:
     """The product route of the PWM kernel, which every K >= 2 fill takes."""
 
@@ -413,8 +468,7 @@ class TestPwmKernelSpectralRoute:
         for route in (True, False):
             layout = kernel.layout(widths, 0.2)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(propagate, "_spectral_route",
-                              lambda rows, dim, slots, degree: route)
+                patch.setattr(propagate, "_spectral_route", lambda rows, dim, degree: route)
                 kernel.fill(layout)
             assert (kernel._spectral is not None) == route
             with pytest.warns(UserWarning, match="zero width"):
@@ -424,17 +478,17 @@ class TestPwmKernelSpectralRoute:
         assert np.max(np.abs(spectral - product)) <= 1e-12 * np.max(np.abs(product))
 
     def test_evolve_pwm4_tables_per_window_length(self, rng, monkeypatch):
-        """``evolve("pwm4")`` at K = 1 takes the spectral route with tables for
-        its forward and its backward sub-window lengths, within 1e-13 of the
-        product route forced by the rule."""
+        """``evolve("pwm4")`` at K = 1 takes the spectral route with one table
+        for each of its forward and backward sub-window lengths, within 1e-13
+        of the product route forced by the rule."""
         system = self.one_control_system(rng, dim=5)
         field = SampledField(dt=0.05, values=rng.uniform(-1.0, 1.0, size=(1, 240)))
         kernels = TestPwmKernelRoutes.recording_kernels(monkeypatch)
         spectral = evolve(system, "pwm4", field, tau=0.2, amplitudes=[1.4])
         s = suzuki_coefficient(2)
-        assert {length for length, _ in kernels[-1]._chebyshev} == {s * 0.2, (1 - 2 * s) * 0.2}
+        assert set(kernels[-1]._chebyshev) == {s * 0.2, (1 - 2 * s) * 0.2}
         assert kernels[-1]._spectral is not None
-        monkeypatch.setattr(propagate, "_spectral_route", lambda rows, dim, slots, degree: False)
+        monkeypatch.setattr(propagate, "_spectral_route", lambda rows, dim, degree: False)
         product = evolve(system, "pwm4", field, tau=0.2, amplitudes=[1.4])
         assert kernels[-1]._spectral is None
         assert np.max(np.abs(spectral - product)) <= 1e-13
@@ -446,58 +500,67 @@ class TestPwmKernelSpectralRoute:
         system = self.one_control_system(rng)
         kernel = propagate._PwmKernel(HamiltonianCache(system, [1.3]), 40)
         cap = propagate._degree_cap(system.dim)
+        degrees = []
         for length in (2.0, 6.0):
             widths = self.widths(rng, 40, length)
             steps = kernel.fill(kernel.layout(widths, length)).copy()
-            degrees = {degree for (at, _), degree in kernel._degrees.items() if at == length}
-            if kernel._spectral is None:
-                assert None in degrees
-            else:
-                assert max(degrees) > system.dim
+            degrees.append(None if kernel._spectral is None else kernel._spectral[0].shape[1] // 2)
             assert np.max(np.abs(steps - self.product_steps(kernel, widths, length))) <= 1e-13
-        assert kernel._spectral is None  # the longer window falls back
-        assert max(degree for (at, _), degree in kernel._degrees.items()
-                   if at == 2.0) <= cap
+        assert system.dim < degrees[0] <= cap
+        # the longer window falls back because its degree is above the cap
+        assert degrees[1] is None
+        assert propagate._chebyshev_degree(6.0 / 2 * kernel._spread, cap) is None
 
     def test_degree_rule_boundary(self, rng):
         """The degree is the smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``;
-        the route takes the cap's degree and falls back one degree above it."""
+        the route takes the cap's degree and falls back one degree above it,
+        with ``b`` over both sign slots when a fill uses one."""
         for bandwidth in (0.0, 1e-3, 0.571, 1.24, 7.0):
             degree = propagate._chebyshev_degree(bandwidth, 100)
             bound = [2 * (bandwidth / 2) ** j / math.factorial(j) for j in (degree - 1, degree)]
             assert bound[1] <= 2.0**-53
             assert degree == 1 or bound[0] > 2.0**-53
         assert propagate._chebyshev_degree(7.0, 21) is None
-        system = self.one_control_system(rng)
-        kernel = propagate._PwmKernel(HamiltonianCache(system, [1.3]), 40)
-        cap = propagate._degree_cap(system.dim)
+        base = self.one_control_system(rng)
+        cap = propagate._degree_cap(base.dim)
         widths = np.abs(self.widths(rng, 40, 1.0))  # one sign slot
-        layout = kernel.layout(widths, 1.0)
-        lam, lam0 = kernel._lam_b[layout.slots[0, 0]], kernel._lam0
-        spread = max(lam.max() - lam0.min(), lam0.max() - lam.min())
-        # the bandwidth b at which 2 (b/2)^cap / cap! = 2^-53
-        edge = 2 * (2.0**-54 * math.factorial(cap)) ** (1 / cap) * 2 / spread
-        for length, spectral in ((edge * (1 - 1e-9), True), (edge * (1 + 1e-9), False)):
-            scaled = widths * length
-            steps = kernel.fill(kernel.layout(scaled, length)).copy()
-            assert (kernel._spectral is not None) == spectral
-            if spectral:
-                assert kernel._spectral[0].shape[1] == 2 * cap
-            assert np.max(np.abs(steps - self.product_steps(kernel, scaled, length))) <= 1e-13
+        # the control's sign swaps the slots: once the unused one is wider
+        for sign in (1, -1):
+            system = ControlSystem(drift=base.drift, controls=(sign * base.controls[0],))
+            kernel = propagate._PwmKernel(HamiltonianCache(system, [1.3]), 40)
+            lam, lam0 = kernel._lam_b, kernel._lam0
+            spread = max(lam.max() - lam0.min(), lam0.max() - lam.min())
+            # the bandwidth b at which 2 (b/2)^cap / cap! = 2^-53
+            edge = 2 * (2.0**-54 * math.factorial(cap)) ** (1 / cap) * 2 / spread
+            for length, spectral in ((edge * (1 - 1e-9), True), (edge * (1 + 1e-9), False)):
+                scaled = widths * length
+                steps = kernel.fill(kernel.layout(scaled, length)).copy()
+                assert (kernel._spectral is not None) == spectral
+                if spectral:
+                    assert kernel._spectral[0].shape[1] == 2 * cap
+                product = self.product_steps(kernel, scaled, length)
+                assert np.max(np.abs(steps - product)) <= 1e-13
 
-    def test_tables_only_for_the_sign_and_length_pairs_used(self, rng):
-        """One sign slot per fill, at two lengths: each builds its own half only."""
+    def test_one_table_per_length_holds_both_signs(self, rng):
+        """One sign per fill, at two lengths: each length builds one table
+        with both sign halves, and a fill of the other sign at that length
+        reuses it, within 1e-13 of the product route."""
         kernel = propagate._PwmKernel(HamiltonianCache(self.one_control_system(rng), [1.3]), 40)
         widths = np.abs(self.widths(rng, 40, 0.2))[:, 4:]
         kernel.fill(kernel.layout(widths, 0.2))
-        negative = kernel.layout(-widths / 2, 0.1)
-        kernel.fill(negative)
+        kernel.fill(kernel.layout(-widths / 2, 0.1))
         assert kernel._spectral is not None
-        # half 0 holds sign +1 (and zero widths), half 1 sign -1
-        assert {(length, half) for length, _, half in kernel._built} == {(0.2, 0), (0.1, 1)}
-        for (length, _), tables in kernel._chebyshev.items():
-            unused = 1 if length == 0.2 else 0
-            assert not np.any(tables[:, :, unused])
+        assert set(kernel._chebyshev) == {0.2, 0.1}
+        for length, tables in kernel._chebyshev.items():
+            degree = tables.shape[1] // 2
+            assert tables.shape == (2, 2 * degree, 2 * 4 * 4)
+            # rows 2k hold sign +1 (and zero widths), rows 2k + 1 sign -1
+            assert np.all(np.any(tables[:, 0::2], axis=(1, 2)))
+            assert np.all(np.any(tables[:, 1::2], axis=(1, 2)))
+        built = kernel._chebyshev[0.2]
+        steps = kernel.fill(kernel.layout(-widths, 0.2)).copy()
+        assert kernel._spectral is not None and kernel._chebyshev[0.2] is built
+        assert np.max(np.abs(steps - self.product_steps(kernel, -widths, 0.2))) <= 1e-13
 
     def test_second_fill_and_gradient_allocate_no_step_sized_array(self, rng):
         """At K = 1 on the spectral route the kernel works in its own stacks."""
