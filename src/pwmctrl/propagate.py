@@ -99,16 +99,31 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
+#: Most controls that PWM propagation takes: the first PWM kernel on a cache
+#: builds all 3^K eigendecompositions and 2K 3^(K-1) basis changes, 12.7 MiB at
+#: K = 4, N = 32 and about three times more per control (README "PWM kernel").
+_MAX_PWM_CONTROLS = 4
+
+
+def _basis_changes(entries, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``W_ab``, ``W_ab^dagger`` and ``lambda_b`` of the slots ``a -> b``, read-only."""
+    lam, bases = map(np.stack, zip(*entries))
+    w = bases[a].conj().transpose(0, 2, 1) @ bases[b]
+    return _locked(w), _locked(w.conj().transpose(0, 2, 1).copy()), _locked(lam[b])
+
+
 class HamiltonianCache:
     """Eigendecompositions of the signed cumulative Hamiltonians.
 
     Entries are keyed by the *set* of signed active controls
     ``{(k, delta_k)}`` -- the cumulative sum does not depend on the order in
     which pulses were added -- so at most ``3^K`` entries ever exist.  Each
-    entry is computed on first use, and building a PWM kernel on the cache
-    fills all ``3^K``.  The cache is not synchronized: share it
-    within one thread, and let each worker process build its own (a pickled
-    copy carries the entries filled so far).
+    entry is computed on first use.  The first PWM kernel built on the cache
+    fills all ``3^K`` and the basis changes of every slot
+    (:meth:`_slot_stacks`), and every later kernel on it shares them; the
+    kernel takes at most :data:`_MAX_PWM_CONTROLS` controls.  The cache is
+    not synchronized: share it within one thread, and let each worker
+    process build its own (a pickled copy carries what was filled so far).
 
     A cache belongs to one system object and one amplitude vector: the
     constructor rejects a system that fails ``validate_system`` (such as a
@@ -122,6 +137,7 @@ class HamiltonianCache:
         self.system = system
         self.amplitudes = _as_amplitudes(amplitudes, system.n_controls)
         self._entries: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._slots: tuple | None = None
 
     def hamiltonian(self, prefix) -> np.ndarray:
         """The matrix ``H0 + sum_{(k, delta) in prefix} delta * xi_k * H_k``."""
@@ -146,6 +162,31 @@ class HamiltonianCache:
     @property
     def size(self) -> int:
         return len(self._entries)
+
+    def _slot_stacks(self) -> tuple:
+        """Every slot's ``W_ab``, ``W_ab^dagger`` and ``lambda_b``, and ``table``, built once.
+
+        Slot ``table[a, k, h]`` joins prefix code ``a`` to the code that adds
+        control ``k`` with sign ``+1`` (``h = 0``, digit 1) or ``-1`` (``h =
+        1``, digit 2); it is -1 where ``a`` holds ``k``.  Fills all ``3^K``
+        entries; raises ``ValueError`` above :data:`_MAX_PWM_CONTROLS` controls.
+        """
+        if self._slots is None:
+            k_count = self.system.n_controls
+            if k_count > _MAX_PWM_CONTROLS:
+                raise ValueError(
+                    f"PWM propagation takes at most {_MAX_PWM_CONTROLS} controls, got "
+                    f"{k_count}: it diagonalizes all 3^K signed Hamiltonians up front"
+                )
+            place = 3 ** np.arange(k_count)
+            digits = np.arange(3**k_count)[:, None] // place % 3
+            entries = [self.entry([(k, 3 - 2 * d) for k, d in enumerate(row) if d])
+                       for row in digits.tolist()]
+            table = np.full((len(digits), k_count, 2), -1)
+            a, k, h = np.nonzero(np.broadcast_to((digits == 0)[..., None], table.shape))
+            table[a, k, h] = np.arange(len(a))
+            self._slots = (*_basis_changes(entries, a, a + (h + 1) * place[k]), _locked(table))
+        return self._slots
 
 
 #: Complex entries in :func:`evolve`'s step stacks at once: its blocks of
@@ -176,7 +217,9 @@ def _spectral_route(rows: int, dim: int, degree: int | None) -> bool:
     """Whether :class:`_PwmKernel` takes its spectral route for ``rows`` rows.
 
     It does at ``2N`` rows or more (``N`` per sign slot) and a ``degree``
-    within :func:`_degree_cap`.
+    within :func:`_degree_cap`.  A fill whose widths all have one sign counts
+    both slots too, in this rule, its degree and its tables; ``evolve`` on such
+    sequences stayed within 4% or got faster (``BENCH_22.json`` ``single_signed_k1``).
     """
     return degree is not None and rows >= 2 * dim
 
@@ -231,14 +274,11 @@ class _PwmKernel:
         S = D_0 W_01 D_1 ... W_{K-1,K} D_K W_{K,K-1} ... D_1 W_10 D_0,
 
     diagonal phases ``D_j = exp(-i d_j lambda_j)`` and basis changes
-    ``W_ab = V_a^dagger V_b``.  The constructor fills all ``3^K`` entries
-    of its ``HamiltonianCache`` and builds ``W_ab``, its adjoint and
-    ``lambda_b`` for every pair of adjacent prefix codes -- a slot; 2, 12
-    and 54 slots at K = 1, 2, 3 -- by one batched product.  ``_slot_of``
-    maps ``code_a 3^K + code_b`` to its slot (-1 where the codes are not
-    adjacent), so a layout finds all its slots by one index.  At ``K = 1``
-    slot 0 is sign ``+1`` and slot 1 sign ``-1``.  A fill takes one of two
-    routes:
+    ``W_ab = V_a^dagger V_b``.  ``W_ab``, its adjoint and ``lambda_b`` of
+    every pair of adjacent prefix codes -- a slot -- come from the cache
+    (:meth:`HamiltonianCache._slot_stacks`), and ``_slot_of[code_a, k, h]``
+    gives a layout all its slots by one index.  At ``K = 1`` slot 0 is sign
+    ``+1`` and slot 1 sign ``-1``.  A fill takes one of two routes:
 
     - **Spectral route** (``K = 1``, with at least ``2N`` rows and a
       degree within the cap, :func:`_spectral_route`).  A step ``S(u)
@@ -277,26 +317,8 @@ class _PwmKernel:
         k_count, n = cache.system.n_controls, cache.system.dim
         self._place = 3 ** np.arange(k_count)
         split = isinstance(cache, TermCache)
-        if split:
-            entries = [cache.entry(k) for k in (None, *range(k_count))]
-            pairs = [(j, j + 1) for j in range(k_count)]
-            self._slot_of = None
-        else:
-            codes = 3**k_count
-            entries = [cache.entry(self._prefix(code)) for code in range(codes)]
-            # code_b adds control k to code_a with sign +1 (digit 1) or -1 (digit 2)
-            pairs = [(a, a + digit * place) for a in range(codes)
-                     for place in self._place.tolist() if a // place % 3 == 0
-                     for digit in (1, 2)]
-            self._slot_of = np.full(codes * codes, -1)
-            self._slot_of[[a * codes + b for a, b in pairs]] = np.arange(len(pairs))
-        # W_ab, W_ab^dagger and lambda_b per slot
-        lam, bases = map(np.stack, zip(*entries))
-        a, b = np.array(pairs).T
-        self._w = bases[a].conj().transpose(0, 2, 1) @ bases[b]
-        self._w_adjoint = self._w.conj().transpose(0, 2, 1).copy()
-        self._lam_b = lam[b]
-        self._lam0, self.v0 = entries[0]
+        self._w, self._w_adjoint, self._lam_b, self._slot_of = cache._slot_stacks()
+        self._lam0, self.v0 = cache.entry(None if split else ())
         # the largest Chebyshev degree of the spectral route, 0 where it is not taken
         self._cap = _degree_cap(n) if k_count == 1 and not split else 0
         step, c = (rows, n, n), np.complex128
@@ -323,11 +345,6 @@ class _PwmKernel:
         self._chebyshev: dict[float, np.ndarray] = {}
         self._spectral: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _prefix(self, code: int) -> tuple:
-        """Cache key ``((k, delta), ...)`` of a base-3 prefix code."""
-        digits = code // self._place % 3
-        return tuple((k, 1 if d == 1 else -1) for k, d in enumerate(digits) if d)
-
     def layout(self, widths: np.ndarray, length: float) -> _Layout:
         """Lay out ``(K, rows)`` widths, ``|w| <= |length|``, in windows of ``length``."""
         order = np.argsort(-np.abs(widths), axis=0, kind="stable")
@@ -342,7 +359,7 @@ class _PwmKernel:
             np.negative(dwell, out=dwell)
         codes = np.zeros(dwell.shape, dtype=np.int64)
         np.cumsum(np.where(signs < 0, 2, 1) * self._place[order], axis=0, out=codes[1:])
-        slots = self._slot_of[codes[:-1] * 3 ** len(self._place) + codes[1:]]
+        slots = self._slot_of[codes[:-1], order, (1 - signs) // 2]
         return _Layout(order, signs, sorted_abs, dwell, slots, length)
 
     @staticmethod
@@ -749,6 +766,7 @@ class TermCache:
         _check_system(system)
         self.system = system
         self._entries: dict[int | None, tuple[np.ndarray, np.ndarray]] = {}
+        self._slots: tuple | None = None
 
     def entry(self, index: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of the drift (``None``) or control ``index``."""
@@ -761,6 +779,15 @@ class TermCache:
     def factor(self, index: int | None, theta: float) -> np.ndarray:
         lam, basis = self.entry(index)
         return (basis * np.exp(-1j * theta * lam)) @ basis.conj().T
+
+    def _slot_stacks(self) -> tuple:
+        """The ``K`` slots ``V_j^dagger V_{j+1}`` (drift ``j = 0``) as for a
+        :class:`HamiltonianCache`, with no table, built once."""
+        if self._slots is None:
+            entries = [self.entry(k) for k in (None, *range(self.system.n_controls))]
+            j = np.arange(len(entries) - 1)
+            self._slots = (*_basis_changes(entries, j, j + 1), None)
+        return self._slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -1259,7 +1286,7 @@ def error_order(
     kind, level = _parse_scheme(scheme)
     if kind in ("pwm", "pwm2n") and amplitudes is None:
         raise ValueError(f"scheme {scheme!r} requires amplitudes")
-    kernel = None if amplitudes is None else _PwmKernel(HamiltonianCache(system, amplitudes), 1)
+    kernel = _PwmKernel(HamiltonianCache(system, amplitudes), 1) if level else None
     taus = [float(t) for t in tau_list]
     if len(taus) < 2:
         raise ValueError("need at least two tau values to fit a slope")

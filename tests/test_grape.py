@@ -233,8 +233,8 @@ class TestWidthBound:
 class TestBatchedKernel:
     @pytest.mark.parametrize(
         "k_count, drift_spectrum",
-        [(1, None), (2, None), (3, None), (2, [1.0, 1.0, 1.0, -0.5])],
-        ids=["1", "2", "3", "degenerate-drift"],
+        [(1, None), (2, None), (3, None), (4, None), (2, [1.0, 1.0, 1.0, -0.5])],
+        ids=["1", "2", "3", "4", "degenerate-drift"],
     )
     def test_steps_match_frame_by_frame(self, rng, k_count, drift_spectrum):
         """Negative and zero widths, a full-width pulse and exact ties, in

@@ -21,6 +21,7 @@ from pwmctrl.propagate import (
     step_pwm_higher,
     step_spo,
     suzuki_coefficient,
+    unitarity_defect,
     _pwm_factors,
 )
 from pwmctrl.pwm import PWMSequence, SampledField, pwm_approximate
@@ -325,44 +326,59 @@ class TestPwcKernel:
 
 
 class TestPwmKernelSlots:
-    """The basis changes that a PWM kernel builds with itself, one per slot."""
+    """The basis changes that a PWM kernel takes from its cache, one per slot."""
 
     @staticmethod
-    def kernel(rng, k_count: int, rows: int = 1):
-        system = ControlSystem(
+    def system(rng, k_count: int) -> ControlSystem:
+        return ControlSystem(
             drift=random_hermitian(4, rng),
             controls=tuple(random_hermitian(4, rng) for _ in range(k_count)),
         )
+
+    @classmethod
+    def kernel(cls, rng, k_count: int, rows: int = 1):
+        system = cls.system(rng, k_count)
         return propagate._PwmKernel(HamiltonianCache(system, np.linspace(1.0, 1.5, k_count)),
                                     rows)
 
-    @pytest.mark.parametrize("k_count, slots", [(1, 2), (2, 12), (3, 54)])
+    @pytest.mark.parametrize("k_count, slots", [(1, 2), (2, 12), (3, 54), (4, 216)])
     def test_a_fresh_kernel_holds_every_slot(self, rng, k_count, slots):
         """Every adjacent prefix pair has a slot and every prefix its cache entry."""
         kernel = self.kernel(rng, k_count)
         assert len(kernel._w) == len(kernel._w_adjoint) == len(kernel._lam_b) == slots
         assert kernel.cache.size == 3**k_count
+        assert kernel._slot_of.shape == (3**k_count, k_count, 2)
         assert np.array_equal(np.sort(kernel._slot_of[kernel._slot_of >= 0]), np.arange(slots))
 
-    @pytest.mark.parametrize("k_count", [1, 2, 3])
+    @pytest.mark.parametrize("k_count", [1, 2, 3, 4])
     def test_each_slot_holds_its_basis_change(self, rng, k_count):
-        """Slot ``code_a 3^K + code_b`` holds ``V_a^dagger V_b``, its adjoint
-        and ``lambda_b``, bit for bit."""
+        """Slot ``_slot_of[code_a, k, h]`` holds ``V_a^dagger V_b``, its
+        adjoint and ``lambda_b``, bit for bit, where ``b`` adds control ``k``
+        with sign ``+1`` (``h = 0``) or ``-1`` (``h = 1``); it is -1 exactly
+        where ``a`` holds ``k`` already."""
         kernel = self.kernel(rng, k_count)
-        for key in np.flatnonzero(kernel._slot_of >= 0):
-            slot = kernel._slot_of[key]
-            code_a, code_b = divmod(int(key), 3**k_count)
-            basis_a = kernel.cache.entry(kernel._prefix(code_a))[1]
-            lam_b, basis_b = kernel.cache.entry(kernel._prefix(code_b))
+
+        def prefix(code):
+            digits = np.base_repr(code, 3).zfill(k_count)[::-1]
+            return [(k, 1 if d == "1" else -1) for k, d in enumerate(digits) if d != "0"]
+
+        for code_a, k, h in np.ndindex(kernel._slot_of.shape):
+            slot = kernel._slot_of[code_a, k, h]
+            held = any(j == k for j, _ in prefix(code_a))
+            assert (slot < 0) == held
+            if held:
+                continue
+            basis_a = kernel.cache.entry(prefix(code_a))[1]
+            lam_b, basis_b = kernel.cache.entry(prefix(code_a) + [(k, 1 - 2 * h)])
             w = basis_a.conj().T @ basis_b
             assert np.array_equal(kernel._w[slot], w)
             assert np.array_equal(kernel._w_adjoint[slot], w.conj().T)
             assert np.array_equal(kernel._lam_b[slot], lam_b)
         if k_count == 1:
             # slot 0 adds the control with sign +1, slot 1 with sign -1
-            assert kernel._slot_of[[1, 2]].tolist() == [0, 1]
+            assert kernel._slot_of[0, 0].tolist() == [0, 1]
 
-    @pytest.mark.parametrize("k_count", [1, 2, 3])
+    @pytest.mark.parametrize("k_count", [1, 2, 3, 4])
     def test_layout_finds_a_slot_for_every_position(self, rng, k_count):
         """Random widths of both signs with zeros, full widths and exact ties."""
         rows = 200
@@ -377,6 +393,52 @@ class TestPwmKernelSlots:
             slots = kernel.layout(widths, length).slots
             assert slots.shape == (k_count, rows)
             assert np.all(slots >= 0)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["pwm", "spo"])
+    def test_kernels_on_one_cache_share_its_slots(self, rng, split):
+        """The first kernel on a cache builds the slots; later kernels take
+        the same read-only arrays and diagonalize nothing."""
+        system = self.system(rng, 2)
+        cache = TermCache(system) if split else HamiltonianCache(system, [1.0, 1.3])
+        first = propagate._PwmKernel(cache, 1)
+        entries = dict(cache._entries)
+        second = propagate._PwmKernel(cache, 5)
+        assert cache._entries == entries
+        for name in ("_w", "_w_adjoint", "_lam_b", "_slot_of"):
+            held = getattr(first, name)
+            assert getattr(second, name) is held
+            assert held is None or not held.flags.writeable
+
+    def test_rejects_more_controls_than_the_bound(self, rng):
+        """Above ``_MAX_PWM_CONTROLS`` every PWM kernel raises before any
+        diagonalization; the frame-by-frame reference, PWC and split-operator
+        propagation still take the system."""
+        k_count = propagate._MAX_PWM_CONTROLS + 1
+        system = self.system(rng, k_count)
+        xi = np.ones(k_count)
+        cache = HamiltonianCache(system, xi)
+        message = f"at most {propagate._MAX_PWM_CONTROLS} controls, got {k_count}"
+        with pytest.raises(ValueError, match=message):
+            propagate._PwmKernel(cache, 1)
+        assert cache.size == 0
+        widths = rng.uniform(-0.1, 0.1, size=(k_count, 3))
+        seq = PWMSequence(tau=0.2, amplitudes=xi, widths=widths)
+        def smooth(t):
+            return np.sin(np.outer(np.arange(1, k_count + 1), t))
+
+        for run in (lambda: evolve(system, "pwm", seq),
+                    lambda: evolve(system, "pwm4", seq),
+                    lambda: step_pwm_higher(system, xi, seq, 1, 2),
+                    lambda: error_order("pwm", system, smooth, [0.1, 0.05], amplitudes=xi)):
+            with pytest.raises(ValueError, match=message):
+                run()
+        step = step_pwm(system, xi, build_frame(seq, 1))
+        assert unitarity_defect(step) < 1e-12
+        field = SampledField(dt=0.2, values=widths)
+        for scheme in ("pwc", "spo"):
+            assert unitarity_defect(evolve(system, scheme, field, tau=0.2)) < 1e-12
+        fit = error_order("pwc", system, smooth, [0.1, 0.05], amplitudes=xi, resolution=100)
+        assert len(fit.errors) == 2
 
 
 class TestPwmKernelRoutes:
