@@ -55,7 +55,7 @@ import numpy as np
 from .model import ControlSystem, _check_system, _locked, basis_state, build_ten_level_system
 from .propagate import HamiltonianCache, _chain, _Layout, _level_rows, _PwcKernel, _PwmKernel
 from .pwm import PWMSequence, Spectrum, dominant_peaks, inverse_pwm_pwc, spectrum
-from .pwm import _as_amplitudes, _as_widths
+from .pwm import _as_amplitudes, _as_widths, _step_count
 
 __all__ = [
     "BenchmarkReport",
@@ -90,8 +90,8 @@ class GrapeProblem:
     """A state-transfer problem on a fixed PWM time grid.
 
     ``total_time`` must be a finite, positive integer number of subintervals
-    ``tau``; the endpoint states must be normalized and the system must pass
-    ``validate_system``.
+    ``tau`` (else :class:`~pwmctrl.pwm.GridError`); the endpoint states must be
+    normalized and the system must pass ``validate_system`` (else ``ValueError``).
     """
 
     system: ControlSystem
@@ -111,15 +111,7 @@ class GrapeProblem:
         for name, psi in (("psi_initial", psi_i), ("psi_target", psi_f)):
             if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
                 raise ValueError(f"{name} is not normalized")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        steps = self.total_time / self.tau
-        if (not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps)
-                or round(steps) < 1):
-            raise ValueError(
-                f"total_time {self.total_time!r} is not an integer number of "
-                f"subintervals tau={self.tau!r}"
-            )
+        _step_count(self.total_time, self.tau, ("total_time", "tau"))
         object.__setattr__(self, "psi_initial", psi_i)
         object.__setattr__(self, "psi_target", psi_f)
         object.__setattr__(
@@ -325,8 +317,6 @@ def _check_widths(problem: GrapeProblem, widths) -> np.ndarray:
     expected = (problem.n_controls, problem.n_steps)
     if w.shape != expected:
         raise ValueError(f"widths must have shape {expected}, got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("widths must be finite")
     return w
 
 

@@ -109,6 +109,14 @@ def _split_comments(
     return meta, body
 
 
+def _comment(meta: dict[str, str], key: str, parse, path):
+    """The ``# key=`` comment read by ``parse``; a ``FileFormatError`` if missing or rejected."""
+    try:
+        return parse(meta[key])
+    except (KeyError, ValueError) as exc:
+        raise FileFormatError(f"{path}: missing or bad '# {key}=' comment ({exc})") from exc
+
+
 def _require_header(
     body: list[list[str]], expected: list[str], path, name: str = ""
 ) -> list[list[str]]:
@@ -173,13 +181,13 @@ def read_field_csv(path) -> SampledField:
     data = _float_table(rows, n_controls + 1, path)
     t = data[:, 0]
     if "dt" in meta:
-        dt = float(meta["dt"])
+        dt = _comment(meta, "dt", float, path)
     elif t.size == 1:
         dt = 2 * t[0]
     else:
         dt = t[1] - t[0]
-    if dt <= 0:
-        raise FileFormatError(f"{path}: non-positive time step")
+    if not (dt > 0 and np.isfinite(dt)):
+        raise FileFormatError(f"{path}: time step {float(dt)!r} is not positive and finite")
     expected = (np.arange(t.size) + 0.5) * dt
     if np.any(np.abs(t - expected) > 1e-9 * max(dt, 1.0)):
         raise FileFormatError(f"{path}: time grid is not uniform midpoints")
@@ -198,16 +206,14 @@ def write_sequence_csv(path, seq: PWMSequence) -> None:
 
 def read_sequence_csv(path) -> PWMSequence:
     meta, body = _read_rows(path)
-    if "tau" not in meta or "xi" not in meta:
-        raise FileFormatError(f"{path}: missing '# tau=' or '# xi=' comment")
-    tau = float(meta["tau"])
-    xi = np.array([float(x) for x in meta["xi"].split(";")])
-    if not body or len(body[0]) < 3 or body[0][0].strip() != "m":
-        raise FileFormatError(f"{path}: expected header m,t_center,w_1,...")
-    n_controls = len(body[0]) - 2
+    tau = _comment(meta, "tau", float, path)
+    xi = np.array(_comment(meta, "xi", lambda value: [float(x) for x in value.split(";")], path))
+    n_controls = len(body[0]) - 2 if body else 0
+    header = ["m", "t_center"] + [f"w_{k + 1}" for k in range(max(n_controls, 1))]
+    rows = _require_header(body, header, path)
     if n_controls != xi.size:
         raise FileFormatError(f"{path}: xi lists {xi.size} controls, table has {n_controls}")
-    data = _float_table(body[1:], n_controls + 2, path)
+    data = _float_table(rows, n_controls + 2, path)
     return PWMSequence(tau=tau, amplitudes=xi, widths=data[:, 2:].T.copy())
 
 
@@ -220,16 +226,15 @@ def write_spectrum_csv(path, spec: Spectrum) -> None:
 
 def read_spectrum_csv(path) -> Spectrum:
     meta, body = _read_rows(path)
-    if "duration" not in meta:
-        raise FileFormatError(f"{path}: missing '# duration=' comment")
+    duration = _comment(meta, "duration", float, path)
     rows = _require_header(body, ["omega", "magnitude", "phase"], path)
     data = _float_table(rows, 3, path)
-    n_samples = int(meta["n_samples"]) if "n_samples" in meta else None
+    n_samples = _comment(meta, "n_samples", int, path) if "n_samples" in meta else None
     return Spectrum(
         omega=data[:, 0],
         magnitude=data[:, 1],
         phase=data[:, 2],
-        duration=float(meta["duration"]),
+        duration=duration,
         n_samples=n_samples,
     )
 
@@ -298,7 +303,9 @@ def read_system_json(path) -> ControlSystem:
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        dim = int(payload["dim"])
+        dim = payload["dim"]
+        if type(dim) is not int:
+            raise ValueError(f"dim {dim!r} is not a JSON integer")
         drift = _matrix_from_json(payload["drift"], dim, "drift")
         controls = tuple(
             _matrix_from_json(c, dim, f"controls[{i}]")

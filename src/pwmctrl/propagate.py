@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ControlSystem, _check_system, _locked
-from .pwm import PWMSequence, SampledField, _as_amplitudes, _as_widths, pwm_approximate
+from .pwm import PWMSequence, SampledField, _as_amplitudes, _as_widths, _step_count, pwm_approximate
 
 __all__ = [
     "ErrorOrderFit",
@@ -911,12 +911,7 @@ def _control_values(system: ControlSystem, control_values) -> np.ndarray:
 
 def step_pwc(system: ControlSystem, control_values, tau: float) -> np.ndarray:
     """Piecewise-constant propagator ``exp(-i tau H(t_mid))`` for one subinterval."""
-    return _pwc_steps(system, _control_values(system, control_values)[:, None], tau)[0]
-
-
-def _pwc_steps(system: ControlSystem, values: np.ndarray, tau: float) -> np.ndarray:
-    """Stacked ``exp(-i tau (H0 + sum_k u_k H_k))``, one per column of ``values``."""
-    return _PwcKernel(system, values.shape[1]).fill(values, tau)
+    return _PwcKernel(system, 1).fill(_control_values(system, control_values)[:, None], tau)[0]
 
 
 def step_spo(
@@ -1196,7 +1191,9 @@ def evolve(
     Split-operator blocks run through the same kernel, seeded with the
     eigenbases of the drift and of each control alone, and PWC blocks
     through the Taylor kernel.  :func:`step_pwm`, :func:`step_spo` and
-    :func:`step_pwc` are the step-by-step references.  A callable source
+    :func:`step_pwc` are the step-by-step references.  A ``tau`` that is
+    not positive and finite, or a field duration that is not a whole number
+    of it, raises :class:`~pwmctrl.pwm.GridError`.  A callable source
     raises ``ValueError`` for PWM schemes, which need a sampled duration.
     """
     kind, level = _parse_scheme(scheme)
@@ -1205,9 +1202,7 @@ def evolve(
             raise ValueError(f"scheme {scheme!r} requires a SampledField input")
         if tau is None:
             raise ValueError(f"scheme {scheme!r} requires tau")
-        m_count = round(source.duration / tau)
-        if not math.isclose(m_count * tau, source.duration, rel_tol=1e-9):
-            raise ValueError("field duration is not an integer number of subintervals")
+        m_count = _step_count(source.duration, tau, ("field duration", "tau"))
         mids = (np.arange(m_count) + 0.5) * tau
         u_vals = _field_values(source, mids, system.n_controls)
         rows = _block_rows(system, m_count)

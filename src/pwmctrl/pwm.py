@@ -79,6 +79,23 @@ def _as_amplitudes(amplitudes, n_controls: int) -> np.ndarray:
     return xi
 
 
+def _step_count(duration: float, step: float, names: tuple[str, str]) -> int:
+    """The whole number M >= 1 of ``step`` in ``duration``, allowing 1e-9 relative.
+
+    Raises :class:`GridError`, naming the two by ``names``, when either is
+    not positive and finite or the ratio is not whole.
+    """
+    if not (step > 0 and math.isfinite(step)):
+        raise GridError(f"{names[1]} must be positive and finite, got {step!r}")
+    ratio = float(duration) / float(step)
+    count = round(ratio) if math.isfinite(ratio) else 0
+    if count < 1 or abs(ratio - count) > 1e-9 * max(1.0, ratio):
+        raise GridError(
+            f"{names[0]} = {duration!r} is not an integer number of {names[1]} = {step!r}"
+        )
+    return count
+
+
 def _as_widths(widths, tau: float, offset: int = 0) -> np.ndarray:
     """Signed pulse widths as a fresh array, finite and clipped to ``|w| <= tau``.
 
@@ -322,23 +339,13 @@ def pwm_approximate(field: SampledField, amplitudes, tau: float) -> PWMSequence:
     Raises
     ------
     GridError
-        If the grids are incommensurate.
+        If ``tau`` is not positive and finite or the grids are incommensurate.
     AmplitudeBoundError
         If some ``|width|`` would exceed ``tau`` (amplitude too small).
     """
     xi = _as_amplitudes(amplitudes, field.n_controls)
-    ratio = tau / field.dt
-    n_per = round(ratio)
-    if n_per < 1 or abs(ratio - n_per) > 1e-9 * max(1.0, ratio):
-        raise GridError(
-            f"tau = {tau!r} is not an integer multiple of the sample spacing {field.dt!r}"
-        )
-    if field.n_samples % n_per:
-        raise GridError(
-            f"field duration ({field.n_samples} samples) is not an integer "
-            f"number of subintervals of {n_per} samples"
-        )
-    m_count = field.n_samples // n_per
+    n_per = _step_count(tau, field.dt, ("tau", "sample spacing dt"))
+    m_count = _step_count(field.n_samples, n_per, ("sample count", "samples per subinterval"))
     areas = field.values.reshape(field.n_controls, m_count, n_per).sum(axis=2) * field.dt
     widths = areas / xi[:, None]
     overflow = np.abs(widths) > tau * (1 + 1e-9)
@@ -352,10 +359,10 @@ def pwm_approximate(field: SampledField, amplitudes, tau: float) -> PWMSequence:
 
 
 def _signal_grid(seq: PWMSequence, sample_rate: float) -> tuple[float, np.ndarray]:
-    if sample_rate * seq.tau < 10:
+    if not 10 <= sample_rate * seq.tau < math.inf:
         raise ValueError(
-            f"sample_rate * tau = {sample_rate * seq.tau:.3g} < 10; "
-            "the grid cannot resolve individual pulses"
+            f"sample_rate * tau = {sample_rate * seq.tau:.3g} must be finite and at least 10 "
+            "for the grid to resolve individual pulses"
         )
     n_sub = round(sample_rate * seq.tau)
     dt = seq.tau / n_sub

@@ -160,6 +160,33 @@ class TestErrorContract:
         ]) == 1
         assert capsys.readouterr().err.startswith(f"error:{category}:")
 
+    @pytest.mark.parametrize("args", [
+        pytest.param(["propagate", "--scheme", "pwc", "--tau", "0"], id="pwc-zero-tau"),
+        pytest.param(["propagate", "--scheme", "spo", "--tau", "0"], id="spo-zero-tau"),
+        pytest.param(["propagate", "--scheme", "pwc", "--tau=-0.5"], id="pwc-negative-tau"),
+        pytest.param(["propagate", "--scheme", "spo", "--tau=-0.5"], id="spo-negative-tau"),
+        pytest.param(["propagate", "--scheme", "pwm", "--tau", "inf", "--xi", "1"], id="pwm-inf-tau"),
+        pytest.param(["approximate", "--tau", "inf"], id="approximate-inf-tau"),
+        pytest.param(["signal", "--rate", "inf"], id="signal-inf-rate"),
+    ])
+    def test_bad_time_grid_is_one_validation_line(self, tmp_path, capsys, args):
+        """No traceback and no output file; -0.5 tiles the 5.0-long field, so
+        only the sign check stops it from writing the identity."""
+        field = write_zero_field(tmp_path / "zero.csv")
+        source = ["--field", str(field)]
+        if args[0] == "propagate":
+            source += ["--builtin", "two-level"]
+        if args[0] == "signal":
+            seq = tmp_path / "seq.csv"
+            assert main(["approximate", *source, "--tau", "0.5", "--out", str(seq)]) == 0
+            capsys.readouterr()
+            source = ["--sequence", str(seq)]
+        out = tmp_path / "out.csv"
+        assert main([*args, *source, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:validation:") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestSignalAndReconstruct:
     @pytest.fixture()

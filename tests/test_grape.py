@@ -33,7 +33,7 @@ from pwmctrl.propagate import (
     HamiltonianCache,
     _chain,
     _level_rows,
-    _pwc_steps,
+    _PwcKernel,
     _PwmKernel,
     frame_from_widths,
     step_pwm,
@@ -387,7 +387,7 @@ class TestSweep:
             kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), m_count)
             steps = kernel.fill(kernel.layout(widths, problem.tau))
         else:
-            steps = _pwc_steps(problem.system, widths, problem.tau)
+            steps = _PwcKernel(problem.system, m_count).fill(widths, problem.tau)
         n = problem.system.dim
         levels = _chain(steps, np.empty((_level_rows(m_count), n, n), dtype=np.complex128))
         phi, chi = (
@@ -494,7 +494,7 @@ class TestGradient:
         field = rng.uniform(-0.5, 0.5, size=(k_count, problem.n_steps))
         engine = _PwcEngine(problem)
         grad = engine.gradient(engine.evaluate(field)[1])[0]
-        steps = _pwc_steps(problem.system, field, problem.tau)
+        steps = _PwcKernel(problem.system, problem.n_steps).fill(field, problem.tau)
         phi, chi, overlap = sequential_sweep(steps, problem.psi_initial, problem.psi_target)
         expected = np.empty_like(field)
         for m in range(problem.n_steps):

@@ -187,8 +187,8 @@ class TestSystemJson:
 
     @pytest.mark.parametrize(
         "dim, cell",
-        [('"two"', "0.0"), ("2", '"a"')],
-        ids=["non-integer-dim", "non-numeric-cell"],
+        [('"two"', "0.0"), ("2", '"a"'), ("2.7", "0.0"), ('"2"', "0.0")],
+        ids=["non-integer-dim", "non-numeric-cell", "fractional-dim", "string-dim"],
     )
     def test_rejects_malformed_values_naming_the_file(self, tmp_path, dim, cell):
         path = tmp_path / "system.json"
@@ -198,6 +198,31 @@ class TestSystemJson:
         )
         with pytest.raises(FileFormatError, match=re.escape(str(path))):
             read_system_json(path)
+
+
+_SEQUENCE_ROWS = "m,t_center,w_1\n1,0.05,0.01\n"
+_SPECTRUM_ROWS = "omega,magnitude,phase\n0.0,1.0,0.0\n"
+
+
+@pytest.mark.parametrize("reader, text", [
+    pytest.param(read_sequence_csv, "# tau=abc\n# xi=1.0\n" + _SEQUENCE_ROWS, id="sequence-tau"),
+    pytest.param(read_sequence_csv, "# tau=0.1\n# xi=x\n" + _SEQUENCE_ROWS, id="sequence-xi"),
+    pytest.param(read_sequence_csv, "# tau=0.1\n# xi=1.0\nm,foo,bar\n1,0.05,0.01\n",
+                 id="sequence-header"),
+    pytest.param(read_field_csv, "# dt=abc\nt,u_1\n0.05,1.0\n", id="field-dt"),
+    pytest.param(read_field_csv, "# dt=nan\nt,u_1\n0.05,1.0\n", id="field-nan-dt"),
+    pytest.param(read_spectrum_csv, "# duration=abc\n# n_samples=1\n" + _SPECTRUM_ROWS,
+                 id="spectrum-duration"),
+    pytest.param(read_spectrum_csv, "# duration=1.0\n# n_samples=1.5\n" + _SPECTRUM_ROWS,
+                 id="spectrum-n-samples"),
+])
+def test_malformed_comment_or_header_names_the_file(tmp_path, reader, text):
+    """A FileFormatError whose message starts with the path, never a bare ValueError."""
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(FileFormatError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 class TestBenchmarkRoundTrip:

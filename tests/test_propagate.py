@@ -24,7 +24,7 @@ from pwmctrl.propagate import (
     unitarity_defect,
     _pwm_factors,
 )
-from pwmctrl.pwm import PWMSequence, SampledField, pwm_approximate
+from pwmctrl.pwm import GridError, PWMSequence, SampledField, pwm_approximate
 
 from conftest import SIGMA_X, SIGMA_Z, non_hermitian_ten_level, random_hermitian
 
@@ -838,6 +838,14 @@ class TestEvolve:
         field = SampledField(dt=0.1, values=np.zeros((1, 10)))
         with pytest.raises(ValueError):
             evolve(two_level, "pwc", field)
+
+    @pytest.mark.parametrize("scheme", ["pwc", "spo"])
+    @pytest.mark.parametrize("tau", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_a_tau_that_is_not_positive_and_finite(self, two_level, scheme, tau):
+        """-0.1 tiles the field 1.0 long, and must not give the identity."""
+        field = SampledField(dt=0.1, values=np.zeros((1, 10)))
+        with pytest.raises(GridError, match="tau must be positive and finite"):
+            evolve(two_level, scheme, field, tau=tau)
 
 
 class TestHigherOrderStep:

@@ -133,6 +133,9 @@ class TestPwmApproximate:
             pwm_approximate(field, np.array([2.0]), 0.015)
         with pytest.raises(GridError):
             pwm_approximate(field, np.array([2.0]), 0.3)  # 1.0 not a multiple
+        for tau in (np.inf, 1e308, np.nan, 0.0, -0.1):
+            with pytest.raises(GridError):
+                pwm_approximate(field, np.array([2.0]), tau)
 
     def test_amplitude_too_small_raises(self):
         field = SampledField(dt=0.01, values=np.ones((1, 100)))
