@@ -15,14 +15,16 @@ non-differentiability are sorting ties and sign changes at ``w = 0``, where
 the derivative is one-sided; a warning is emitted if a gradient is requested
 exactly there.  :func:`objective` and :func:`gradient` reject ``|w| > tau``.
 
-Both optimizers run on one engine, which owns the endpoint states, the
-forward/adjoint sweep over the levels of the objective's pairwise product,
-:meth:`~_Engine.evaluate` and :meth:`~_Engine.gradient`.  The only
+Both optimizers run on one engine class, which owns the endpoint states,
+the forward/adjoint sweep over the levels of the objective's pairwise
+product, :meth:`~_Engine.evaluate` and :meth:`~_Engine.gradient`.  The only
 per-scheme code is a step kernel of :mod:`pwmctrl.propagate`, which builds
 all M steps at once and differentiates the overlap with respect to its own
-parameters.  The PWM kernel, which :func:`~pwmctrl.propagate.evolve` shares,
-works in the interaction frame of the drift over cached eigendecompositions
-and basis changes.  A step costs ``2K - 1`` batched matrix products, and
+parameters; every kernel has the calls ``layout``, ``fill`` and
+``overlap_derivative`` and a frame ``v0`` (:class:`_Engine`).  The PWM
+kernel, which :func:`~pwmctrl.propagate.evolve` shares, works in the
+interaction frame of the drift over cached eigendecompositions and basis
+changes.  A step costs ``2K - 1`` batched matrix products, and
 each derivative bracket is a diagonal sum over the eigenvalues.  At ``K =
 1`` (fig5) a step depends on the one width alone, so all M steps come from
 one real GEMM of their Chebyshev basis in the width against a table built
@@ -52,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ControlSystem, _check_system, _locked, basis_state, build_ten_level_system
-from .propagate import HamiltonianCache, _chain, _Layout, _level_rows, _PwcKernel, _PwmKernel
+from .model import ControlSystem, _check_system, basis_state, build_ten_level_system
+from .propagate import HamiltonianCache, _chain, _level_rows, _PwcKernel, _PwmKernel
 from .pwm import PWMSequence, Spectrum, dominant_peaks, inverse_pwm_pwc, spectrum
 from .pwm import _as_amplitudes, _as_widths, _step_count
 
@@ -111,7 +113,8 @@ class GrapeProblem:
         for name, psi in (("psi_initial", psi_i), ("psi_target", psi_f)):
             if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
                 raise ValueError(f"{name} is not normalized")
-        _step_count(self.total_time, self.tau, ("total_time", "tau"))
+        count = _step_count(self.total_time, self.tau, ("total_time", "tau"))
+        object.__setattr__(self, "_n_steps", count)
         object.__setattr__(self, "psi_initial", psi_i)
         object.__setattr__(self, "psi_target", psi_f)
         object.__setattr__(
@@ -120,7 +123,8 @@ class GrapeProblem:
 
     @property
     def n_steps(self) -> int:
-        return round(self.total_time / self.tau)
+        """The number M of subintervals ``tau`` in ``total_time``."""
+        return self._n_steps
 
     @property
     def n_controls(self) -> int:
@@ -236,21 +240,22 @@ def _sweep(levels, psi_initial, psi_target, phi, chi):
 
 
 class _Engine:
-    """Forward/adjoint passes of one optimizer over a batched step kernel.
+    """Forward/adjoint passes of one optimizer over any M-row step kernel.
 
-    The engine owns what both optimizers share: the endpoint states mapped
-    into the kernel's frame, the sweep states allocated once, the levels of
-    the objective's pairwise product, :meth:`evaluate` and :meth:`gradient`.
-    A subclass names its kernel and frame, turns parameters into the point
-    the kernel fills (:meth:`_point`) and fills it (:meth:`_fill`); the
-    kernel's ``overlap_derivative`` differentiates the factors it holds.
+    Every kernel has the same calls: ``layout(params, tau)`` returns the
+    point, ``fill(point)`` builds its steps and holds it (``held``),
+    ``overlap_derivative(phi, chi)`` differentiates the held point, and
+    ``v0`` is the frame, ``None`` for the lab frame.  The engine owns the
+    endpoint states mapped by ``v0^dagger``, the sweep states allocated
+    once, the levels of the objective's pairwise product, :meth:`evaluate`
+    and :meth:`gradient`.
     :meth:`gradient` at a point the kernel still holds reuses its steps and
     the levels :meth:`evaluate` built.
     """
 
-    def __init__(self, problem: GrapeProblem, kernel, frame: np.ndarray | None = None) -> None:
+    def __init__(self, problem: GrapeProblem, kernel) -> None:
         self.problem, self.kernel = problem, kernel
-        m_count, n = problem.n_steps, problem.system.dim
+        m_count, n, frame = problem.n_steps, problem.system.dim, kernel.v0
         self._psi_initial, self._psi_target = (
             psi if frame is None else frame.conj().T @ psi
             for psi in (problem.psi_initial, problem.psi_target)
@@ -263,8 +268,8 @@ class _Engine:
 
     def evaluate(self, params: np.ndarray):
         """Infidelity at ``params`` and the point :meth:`gradient` takes."""
-        point = self._point(params)
-        self._levels = _chain(self._fill(point), self.kernel.scratch)
+        point = self.kernel.layout(params, self.problem.tau)
+        self._levels = _chain(self.kernel.fill(point), self.kernel.scratch)
         return infidelity(self._levels[-1][0], self._psi_initial, self._psi_target), point
 
     def gradient(self, point) -> tuple[np.ndarray, float]:
@@ -273,7 +278,7 @@ class _Engine:
         The kernel's steps and the levels are rebuilt unless it holds ``point``.
         """
         if point is not self.kernel.held:
-            self._levels = _chain(self._fill(point), self.kernel.scratch)
+            self._levels = _chain(self.kernel.fill(point), self.kernel.scratch)
         phi, chi, overlap = _sweep(
             self._levels, self._psi_initial, self._psi_target, self._phi, self._chi
         )
@@ -282,34 +287,22 @@ class _Engine:
         return grad, float(1.0 - abs(overlap) ** 2)
 
 
-class _PwmEngine(_Engine):
-    """Exact-gradient engine over pulse widths and the PWM kernel.
-
-    The steps of all M subintervals come from one M-row PWM kernel, in the
-    eigenbasis ``V_0`` of the drift, so the endpoint states are mapped by
-    ``V_0^dagger`` once.  The point of a width array is its kernel layout.
-    """
-
-    def __init__(self, problem: GrapeProblem) -> None:
-        kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), problem.n_steps)
-        super().__init__(problem, kernel, kernel.v0)
-
-    def _point(self, widths: np.ndarray) -> _Layout:
-        return self.kernel.layout(widths, self.problem.tau)
-
-    def _fill(self, layout: _Layout) -> np.ndarray:
-        return self.kernel.fill(layout)
+def _pwm_engine(problem: GrapeProblem) -> _Engine:
+    """The exact-gradient engine over pulse widths: one M-row PWM kernel."""
+    return _Engine(
+        problem, _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), problem.n_steps)
+    )
 
 
 def objective(problem: GrapeProblem, widths) -> float:
     """Infidelity of the PWM propagator for the given widths."""
-    return _PwmEngine(problem).evaluate(_check_pulse_widths(problem, widths))[0]
+    return _pwm_engine(problem).evaluate(_check_pulse_widths(problem, widths))[0]
 
 
 def gradient(problem: GrapeProblem, widths) -> np.ndarray:
     """Exact gradient of :func:`objective` with respect to every width."""
-    engine = _PwmEngine(problem)
-    return engine.gradient(engine._point(_check_pulse_widths(problem, widths)))[0]
+    engine = _pwm_engine(problem)
+    return engine.gradient(engine.evaluate(_check_pulse_widths(problem, widths))[1])[0]
 
 
 def _check_widths(problem: GrapeProblem, widths) -> np.ndarray:
@@ -464,7 +457,7 @@ def optimize(
     """
     options = options or GrapeOptions()
     bound = _width_bound(problem, options)
-    engine = _PwmEngine(problem)
+    engine = _pwm_engine(problem)
     if init_widths is None:
         init_widths = random_initial_widths(problem, np.random.default_rng(options.rng_seed))
     else:
@@ -473,32 +466,15 @@ def optimize(
     return _descend(engine.evaluate, engine.gradient, params, bound, options)
 
 
-class _PwcEngine(_Engine):
-    """Piecewise-constant GRAPE baseline: one Taylor exponential per step.
-
-    Parameters are the subinterval field amplitudes ``eps_k(m)``; the step
-    propagators ``exp(-i tau (H0 + sum_k eps_k H_k))`` come from one M-row
-    PWC kernel, whose gradient is the standard first-order rule.  The point
-    of an amplitude array is a read-only copy of it.
-    """
-
-    def __init__(self, problem: GrapeProblem) -> None:
-        super().__init__(problem, _PwcKernel(problem.system, problem.n_steps))
-
-    def _point(self, eps: np.ndarray) -> np.ndarray:
-        return _locked(np.array(eps, dtype=np.float64))
-
-    def _fill(self, point: np.ndarray) -> np.ndarray:
-        return self.kernel.fill(point, self.problem.tau)
-
-
 def optimize_pwc(
     problem: GrapeProblem,
     init_field=None,
     options: GrapeOptions | None = None,
 ) -> GrapeResult:
-    """Baseline GRAPE over piecewise-constant field amplitudes.
+    """Baseline GRAPE over piecewise-constant field amplitudes ``eps_k(m)``.
 
+    The step propagators ``exp(-i tau (H0 + sum_k eps_k H_k))`` come from one
+    M-row PWC kernel, whose gradient is the standard first-order rule.
     The box bound on amplitudes is ``xi_k * width_bound / tau``, the exact
     image of the PWM width bound under area matching, so both optimizers
     search the same feasible set of subinterval areas.  ``init_field``
@@ -510,7 +486,7 @@ def optimize_pwc(
     options = options or GrapeOptions()
     xi = problem.amplitudes[:, None]
     bound = xi * _width_bound(problem, options) / problem.tau
-    engine = _PwcEngine(problem)
+    engine = _Engine(problem, _PwcKernel(problem.system, problem.n_steps))
     if init_field is None:
         eps = _random_field(problem, np.random.default_rng(options.rng_seed))
     else:

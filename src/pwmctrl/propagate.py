@@ -25,11 +25,11 @@ split-operator step is a product of the same form over the eigenbases of the
 drift and of each control alone, so :func:`evolve` takes it through the same
 kernel; :func:`step_spo` is its frame-by-frame reference.  Piecewise-constant
 steps come from a second batched kernel, a scaling-and-squaring Taylor
-exponential; :func:`expm_hermitian` and :func:`reference_propagator` keep their
-own eigendecompositions and are its independent references.  The two kernels
-are the only per-scheme code: each also differentiates the overlap of the
-steps it holds for GRAPE, and every multi-step propagator multiplies its
-blocks of steps out with one block product.
+exponential; :func:`step_pwc`, :func:`expm_hermitian` and
+:func:`reference_propagator` keep their own eigendecompositions and are its
+independent references.  The two kernels are the only per-scheme code, with
+the same calls (:class:`_PwmKernel`), and every multi-step propagator
+multiplies its blocks of steps out with one block product.
 
 Fields are accepted either as :class:`~pwmctrl.pwm.SampledField` (integrated
 exactly as piecewise-constant data) or as a smooth callable ``u(t)``.  A
@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ControlSystem, _check_system, _locked
-from .pwm import PWMSequence, SampledField, _as_amplitudes, _as_widths, _step_count, pwm_approximate
+from .pwm import PWMSequence, SampledField, _as_amplitudes, _as_widths, pwm_approximate
+from .pwm import _check_step, _step_count
 
 __all__ = [
     "ErrorOrderFit",
@@ -211,6 +212,8 @@ def _degree_cap(dim: int) -> int:
 # (K, rows) names the basis change W between sorted positions j and j + 1 of
 # every row.  A split-operator layout holds only dwell, slots and length.
 _Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots length")
+# One control-value array as laid out by _PwcKernel: a read-only (K, rows) copy and tau.
+_PwcPoint = namedtuple("_PwcPoint", "values tau")
 
 
 def _spectral_route(rows: int, dim: int, degree: int | None) -> bool:
@@ -301,15 +304,17 @@ class _PwmKernel:
       neighbouring ``W`` leaves ``2K`` dense factors, so a step costs ``2K -
       1`` batched matrix products.
 
-    All step-sized arrays are views of one allocation for ``rows`` rows and
-    filled in place; ``held`` is the layout that they hold, and
-    :meth:`overlap_derivative` differentiates it.
+    Every step kernel has the same calls: :meth:`layout` returns the point
+    of ``(K, rows)`` parameters, :meth:`fill` builds its steps and holds it
+    (``held``), :meth:`overlap_derivative` differentiates the held point,
+    and ``v0`` is the frame.  The step-sized arrays are views of one
+    allocation for ``rows`` rows, filled in place.
 
     Built on a :class:`TermCache` the kernel takes Strang split-operator
     steps instead: ``V_j`` is the eigenbasis of the drift (``j = 0``) or of
-    control ``j`` alone, slot ``j`` holds ``W_{j,j+1}`` and
-    :meth:`split_layout` gives the dwells.  Split-operator fills never
-    take the spectral route.
+    control ``j`` alone, slot ``j`` holds ``W_{j,j+1}`` and :meth:`layout`
+    takes control values.  Split-operator fills never take the spectral
+    route.
     """
 
     def __init__(self, cache: HamiltonianCache | TermCache, rows: int) -> None:
@@ -345,10 +350,24 @@ class _PwmKernel:
         self._chebyshev: dict[float, np.ndarray] = {}
         self._spectral: tuple[np.ndarray, np.ndarray] | None = None
 
-    def layout(self, widths: np.ndarray, length: float) -> _Layout:
-        """Lay out ``(K, rows)`` widths, ``|w| <= |length|``, in windows of ``length``."""
-        order = np.argsort(-np.abs(widths), axis=0, kind="stable")
-        sorted_w = np.take_along_axis(widths, order, axis=0)
+    def layout(self, params: np.ndarray, length: float) -> _Layout:
+        """Lay out ``(K, rows)`` widths, ``|w| <= |length|``, in windows of ``length``.
+
+        On a :class:`TermCache` the params are control values of Strang steps
+        over ``length``: slot ``j`` sits at position ``j`` of every row, with
+        dwells ``length / 2`` on the drift and ``length u_j / 2`` on control
+        ``j``, except ``length u_K`` at the centre, where two half-steps merge.
+        """
+        if self._slot_of is None:  # a TermCache's slots
+            k_count, rows = params.shape
+            dwell = np.empty((k_count + 1, rows))
+            dwell[0] = length / 2
+            np.multiply(params, length / 2, out=dwell[1:])
+            dwell[-1] *= 2
+            slots = np.broadcast_to(np.arange(k_count)[:, None], params.shape)
+            return _Layout(None, None, None, dwell, slots, length)
+        order = np.argsort(-np.abs(params), axis=0, kind="stable")
+        sorted_w = np.take_along_axis(params, order, axis=0)
         sorted_abs = np.abs(sorted_w)
         signs = np.where(sorted_w < 0, -1, 1)
         dwell = np.empty((order.shape[0] + 1, order.shape[1]))
@@ -361,22 +380,6 @@ class _PwmKernel:
         np.cumsum(np.where(signs < 0, 2, 1) * self._place[order], axis=0, out=codes[1:])
         slots = self._slot_of[codes[:-1], order, (1 - signs) // 2]
         return _Layout(order, signs, sorted_abs, dwell, slots, length)
-
-    @staticmethod
-    def split_layout(values: np.ndarray, tau: float) -> _Layout:
-        """Strang steps over ``tau`` of the ``(K, rows)`` control ``values``.
-
-        Slot ``j`` sits at position ``j`` of every row.  The dwells are
-        ``tau / 2`` on the drift and ``tau u_j / 2`` on control ``j``, except
-        ``tau u_K`` at the centre, where the two middle half-steps merge.
-        """
-        k_count, rows = values.shape
-        dwell = np.empty((k_count + 1, rows))
-        dwell[0] = tau / 2
-        np.multiply(values, tau / 2, out=dwell[1:])
-        dwell[-1] *= 2
-        slots = np.broadcast_to(np.arange(k_count)[:, None], values.shape)
-        return _Layout(None, None, None, dwell, slots, tau)
 
     def to_lab(self, u: np.ndarray) -> np.ndarray:
         """The lab-frame matrix ``V_0 u V_0^dagger`` of a drift-frame product ``u``."""
@@ -620,9 +623,9 @@ class _PwcKernel:
     batched products in ``B`` and the ``s`` squarings.  The monomial sum
     rounds relative to ``sum_k |x_k| ||T_k||`` rather than ``||H - mu||``,
     which is the same scale unless the terms nearly cancel.  All arrays are
-    allocated once for ``rows`` rows and filled in place; ``held`` is the
-    values array the step stack was built from, and
-    :meth:`overlap_derivative` differentiates it.
+    allocated once for ``rows`` rows and filled in place.  The kernel has
+    the calls of :class:`_PwmKernel` (``layout``, ``fill``, ``held``,
+    ``overlap_derivative``); its steps are lab-frame, so ``v0`` is ``None``.
     """
 
     def __init__(self, system: ControlSystem, rows: int) -> None:
@@ -658,15 +661,17 @@ class _PwcKernel:
             ((rows, counts[-1]), float), ((k_count, n, rows), c), ((k_count, rows), c),
         )
         self._monomials[:, 0] = 1.0
-        self.held: np.ndarray | None = None
-        self._tau = math.nan
+        self.held: _PwcPoint | None = None
+        self.v0 = None
         self._controls = np.stack(system.controls)
 
-    def fill(self, values: np.ndarray, tau: float) -> np.ndarray:
-        """The step stack of the ``(K, r)`` control ``values``, ``r <= rows``, over ``tau``.
+    def layout(self, values: np.ndarray, tau: float) -> _PwcPoint:
+        """The point of ``(K, r)`` control ``values``, ``r <= rows``: a locked copy and ``tau``."""
+        return _PwcPoint(_locked(np.array(values, dtype=np.float64)), tau)
 
-        Raises ``ValueError`` on a non-finite value or ``tau``.
-        """
+    def fill(self, point: _PwcPoint) -> np.ndarray:
+        """The step stack of ``point``; raises ``ValueError`` on a non-finite value or ``tau``."""
+        values, tau = point
         if not (math.isfinite(tau) and np.all(np.isfinite(values))):
             raise ValueError("PWC control values and tau must be finite")
         rows, n = values.shape[1], self.steps.shape[1]
@@ -704,7 +709,7 @@ class _PwcKernel:
             np.matmul(p, p, out=spare)
             p, spare = spare, p
         steps *= np.exp(-1j * tau * (linear @ self._mu))[:, None, None]
-        self.held, self._tau = values, tau
+        self.held = point
         return steps
 
     def overlap_derivative(self, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
@@ -716,11 +721,12 @@ class _PwcKernel:
         at the boundary after step ``m``: one (N, N) x (N, r) product per
         control.
         """
-        rows = self.held.shape[1]
+        values, tau = self.held
+        rows = values.shape[1]
         images, brackets = self._images[..., :rows], self._brackets[:, :rows]
         np.matmul(self._controls, phi[1:].T, out=images)
         np.einsum("mn,knm->km", chi[1:], images, out=brackets)
-        return -1j * self._tau * brackets
+        return -1j * tau * brackets
 
 
 def _level_rows(m_count: int) -> int:
@@ -910,8 +916,17 @@ def _control_values(system: ControlSystem, control_values) -> np.ndarray:
 
 
 def step_pwc(system: ControlSystem, control_values, tau: float) -> np.ndarray:
-    """Piecewise-constant propagator ``exp(-i tau H(t_mid))`` for one subinterval."""
-    return _PwcKernel(system, 1).fill(_control_values(system, control_values)[:, None], tau)[0]
+    """Piecewise-constant propagator ``exp(-i tau H(t_mid))`` for one subinterval.
+
+    :func:`expm_hermitian` of ``H0 + sum_k u_k H_k``, the reference for
+    :func:`evolve`'s batched Taylor steps.  Raises ``ValueError`` on a
+    non-finite value or ``tau``.
+    """
+    _check_system(system)
+    u_mid = _control_values(system, control_values)
+    if not (math.isfinite(tau) and np.all(np.isfinite(u_mid))):
+        raise ValueError("PWC control values and tau must be finite")
+    return expm_hermitian(system.drift + sum(u * h for u, h in zip(u_mid, system.controls)), tau)
 
 
 def step_spo(
@@ -1188,10 +1203,11 @@ def evolve(
     K, and each block is reduced pairwise.  PWM blocks make one call of the
     batched kernel per Suzuki sub-window position, with its signed length;
     from a sequence the two outer sub-windows of a level are one call.
-    Split-operator blocks run through the same kernel, seeded with the
-    eigenbases of the drift and of each control alone, and PWC blocks
-    through the Taylor kernel.  :func:`step_pwm`, :func:`step_spo` and
-    :func:`step_pwc` are the step-by-step references.  A ``tau`` that is
+    A split-operator or PWC block is one ``fill(layout(values, tau))`` of the
+    PWM kernel seeded with the eigenbases of the drift and of each control
+    alone, or of the Taylor kernel.  The step-by-step references are
+    :func:`step_pwm` and :func:`step_spo`, which multiply cached factors one
+    by one, and :func:`step_pwc`, one :func:`expm_hermitian`.  A ``tau`` that is
     not positive and finite, or a field duration that is not a whole number
     of it, raises :class:`~pwmctrl.pwm.GridError`.  A callable source
     raises ``ValueError`` for PWM schemes, which need a sampled duration.
@@ -1206,17 +1222,12 @@ def evolve(
         mids = (np.arange(m_count) + 0.5) * tau
         u_vals = _field_values(source, mids, system.n_controls)
         rows = _block_rows(system, m_count)
-        if kind == "spo":
-            kernel = _PwmKernel(TermCache(system), rows)
-            u = _block_product(
-                lambda block: kernel.fill(kernel.split_layout(u_vals[:, block], tau)),
-                m_count, rows, kernel.scratch,
-            )
-            return kernel.to_lab(u)
-        kernel = _PwcKernel(system, rows)
-        return _block_product(
-            lambda block: kernel.fill(u_vals[:, block], tau), m_count, rows, kernel.scratch
+        kernel = _PwmKernel(TermCache(system), rows) if kind == "spo" else _PwcKernel(system, rows)
+        u = _block_product(
+            lambda block: kernel.fill(kernel.layout(u_vals[:, block], tau)),
+            m_count, rows, kernel.scratch,
         )
+        return u if kernel.v0 is None else kernel.to_lab(u)
 
     if isinstance(source, PWMSequence):
         seq, field = source, None
@@ -1276,15 +1287,17 @@ def error_order(
     outside the step and a zero-extended sampled field would degrade there.
     A callable receives an array of ``n`` times per use (the reference's
     slice midpoints, the step's midpoint or its quadrature nodes) and returns
-    ``(K, n)``, or ``(n,)`` for one control.
+    ``(K, n)``, or ``(n,)`` for one control.  Each ``tau`` that is not
+    positive and finite raises :class:`~pwmctrl.pwm.GridError` before any
+    propagator is built.
     """
     kind, level = _parse_scheme(scheme)
     if kind in ("pwm", "pwm2n") and amplitudes is None:
         raise ValueError(f"scheme {scheme!r} requires amplitudes")
-    kernel = _PwmKernel(HamiltonianCache(system, amplitudes), 1) if level else None
-    taus = [float(t) for t in tau_list]
+    taus = [_check_step(float(t), "tau") for t in tau_list]
     if len(taus) < 2:
         raise ValueError("need at least two tau values to fit a slope")
+    kernel = _PwmKernel(HamiltonianCache(system, amplitudes), 1) if level else None
     errors = []
     for tau in taus:
         ref = reference_propagator(system, field, t_start, t_start + tau, resolution)

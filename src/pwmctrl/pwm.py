@@ -79,14 +79,20 @@ def _as_amplitudes(amplitudes, n_controls: int) -> np.ndarray:
     return xi
 
 
+def _check_step(step: float, name: str) -> float:
+    """``step``; :class:`GridError`, naming it by ``name``, when it is not positive and finite."""
+    if not (step > 0 and math.isfinite(step)):
+        raise GridError(f"{name} must be positive and finite, got {step!r}")
+    return step
+
+
 def _step_count(duration: float, step: float, names: tuple[str, str]) -> int:
     """The whole number M >= 1 of ``step`` in ``duration``, allowing 1e-9 relative.
 
     Raises :class:`GridError`, naming the two by ``names``, when either is
     not positive and finite or the ratio is not whole.
     """
-    if not (step > 0 and math.isfinite(step)):
-        raise GridError(f"{names[1]} must be positive and finite, got {step!r}")
+    _check_step(step, names[1])
     ratio = float(duration) / float(step)
     count = round(ratio) if math.isfinite(ratio) else 0
     if count < 1 or abs(ratio - count) > 1e-9 * max(1.0, ratio):

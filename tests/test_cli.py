@@ -187,6 +187,16 @@ class TestErrorContract:
         assert err.startswith("error:validation:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("taus, shown", [("0.1,0", "0.0"), ("0.1,inf", "inf")])
+    def test_bad_error_order_tau_is_one_validation_line(self, capsys, taus, shown):
+        """Not the reference's ``t_end`` check, and no numpy warning first
+        (a warning fails this test)."""
+        assert main(["error-order", "--scheme", "pwc", "--taus", taus]) == 1
+        assert capsys.readouterr().err == (
+            f"error:validation:tau must be positive and finite, got {shown}\n"
+        )
+
 
 class TestSignalAndReconstruct:
     @pytest.fixture()

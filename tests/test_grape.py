@@ -24,8 +24,8 @@ from pwmctrl.grape import (
     random_initial_widths,
     run_fig5_benchmark,
     ten_level_problem,
-    _PwcEngine,
-    _PwmEngine,
+    _Engine,
+    _pwm_engine,
     _sweep,
 )
 from pwmctrl.model import ControlSystem, basis_state
@@ -54,6 +54,10 @@ def two_level_problem(total_time: float = 5.0, tau: float = 0.25) -> GrapeProble
         tau=tau,
         amplitudes=np.array([1.0]),
     )
+
+
+def pwc_engine(problem: GrapeProblem) -> _Engine:
+    return _Engine(problem, _PwcKernel(problem.system, problem.n_steps))
 
 
 def random_problem(rng, dim: int, k_count: int, total_time: float, tau: float) -> GrapeProblem:
@@ -291,12 +295,12 @@ class TestBatchedKernel:
         route, forced by the route rule, to 1e-12 relative."""
         problem = random_problem(rng, 4, k_count, total_time=24.0, tau=0.2)
         widths = random_initial_widths(problem, rng)
-        engine = _PwmEngine(problem)
+        engine = _pwm_engine(problem)
         value, point = engine.evaluate(widths)
         grad = engine.gradient(point)[0]
         assert engine.kernel._spectral is not None
         monkeypatch.setattr(propagate, "_spectral_route", lambda rows, dim, degree: False)
-        engine = _PwmEngine(problem)
+        engine = _pwm_engine(problem)
         expected, point = engine.evaluate(widths)
         expected_grad = engine.gradient(point)[0]
         assert engine.kernel._spectral is None
@@ -385,9 +389,9 @@ class TestSweep:
         widths = random_initial_widths(problem, rng)
         if scheme == "pwm":
             kernel = _PwmKernel(HamiltonianCache(problem.system, problem.amplitudes), m_count)
-            steps = kernel.fill(kernel.layout(widths, problem.tau))
         else:
-            steps = _PwcKernel(problem.system, m_count).fill(widths, problem.tau)
+            kernel = _PwcKernel(problem.system, m_count)
+        steps = kernel.fill(kernel.layout(widths, problem.tau))
         n = problem.system.dim
         levels = _chain(steps, np.empty((_level_rows(m_count), n, n), dtype=np.complex128))
         phi, chi = (
@@ -463,7 +467,7 @@ class TestGradient:
         evaluation in between, equals a stand-alone ``gradient`` bit for bit."""
         problem = random_problem(rng, 5, 3, total_time=2.0, tau=0.2)
         widths = random_initial_widths(problem, rng)
-        engine = _PwmEngine(problem)
+        engine = _pwm_engine(problem)
         value, point = engine.evaluate(widths)
         held, value_at = engine.gradient(point)
         assert value_at == pytest.approx(value, abs=1e-14)
@@ -477,11 +481,11 @@ class TestGradient:
         has overwritten the levels in between."""
         problem = random_problem(rng, 5, 3, total_time=2.0, tau=0.2)
         field = rng.uniform(-0.5, 0.5, size=(3, problem.n_steps))
-        engine = _PwcEngine(problem)
+        engine = pwc_engine(problem)
         value, point = engine.evaluate(field)
         held, value_at = engine.gradient(point)
         assert value_at == pytest.approx(value, abs=1e-14)
-        assert np.array_equal(held, _PwcEngine(problem).gradient(point)[0])
+        assert np.array_equal(held, pwc_engine(problem).gradient(point)[0])
         engine.evaluate(rng.uniform(-0.5, 0.5, size=field.shape))
         assert np.array_equal(engine.gradient(point)[0], held)
 
@@ -492,9 +496,10 @@ class TestGradient:
         a step-by-step sweep and an explicit loop over m and k."""
         problem = random_problem(rng, 5, k_count, total_time=1.6, tau=0.2)
         field = rng.uniform(-0.5, 0.5, size=(k_count, problem.n_steps))
-        engine = _PwcEngine(problem)
+        engine = pwc_engine(problem)
         grad = engine.gradient(engine.evaluate(field)[1])[0]
-        steps = _PwcKernel(problem.system, problem.n_steps).fill(field, problem.tau)
+        kernel = _PwcKernel(problem.system, problem.n_steps)
+        steps = kernel.fill(kernel.layout(field, problem.tau))
         phi, chi, overlap = sequential_sweep(steps, problem.psi_initial, problem.psi_target)
         expected = np.empty_like(field)
         for m in range(problem.n_steps):
@@ -549,14 +554,16 @@ class TestGradient:
 
 
 class TestAllocation:
-    @pytest.mark.parametrize("engine_type", [_PwmEngine, _PwcEngine])
+    @pytest.mark.parametrize(
+        "engine_type", [_pwm_engine, pwc_engine], ids=["_PwmEngine", "_PwcEngine"]
+    )
     def test_steady_state_calls_allocate_less_than_one_step_stack(self, engine_type):
         """After warm-up, the ten-level engines' ``evaluate`` and ``gradient``
         each peak below one (M, N, N) complex stack of fresh memory: the
         stacks they work in are their own."""
         problem = ten_level_problem()
         rng = np.random.default_rng(5)
-        params = (random_initial_widths if engine_type is _PwmEngine else grape._random_field)(
+        params = (random_initial_widths if engine_type is _pwm_engine else grape._random_field)(
             problem, rng
         )
         engine = engine_type(problem)
@@ -674,9 +681,9 @@ class TestStopReason:
         )
         start = np.full((1, 3), 0.2)
         evaluations = []
-        evaluate = _PwmEngine.evaluate
+        evaluate = _Engine.evaluate
         monkeypatch.setattr(
-            _PwmEngine, "evaluate", lambda engine, w: evaluations.append(w) or evaluate(engine, w)
+            _Engine, "evaluate", lambda engine, w: evaluations.append(w) or evaluate(engine, w)
         )
         result = optimize(problem, init_widths=start, options=GrapeOptions(width_bound=0.2))
         assert result.stop_reason == "line_search_stall"
@@ -788,7 +795,7 @@ class TestDescend:
             w0 = grape._random_field(problem, rng) * problem.tau / problem.amplitudes[:, None]
             result = optimize(problem, w0)
             assert result.converged
-            engine, values = _PwmEngine(problem), []
+            engine, values = _pwm_engine(problem), []
 
             def fun(x):
                 value, point = engine.evaluate(x.reshape(w0.shape))

@@ -222,6 +222,52 @@ class TestStepPwcAndSpo:
         b = step_spo(ten_level, [0.8], 0.1, cache)
         assert np.allclose(a, b, atol=1e-14)
 
+    def test_pwc_is_expm_hermitian_of_the_summed_hamiltonian(self, rng):
+        """The reference of the Taylor kernel shares none of its code."""
+        system = ControlSystem(
+            drift=random_hermitian(6, rng),
+            controls=(random_hermitian(6, rng), random_hermitian(6, rng)),
+        )
+        u = rng.uniform(-1.0, 1.0, size=2)
+        h = system.drift + (u[0] * system.controls[0] + u[1] * system.controls[1])
+        assert np.array_equal(step_pwc(system, u, 0.3), expm_hermitian(h, 0.3))
+
+
+class TestKernelContract:
+    """Every step kernel is driven as ``fill(layout(params, length))``."""
+
+    @pytest.mark.parametrize("kind, tol", [("pwm", 1e-13), ("spo", 1e-13), ("pwc", 1e-14)])
+    def test_fill_of_layout_matches_the_step_reference(self, rng, kind, tol):
+        """K = 2, five rows: the steps in the lab frame against ``step_pwm``,
+        ``step_spo`` or ``expm_hermitian`` one by one.  ``held`` is the
+        point, and writing to the parameters after ``layout`` leaves the
+        fill unchanged."""
+        dim, rows, tau = 6, 5, 0.2
+        system = ControlSystem(
+            drift=random_hermitian(dim, rng),
+            controls=(random_hermitian(dim, rng), random_hermitian(dim, rng)),
+        )
+        xi = np.array([1.2, 0.8])
+        params = rng.uniform(-1.0, 1.0, size=(2, rows))
+        if kind == "pwm":
+            params *= tau  # widths within the window
+            kernel = propagate._PwmKernel(HamiltonianCache(system, xi), rows)
+            expected = [step_pwm(system, xi, frame_from_widths(w, tau)) for w in params.T]
+        elif kind == "spo":
+            kernel = propagate._PwmKernel(TermCache(system), rows)
+            expected = [step_spo(system, u, tau) for u in params.T]
+        else:
+            kernel = propagate._PwcKernel(system, rows)
+            hamiltonians = system.drift + np.einsum("km,kab->mab", params, system.controls)
+            expected = [expm_hermitian(h, tau) for h in hamiltonians]
+        point = kernel.layout(params, tau)
+        params[:] = 0.0
+        steps = kernel.fill(point)
+        assert kernel.held is point
+        for step, reference in zip(steps, expected):
+            lab = step if kernel.v0 is None else kernel.to_lab(step)
+            assert np.max(np.abs(lab - reference)) <= tol
+
 
 class TestPwcKernel:
     """The batched Taylor exponential against the eigendecomposition of each step."""
@@ -244,7 +290,8 @@ class TestPwcKernel:
         norm = np.max(np.abs(shifted).sum(axis=1))
         tau = {0: 0.7, 1: 1.5, 3: 6.0}[squarings] * propagate._TAYLOR_THETA / norm
         assert propagate._squarings(tau * norm) == squarings
-        steps = propagate._PwcKernel(system, rows).fill(values, tau)
+        kernel = propagate._PwcKernel(system, rows)
+        steps = kernel.fill(kernel.layout(values, tau))
         for step, hamiltonian in zip(steps, h):
             assert np.max(np.abs(step - expm_hermitian(hamiltonian, tau))) <= 1e-14
             assert unitarity_defect(step) <= 1e-14
@@ -275,7 +322,8 @@ class TestPwcKernel:
         for _ in range(squarings):
             plain = plain @ plain
         plain *= np.exp(-1j * tau * mu)[:, None, None]
-        steps = propagate._PwcKernel(system, rows).fill(values, tau)
+        kernel = propagate._PwcKernel(system, rows)
+        steps = kernel.fill(kernel.layout(values, tau))
         assert np.max(np.abs(steps - plain)) <= 1e-14
 
     def test_refills_at_other_squaring_counts_equal_fresh_kernels(self, rng):
@@ -292,8 +340,9 @@ class TestPwcKernel:
         squarings = set()
         for step, tau in enumerate(taus):
             x = values[step % 2]
-            fresh = propagate._PwcKernel(system, 5).fill(x, tau)
-            assert np.array_equal(kernel.fill(x, tau), fresh)
+            other = propagate._PwcKernel(system, 5)
+            fresh = other.fill(other.layout(x, tau))
+            assert np.array_equal(kernel.fill(kernel.layout(x, tau)), fresh)
             squarings.add(kernel._table_key[1])
         assert squarings == {0, 4}
 
@@ -307,10 +356,11 @@ class TestPwcKernel:
         )
         values = rng.uniform(-1.0, 1.0, size=(k_count, rows))
         kernel = propagate._PwcKernel(system, rows)
-        kernel.fill(values, 0.3)
+        point = kernel.layout(values, 0.3)
+        kernel.fill(point)
         tracemalloc.start()
         try:
-            kernel.fill(values, 0.3)
+            kernel.fill(point)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -320,9 +370,9 @@ class TestPwcKernel:
     def test_rejects_non_finite_values(self, ten_level, bad):
         kernel = propagate._PwcKernel(ten_level, 3)
         with pytest.raises(ValueError, match="finite"):
-            kernel.fill(np.array([[0.1, bad, 0.2]]), 0.1)
+            kernel.fill(kernel.layout(np.array([[0.1, bad, 0.2]]), 0.1))
         with pytest.raises(ValueError, match="finite"):
-            kernel.fill(np.array([[0.1, 0.3, 0.2]]), bad)
+            kernel.fill(kernel.layout(np.array([[0.1, 0.3, 0.2]]), bad))
 
 
 class TestPwmKernelSlots:
@@ -917,6 +967,21 @@ class TestErrorOrder:
             amplitudes=np.array([1.0]), resolution=4000, t_start=0.5,
         )
         assert 4.6 < fit.slope < 5.4, f"slope = {fit.slope:.3f}"
+
+    @pytest.mark.parametrize("scheme", ["pwc", "pwm"])
+    @pytest.mark.parametrize("bad", [0.0, -0.05, math.nan, math.inf])
+    def test_rejects_a_tau_that_is_not_positive_and_finite(
+        self, two_level, monkeypatch, scheme, bad
+    ):
+        """Each tau is checked where the list enters, before any reference
+        propagator is built."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reference_propagator was called")
+
+        monkeypatch.setattr(propagate, "reference_propagator", unreachable)
+        with pytest.raises(ValueError, match=r"^tau must be positive and finite, got "):
+            error_order(scheme, two_level, np.sin, (0.1, bad), amplitudes=np.array([1.0]))
 
     def test_saturation_flagged_for_exact_scheme(self, two_level):
         """Zero field: every scheme is exact, errors sit at rounding level."""
