@@ -484,7 +484,7 @@ def _build_parser() -> _Parser:
     p = command("error-order", _cmd_error_order, "fit single-step error order on a driven qubit")
     p.add_argument("--scheme", help="pwc | spo | pwm | pwm4 ... (default pwm)")
     p.add_argument("--taus", help="comma-separated step sizes")
-    p.add_argument("--resolution", type=int, help="reference oracle steps per unit time")
+    p.add_argument("--resolution", type=int, help="reference slices per tau window (default 10000)")
     p.add_argument("--t-start", dest="t_start", type=float, help="window start (default 0.5)")
     p.add_argument("--out", help="optional tau,error CSV")
 

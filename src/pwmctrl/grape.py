@@ -155,8 +155,8 @@ class GrapeOptions:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
+        if not 0 < self.initial_step < math.inf:
+            raise ValueError("initial_step must be positive and finite")
         if not 0 < self.tolerance < 1:
             raise ValueError("tolerance must lie in (0, 1)")
         if self.width_bound is not None and not self.width_bound > 0:
@@ -365,8 +365,8 @@ def _descend(evaluate, grad_fn, params, bound, options):
     a direction that does not descend or a search that fails, the memory
     is dropped and the step is steepest descent, started at
     ``options.initial_step`` the first time and at twice the last accepted
-    steepest-descent step after that.  Only when that also fails does the
-    descent stop with ``"line_search_stall"``.
+    steepest-descent step after that.  Only when that also fails (or that
+    step is no longer finite) does the descent stop with ``"line_search_stall"``.
     The gradient of an accepted point is taken after the tolerance check.
     The result's wall time covers the whole descent and its evaluation count
     every call of ``evaluate``.
@@ -381,7 +381,7 @@ def _descend(evaluate, grad_fn, params, bound, options):
     def search(direction, alpha):
         """First strict decrease along the clipped path, halving ``alpha``."""
         nonlocal evaluations
-        while alpha > 1e-20:
+        while 1e-20 < alpha < math.inf:
             trial = np.clip(params + alpha * direction, -bound, bound)
             if np.array_equal(trial, params):
                 return None  # rounding and clipping are monotone: no smaller alpha moves either

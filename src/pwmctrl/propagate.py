@@ -53,7 +53,7 @@ import numpy as np
 
 from .model import ControlSystem, _check_system, _locked
 from .pwm import PWMSequence, SampledField, _as_amplitudes, _as_widths, pwm_approximate
-from .pwm import _check_step, _step_count
+from .pwm import _MAX_SAMPLES, _check_finite, _check_step, _step_count
 
 __all__ = [
     "ErrorOrderFit",
@@ -79,7 +79,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 def expm_hermitian(matrix: np.ndarray, theta: float) -> np.ndarray:
-    """``exp(-i * theta * H)`` for Hermitian ``H`` via eigendecomposition."""
+    """``exp(-i * theta * H)`` for Hermitian ``H`` and finite ``theta`` via eigendecomposition."""
+    _check_finite(theta, "theta")
     h = np.asarray(matrix, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
@@ -672,8 +673,8 @@ class _PwcKernel:
     def fill(self, point: _PwcPoint) -> np.ndarray:
         """The step stack of ``point``; raises ``ValueError`` on a non-finite value or ``tau``."""
         values, tau = point
-        if not (math.isfinite(tau) and np.all(np.isfinite(values))):
-            raise ValueError("PWC control values and tau must be finite")
+        _check_finite(tau, "tau")
+        _check_finite(values, "control values")
         rows, n = values.shape[1], self.steps.shape[1]
         k_count, counts = len(values), self._counts
         monomials, steps = self._monomials[:rows], self.steps[:rows]
@@ -839,10 +840,10 @@ class PulseFrame:
 def frame_from_widths(widths, tau: float) -> PulseFrame:
     """Sort one subinterval's signed widths into a :class:`PulseFrame`.
 
-    Zero widths are left out of the order.  Widths beyond ``tau`` by at most
-    1e-9 relative are clipped to ``tau``; larger ones raise ``ValueError``.
+    Zero widths are left out of the order; ``tau`` must be positive and finite.
+    Widths beyond it by at most 1e-9 relative are clipped to it; larger ones raise ``ValueError``.
     """
-    w = _as_widths(np.atleast_1d(widths), tau)
+    w = _as_widths(np.atleast_1d(widths), _check_step(tau, "tau"))
     if w.ndim != 1:
         raise ValueError("widths must be one-dimensional")
     signs = [0 if x == 0.0 else (1 if x > 0 else -1) for x in w]
@@ -907,12 +908,13 @@ def step_pwm(
     return functools.reduce(np.matmul, _pwm_factors(cache, frame))
 
 
-def _control_values(system: ControlSystem, control_values) -> np.ndarray:
-    """One subinterval's control values as a ``(K,)`` float array."""
+def _control_values(system: ControlSystem, control_values, tau: float) -> np.ndarray:
+    """One subinterval's ``(K,)`` control values as floats, finite like the signed ``tau``."""
     u_mid = np.atleast_1d(np.asarray(control_values, dtype=np.float64))
     if u_mid.shape != (system.n_controls,):
         raise ValueError(f"expected {system.n_controls} control values")
-    return u_mid
+    _check_finite(tau, "tau")
+    return _check_finite(u_mid, "control values")
 
 
 def step_pwc(system: ControlSystem, control_values, tau: float) -> np.ndarray:
@@ -923,9 +925,7 @@ def step_pwc(system: ControlSystem, control_values, tau: float) -> np.ndarray:
     non-finite value or ``tau``.
     """
     _check_system(system)
-    u_mid = _control_values(system, control_values)
-    if not (math.isfinite(tau) and np.all(np.isfinite(u_mid))):
-        raise ValueError("PWC control values and tau must be finite")
+    u_mid = _control_values(system, control_values, tau)
     return expm_hermitian(system.drift + sum(u * h for u, h in zip(u_mid, system.controls)), tau)
 
 
@@ -946,17 +946,12 @@ def step_spo(
     one, the reference for :func:`evolve`'s batched steps.  A ``cache`` must
     have been built for ``system``.
     """
-    u_mid = _control_values(system, control_values)
+    u_mid = _control_values(system, control_values, tau)
     cache = _checked_cache(cache, system)
     half = tau / 2
     ascending = [cache.factor(None, half)]
     ascending += [cache.factor(k, half * u_mid[k]) for k in range(u_mid.size)]
-    u = ascending[0]
-    for f in ascending[1:]:
-        u = u @ f
-    for f in reversed(ascending):
-        u = u @ f
-    return u
+    return functools.reduce(np.matmul, ascending + ascending[::-1])
 
 
 def suzuki_coefficient(n: int) -> float:
@@ -1087,7 +1082,7 @@ def step_pwm_higher(
     all dwells, which gives the exact inverse of the forward step.  A
     ``cache`` must have been built for ``system`` and ``amplitudes``; with a
     sequence, ``amplitudes`` or a ``tau`` that disagree with its own raise
-    ``ValueError``.
+    ``ValueError``, as does a field's ``tau`` that is not positive and finite.
     """
     if n < 2:
         raise ValueError(f"order index n must be >= 2, got {n}")
@@ -1100,6 +1095,7 @@ def step_pwm_higher(
     else:
         if tau is None:
             raise ValueError("tau is required with a field source")
+        _check_step(tau, "tau")
         base_widths = None
         field = source
     kernel = _PwmKernel(_checked_cache(cache, system, amplitudes), 1)
@@ -1112,22 +1108,20 @@ def reference_propagator(
 ) -> np.ndarray:
     """Brute-force reference: ordered product of midpoint-rule exponentials.
 
-    Splits ``[t_start, t_end]`` into ``resolution`` equal slices and applies
-    ``exp(-i dt H(t_mid))`` chronologically.  Error falls off as
-    ``resolution^-2``; when the field is a :class:`SampledField` whose cell
-    boundaries align with the slices, the result is the exact propagator of
-    the piecewise-constant field.  A callable field is called once with the
-    array of the ``resolution`` slice midpoints and returns their samples as
-    ``(K, resolution)``, or ``(resolution,)`` for one control.  The slice
-    exponentials come from ``eigh``, independent of the PWC kernel, and are
-    reduced pairwise in blocks sized like :func:`evolve`'s.
+    Splits the positive, finite span ``[t_start, t_end]`` into ``resolution``
+    (100 to 10**7) equal slices and applies ``exp(-i dt H(t_mid))`` in order.
+    Error falls off as ``resolution^-2``; when the field is a
+    :class:`SampledField` whose cell boundaries align with the slices, the
+    result is the exact propagator of the piecewise-constant field.  A
+    callable field is called once with the array of the slice midpoints and
+    returns their samples as ``(K, resolution)``, or ``(resolution,)`` for
+    one control.  The slice exponentials come from ``eigh``, independent of
+    the PWC kernel, and are reduced pairwise in blocks sized like :func:`evolve`'s.
     """
     _check_system(system)
-    if resolution < 100:
-        raise ValueError(f"resolution must be at least 100, got {resolution}")
-    if not t_end > t_start:
-        raise ValueError("t_end must exceed t_start")
-    dt = (t_end - t_start) / resolution
+    if not 100 <= resolution <= _MAX_SAMPLES:
+        raise ValueError(f"resolution must lie in [100, {_MAX_SAMPLES:,}], got {resolution}")
+    dt = _check_step(t_end - t_start, "t_end - t_start") / resolution
     mids = t_start + (np.arange(resolution) + 0.5) * dt
     u_vals = _field_values(field, mids, system.n_controls)
     controls, n = np.stack(system.controls), system.dim
@@ -1287,13 +1281,14 @@ def error_order(
     outside the step and a zero-extended sampled field would degrade there.
     A callable receives an array of ``n`` times per use (the reference's
     slice midpoints, the step's midpoint or its quadrature nodes) and returns
-    ``(K, n)``, or ``(n,)`` for one control.  Each ``tau`` that is not
-    positive and finite raises :class:`~pwmctrl.pwm.GridError` before any
-    propagator is built.
+    ``(K, n)``, or ``(n,)`` for one control.  A non-finite ``t_start``
+    raises ``ValueError``, and each ``tau`` that is not positive and finite
+    :class:`~pwmctrl.pwm.GridError`, before any propagator is built.
     """
     kind, level = _parse_scheme(scheme)
     if kind in ("pwm", "pwm2n") and amplitudes is None:
         raise ValueError(f"scheme {scheme!r} requires amplitudes")
+    _check_finite(t_start, "t_start")
     taus = [_check_step(float(t), "tau") for t in tau_list]
     if len(taus) < 2:
         raise ValueError("need at least two tau values to fit a slope")

@@ -67,6 +67,10 @@ class CutoffError(ValueError):
     """Low-pass cutoff is outside the resolvable band of the sample grid."""
 
 
+#: Most signal samples or reference slices: 33x the largest caller's, 0.5 GB at 50 B each.
+_MAX_SAMPLES = 10_000_000
+
+
 def _as_amplitudes(amplitudes, n_controls: int) -> np.ndarray:
     """Pulse amplitudes as a fresh ``(K,)`` array; a single value applies to every control."""
     xi = np.atleast_1d(np.array(amplitudes, dtype=np.float64))
@@ -84,6 +88,13 @@ def _check_step(step: float, name: str) -> float:
     if not (step > 0 and math.isfinite(step)):
         raise GridError(f"{name} must be positive and finite, got {step!r}")
     return step
+
+
+def _check_finite(value, name: str):
+    """``value``; ``ValueError``, naming it by ``name``, unless every entry is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 def _step_count(duration: float, step: float, names: tuple[str, str]) -> int:
@@ -109,9 +120,7 @@ def _as_widths(widths, tau: float, offset: int = 0) -> np.ndarray:
     naming control ``k`` and, for a ``(K, M)`` array, the 1-based subinterval
     (``offset + 1`` for the first column of a block of subintervals).
     """
-    w = np.asarray(widths, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("widths must be finite")
+    w = _check_finite(np.asarray(widths, dtype=np.float64), "widths")
     overflow = np.abs(w) > tau * (1 + 1e-9)
     if np.any(overflow):
         at = tuple(np.argwhere(overflow)[0])
@@ -136,10 +145,8 @@ class SampledField:
         values = np.atleast_2d(np.array(self.values, dtype=np.float64, copy=True))
         if values.ndim != 2 or values.shape[1] < 1:
             raise ValueError(f"values must be a K x S array, got shape {values.shape}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
+        _check_step(self.dt, "dt")
+        _check_finite(values, "field values")
         object.__setattr__(self, "values", _locked(values))
 
     @property
@@ -207,9 +214,7 @@ class PWMSequence:
     widths: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        widths = _as_widths(np.atleast_2d(self.widths), self.tau)
+        widths = _as_widths(np.atleast_2d(self.widths), _check_step(self.tau, "tau"))
         xi = _as_amplitudes(self.amplitudes, widths.shape[0])
         object.__setattr__(self, "amplitudes", _locked(xi))
         object.__setattr__(self, "widths", _locked(widths))
@@ -318,8 +323,8 @@ def pulse_count_for_cutoff(cutoff: float, omega_min: float) -> int:
     amplitude); at full modulation a sideband near ``(M - 3) * omega_min``
     keeps a size independent of M (see the module docstring).
     """
-    if cutoff <= 0 or omega_min <= 0:
-        raise ValueError("cutoff and omega_min must be positive")
+    if not (0 < cutoff < math.inf and 0 < omega_min < math.inf):
+        raise ValueError("cutoff and omega_min must be positive and finite")
     return math.ceil(cutoff / omega_min) + 1
 
 
@@ -365,12 +370,10 @@ def pwm_approximate(field: SampledField, amplitudes, tau: float) -> PWMSequence:
 
 
 def _signal_grid(seq: PWMSequence, sample_rate: float) -> tuple[float, np.ndarray]:
-    if not 10 <= sample_rate * seq.tau < math.inf:
-        raise ValueError(
-            f"sample_rate * tau = {sample_rate * seq.tau:.3g} must be finite and at least 10 "
-            "for the grid to resolve individual pulses"
-        )
-    n_sub = round(sample_rate * seq.tau)
+    n_sub = round(sample_rate * seq.tau) if 10 <= sample_rate * seq.tau < math.inf else 0
+    if not 10 <= n_sub <= _MAX_SAMPLES // seq.n_pulses:
+        raise ValueError(f"sample_rate = {sample_rate:.6g} must give 10 to "
+                         f"{_MAX_SAMPLES // seq.n_pulses:,} samples per subinterval")
     dt = seq.tau / n_sub
     times = (np.arange(seq.n_pulses * n_sub) + 0.5) * dt
     return dt, times

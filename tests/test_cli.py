@@ -197,6 +197,21 @@ class TestErrorContract:
             f"error:validation:tau must be positive and finite, got {shown}\n"
         )
 
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["error-order", "--t-start", "inf"], "t_start must be finite",
+                     id="error-order-inf-t-start"),
+        pytest.param(["optimize", "--builtin", "ten-level", "--initial", "0", "--target", "3",
+                      "--total-time", "10", "--tau", "0.1", "--initial-step", "inf"],
+                     "initial_step must be positive and finite", id="optimize-inf-initial-step"),
+    ])
+    def test_non_finite_start_or_step_is_one_validation_line(self, tmp_path, capsys, args,
+                                                             message):
+        """Named as given; an infinite initial step would never end its line search."""
+        assert main([*args, "--out-dir" if args[0] == "optimize" else "--out",
+                     str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error:validation:{message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestSignalAndReconstruct:
     @pytest.fixture()

@@ -161,6 +161,7 @@ class TestOptionsValidation:
             {"tolerance": 0.0},
             {"tolerance": 1.0},
             {"width_bound": -0.1},
+            {"initial_step": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -781,6 +782,45 @@ class TestDescend:
         r = (s @ y) / (y @ y) * q
         direction = -(r + s * ((s @ g2.ravel()) - y @ r) / (s @ y))
         assert np.allclose(result.widths.ravel(), x2.ravel() + direction, rtol=1e-12, atol=0)
+
+    def test_steepest_step_doubled_past_the_largest_float_stalls(self):
+        """A steepest step accepted at 1e308 doubles to inf.  The next search
+        must stop at once: halving inf leaves inf, so a trial that moves but
+        does not descend would otherwise be retried forever."""
+        start, corner = np.zeros((1, 2)), -np.ones((1, 2))
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            assert len(calls) <= 10, "the search did not stop"
+            return (1.0 if np.array_equal(x, start) else 0.5 if np.array_equal(x, corner)
+                    else 2.0), x
+
+        def grad_fn(x):
+            # at the corner s.y = 0, so no curvature pair: the next step is steepest
+            return np.array([[1.0, 1.0]] if np.array_equal(x, start) else [[3.0, -1.0]]), None
+
+        result = grape._descend(evaluate, grad_fn, start, 1.0, GrapeOptions(initial_step=1e308))
+        assert result.stop_reason == "line_search_stall"
+        assert (result.iterations, result.evaluations) == (1, 2)
+        assert np.array_equal(result.widths, corner)
+
+    @pytest.mark.parametrize("values, grad, message", [
+        ([math.nan], [[1.0]], "non-finite at the initial point"),
+        ([1.0, math.inf], [[1.0]], "objective became non-finite"),
+        ([1.0], [[math.nan]], "gradient is non-finite"),
+    ])
+    def test_non_finite_objective_or_gradient_raises(self, values, grad, message):
+        """A NaN or inf is never taken for a decrease or a direction."""
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            return values[min(len(calls), len(values)) - 1], x
+
+        with pytest.raises(grape.OptimizationError, match=message):
+            grape._descend(evaluate, lambda x: (np.array(grad), None), np.zeros((1, 1)), 1.0,
+                           GrapeOptions())
 
     def test_evaluations_per_iteration_against_scipy_lbfgsb(self):
         """Seed-2024 fig5 starts 0, 3 and 7, which steepest descent took 384,

@@ -45,6 +45,11 @@ class TestExpmHermitian:
         assert unitarity_defect(u) < 1e-13
         assert np.allclose(u @ expm_hermitian(h, -0.7), np.eye(6), atol=1e-13)
 
+    @pytest.mark.parametrize("theta", [math.inf, math.nan])
+    def test_rejects_a_non_finite_theta(self, theta):
+        with pytest.raises(ValueError, match=r"^theta must be finite"):
+            expm_hermitian(SIGMA_X, theta)
+
 
 class TestSuzukiCoefficient:
     def test_frozen_value_for_first_concatenation(self):
@@ -64,6 +69,12 @@ class TestSuzukiCoefficient:
 
 
 class TestPulseFrame:
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_rejects_a_tau_that_is_not_positive_and_finite(self, tau):
+        """So ``build_frame`` and ``step_pwm`` never see an infinite dwell."""
+        with pytest.raises(GridError, match=r"^tau must be positive and finite, got "):
+            frame_from_widths([0.05], tau)
+
     def test_worked_example(self):
         """tau=1, |w| = (0.3, 0.9, 0.6): sorted order and telescoping dwells."""
         frame = frame_from_widths(np.array([0.3, 0.9, 0.6]), 1.0)
@@ -231,6 +242,14 @@ class TestStepPwcAndSpo:
         u = rng.uniform(-1.0, 1.0, size=2)
         h = system.drift + (u[0] * system.controls[0] + u[1] * system.controls[1])
         assert np.array_equal(step_pwc(system, u, 0.3), expm_hermitian(h, 0.3))
+
+    @pytest.mark.parametrize("values, tau, name", [
+        ([0.3], math.inf, "tau"), ([0.3], math.nan, "tau"),
+        ([math.nan], 0.1, "control values"), ([-math.inf], -0.1, "control values"),
+    ])
+    def test_spo_rejects_a_non_finite_tau_or_value(self, two_level, values, tau, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            step_spo(two_level, values, tau)
 
 
 class TestKernelContract:
@@ -744,6 +763,16 @@ class TestReferencePropagator:
         with pytest.raises(ValueError):
             reference_propagator(two_level, np.sin, 0.0, 1.0, resolution=10)
 
+    def test_rejects_a_resolution_beyond_the_sample_cap(self, two_level):
+        """Before the slice midpoints are allocated."""
+        with pytest.raises(ValueError, match=r"^resolution must lie in \[100, 10,000,000\]"):
+            reference_propagator(two_level, np.sin, 0.0, 1.0, resolution=10**19)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_rejects_a_span_that_is_not_positive_and_finite(self, two_level, t_end):
+        with pytest.raises(GridError, match=r"^t_end - t_start must be positive and finite"):
+            reference_propagator(two_level, np.sin, 0.0, t_end)
+
     def test_exact_for_aligned_staircase(self, two_level, rng):
         """When the oracle's slices subdivide the field's cells it is exact."""
         values = rng.uniform(-1, 1, size=(1, 40))
@@ -914,6 +943,12 @@ class TestHigherOrderStep:
         with pytest.raises(ValueError):
             step_pwm_higher(two_level, np.array([1.0]), seq, 1, 1)
 
+    @pytest.mark.parametrize("tau", [-0.1, 0.0, math.inf, math.nan])
+    def test_field_source_rejects_a_tau_that_is_not_positive_and_finite(self, two_level, tau):
+        """-0.1 would otherwise propagate the window backwards."""
+        with pytest.raises(GridError, match=r"^tau must be positive and finite, got "):
+            step_pwm_higher(two_level, [1.0], np.sin, 2, 2, tau=tau)
+
     def test_exact_for_commuting_hamiltonians(self):
         """Splitting is lossless when drift and control commute, at any level."""
         d0 = np.diag([1.0, 2.0, -0.5]).astype(complex)
@@ -982,6 +1017,17 @@ class TestErrorOrder:
         monkeypatch.setattr(propagate, "reference_propagator", unreachable)
         with pytest.raises(ValueError, match=r"^tau must be positive and finite, got "):
             error_order(scheme, two_level, np.sin, (0.1, bad), amplitudes=np.array([1.0]))
+
+    @pytest.mark.parametrize("t_start", [math.inf, math.nan])
+    def test_rejects_a_non_finite_t_start(self, two_level, monkeypatch, t_start):
+        """Named as the caller gave it, not as the reference's window."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reference_propagator was called")
+
+        monkeypatch.setattr(propagate, "reference_propagator", unreachable)
+        with pytest.raises(ValueError, match=r"^t_start must be finite"):
+            error_order("pwc", two_level, np.sin, (0.1, 0.05), t_start=t_start)
 
     def test_saturation_flagged_for_exact_scheme(self, two_level):
         """Zero field: every scheme is exact, errors sit at rounding level."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from pwmctrl import pwm
 from pwmctrl.pwm import (
     AmplitudeBoundError,
     CutoffError,
@@ -66,9 +67,9 @@ class TestSampledField:
         field = SampledField(dt=1.0, values=np.array([[3.0]]))
         assert field.integral(-5.0, 10.0)[0] == pytest.approx(3.0)
 
-    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_dt(self, dt):
-        with pytest.raises(ValueError):
+        with pytest.raises(GridError, match=r"^dt must be positive and finite, got "):
             SampledField(dt=dt, values=np.ones((1, 4)))
 
 
@@ -84,6 +85,11 @@ class TestPWMSequence:
         with pytest.raises(ValueError, match=r"k=1.*m=2"):
             PWMSequence(tau=0.5, amplitudes=[1.0, 1.0],
                         widths=[[0.1, 0.2], [0.1, 0.6]])
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5, np.nan, np.inf])
+    def test_rejects_a_tau_that_is_not_positive_and_finite(self, tau):
+        with pytest.raises(GridError, match=r"^tau must be positive and finite, got "):
+            PWMSequence(tau=tau, amplitudes=[1.0], widths=[[0.0]])
 
     @pytest.mark.parametrize("xi", [0.0, -1.0])
     def test_rejects_non_positive_amplitude(self, xi):
@@ -105,6 +111,13 @@ class TestPulseCountForCutoff:
             pulse_count_for_cutoff(0.0, 1.0)
         with pytest.raises(ValueError):
             pulse_count_for_cutoff(1.0, -1.0)
+
+    @pytest.mark.parametrize("cutoff, omega_min", [
+        (np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan),
+    ])
+    def test_rejects_non_finite_arguments(self, cutoff, omega_min):
+        with pytest.raises(ValueError, match="positive and finite"):
+            pulse_count_for_cutoff(cutoff, omega_min)
 
 
 class TestPwmApproximate:
@@ -204,6 +217,20 @@ class TestPwmSignal:
                 if w != 0.0:
                     expected[np.abs(sig.times - center) <= abs(w) / 2] = xi[k] * np.sign(w)
             assert np.array_equal(sig.values[0], expected)
+
+    @pytest.mark.parametrize("make", [pwm_signal, gaussian_train])
+    def test_rejects_a_rate_beyond_the_sample_cap(self, make):
+        """Named by the rate, not by numpy's allocation error."""
+        seq = PWMSequence(tau=0.5, amplitudes=[1.0], widths=[[0.1, -0.2]])
+        with pytest.raises(ValueError, match=r"^sample_rate = 1e\+308 must give 10 to "):
+            make(seq, 0, 1e308)
+
+    def test_sample_cap_counts_every_subinterval(self, monkeypatch):
+        monkeypatch.setattr(pwm, "_MAX_SAMPLES", 1000)
+        seq = PWMSequence(tau=1.0, amplitudes=[1.0], widths=[[0.1, -0.2]])
+        assert pwm_signal(seq, 0, 500.0).n_samples == 1000
+        with pytest.raises(ValueError, match="must give 10 to 500 samples per subinterval"):
+            pwm_signal(seq, 0, 501.0)
 
 
 class TestGaussianTrain:
