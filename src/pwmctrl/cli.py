@@ -44,6 +44,7 @@ from .pwm import (
     pwm_signal,
     spectrum,
 )
+from .pwm import _check_start
 
 __all__ = ["main"]
 
@@ -260,6 +261,10 @@ def _cmd_error_order(options: _Options) -> int:
     taus = options.floats("taus", default=[0.2, 0.1, 0.05, 0.025])
     resolution = int(options.get("resolution", default=10_000))
     t_start = float(options.get("t_start", default=0.5))
+    try:
+        _check_start(t_start, taus, resolution)
+    except ValueError as exc:
+        raise _CliError("validation", f"--t-start: {exc}") from exc
     fit = error_order(
         scheme,
         _builtin("two-level"),

@@ -41,8 +41,11 @@ quasi-Newton search drops the memory for one steepest-descent step.  So
 the benchmark's wall-time ratio compares propagators, not descents.
 
 A piecewise-constant GRAPE baseline (a fresh matrix exponential per
-subinterval from the batched Taylor kernel, standard first-order gradient)
-is included for benchmarking the cached-propagator speedup.
+subinterval from the batched PWC kernel, standard first-order gradient) is
+included for benchmarking the cached-propagator speedup.  At ``K = 1`` its
+steps too come from one real GEMM against a Chebyshev table, in the control
+value, so the benchmark compares the two parametrizations, not two kernel
+techniques; above one control it is a scaling-and-squaring Taylor polynomial.
 """
 
 from __future__ import annotations
@@ -474,7 +477,9 @@ def optimize_pwc(
     """Baseline GRAPE over piecewise-constant field amplitudes ``eps_k(m)``.
 
     The step propagators ``exp(-i tau (H0 + sum_k eps_k H_k))`` come from one
-    M-row PWC kernel, whose gradient is the standard first-order rule.
+    M-row PWC kernel -- at ``K = 1`` from its Chebyshev table in ``eps``,
+    else its Taylor polynomial -- whose gradient is the standard first-order
+    rule on both routes.
     The box bound on amplitudes is ``xi_k * width_bound / tau``, the exact
     image of the PWM width bound under area matching, so both optimizers
     search the same feasible set of subinterval areas.  ``init_field``

@@ -25,11 +25,12 @@ split-operator step is a product of the same form over the eigenbases of the
 drift and of each control alone, so :func:`evolve` takes it through the same
 kernel; :func:`step_spo` is its frame-by-frame reference.  Piecewise-constant
 steps come from a second batched kernel, a scaling-and-squaring Taylor
-exponential; :func:`step_pwc`, :func:`expm_hermitian` and
-:func:`reference_propagator` keep their own eigendecompositions and are its
-independent references.  The two kernels are the only per-scheme code, with
-the same calls (:class:`_PwmKernel`), and every multi-step propagator
-multiplies its blocks of steps out with one block product.
+exponential, or at one control a Chebyshev table in the control value;
+:func:`step_pwc`, :func:`expm_hermitian` and :func:`reference_propagator` keep
+their own eigendecompositions and are its independent references.  The two
+kernels are the only per-scheme code, with the same calls (:class:`_PwmKernel`),
+and every multi-step propagator multiplies its blocks of steps out with one
+block product.
 
 Fields are accepted either as :class:`~pwmctrl.pwm.SampledField` (integrated
 exactly as piecewise-constant data) or as a smooth callable ``u(t)``.  A
@@ -53,7 +54,7 @@ import numpy as np
 
 from .model import ControlSystem, _check_system, _locked
 from .pwm import PWMSequence, SampledField, _as_amplitudes, _as_widths, pwm_approximate
-from .pwm import _MAX_SAMPLES, _check_finite, _check_step, _step_count
+from .pwm import _MAX_SAMPLES, _check_finite, _check_start, _check_step, _step_count
 
 __all__ = [
     "ErrorOrderFit",
@@ -197,7 +198,7 @@ _BLOCK_ENTRIES = 1 << 18
 
 
 def _degree_cap(dim: int) -> int:
-    """Largest Chebyshev degree ``J`` that :class:`_PwmKernel`'s spectral route takes.
+    """Largest Chebyshev degree ``J`` of a spectral or table route (the PWM and PWC kernels).
 
     The spectral fill costs about ``J N^2`` per row and the product route
     ``N^3`` plus elementwise work in ``N^2``.  At 1,000 rows and one BLAS
@@ -218,12 +219,13 @@ _PwcPoint = namedtuple("_PwcPoint", "values tau")
 
 
 def _spectral_route(rows: int, dim: int, degree: int | None) -> bool:
-    """Whether :class:`_PwmKernel` takes its spectral route for ``rows`` rows.
+    """Whether a ``K = 1`` fill of ``rows`` rows takes a Chebyshev table (either kernel).
 
-    It does at ``2N`` rows or more (``N`` per sign slot) and a ``degree``
-    within :func:`_degree_cap`.  A fill whose widths all have one sign counts
-    both slots too, in this rule, its degree and its tables; ``evolve`` on such
-    sequences stayed within 4% or got faster (``BENCH_22.json`` ``single_signed_k1``).
+    It does at ``2N`` rows or more (for PWM ``N`` per sign slot) and a
+    ``degree`` within :func:`_degree_cap`.  A PWM fill whose widths all have
+    one sign counts both slots too, in this rule, its degree and its tables;
+    ``evolve`` on such sequences stayed within 4% or got faster
+    (``BENCH_22.json`` ``single_signed_k1``).
     """
     return degree is not None and rows >= 2 * dim
 
@@ -242,6 +244,27 @@ def _chebyshev_degree(bandwidth: float, cap: int) -> int | None:
         if degree * log_half - math.lgamma(degree + 1) <= -54 * math.log(2):
             return degree
     return None
+
+
+def _chebyshev_nodes(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``J = degree`` nodes ``t_j = cos(pi (j + 1/2) / J)`` and the cosine transform ``C``.
+
+    With the samples ``f(t_j)`` on the second-to-last axis, ``(C @ f(t))_k =
+    (2 - delta_k0) / J sum_j f(t_j) cos(k pi (j + 1/2) / J)`` is ``T_k``'s coefficient.
+    """
+    k = np.arange(degree)
+    angles = np.pi * (k + 0.5) / degree
+    return np.cos(angles), np.cos(np.outer(k, angles)) * np.where(k == 0, 1, 2)[:, None] / degree
+
+
+def _chebyshev_basis(basis: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Fills ``basis[k] = basis[0] T_k(t)``, ``k >= 1``, by the recurrence in ``t2 = 2t``."""
+    if len(basis) > 1:
+        np.multiply(basis[0], t2 / 2, out=basis[1])
+        for k in range(2, len(basis)):
+            np.multiply(basis[k - 1], t2, out=basis[k])
+            basis[k] -= basis[k - 2]
+    return basis
 
 
 def _carve(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
@@ -294,12 +317,11 @@ class _PwmKernel:
       terms suffice at the smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``,
       ``b = |L|/2 max |lambda_1c - (lambda_0a + lambda_0b)/2|`` over both
       sign slots (:func:`_chebyshev_degree`).  Per signed length ``L`` the
-      kernel samples ``S`` and the exact ``dS/du`` of both sign slots at
-      ``J`` Chebyshev nodes and takes their coefficients by a ``J x J``
-      cosine transform, when a fill at ``L`` first takes this route.  A
-      fill evaluates ``T_k(t)`` by the three-term recurrence into the
-      row's sign half of a ``(rows, 2J)`` basis and makes all steps, in row
-      order, by one real GEMM against both signs' tables.  Above ``J = 3N/2
+      kernel samples ``S`` and the exact ``dS/du`` of both sign slots at the
+      nodes of :func:`_chebyshev_nodes` when a fill at ``L`` first takes
+      this route.  A fill evaluates ``T_k(t)`` (:func:`_chebyshev_basis`)
+      into the row's sign half of a ``(rows, 2J)`` basis and makes all
+      steps by one real GEMM against both signs' tables.  Above ``J = 3N/2
       + 40`` (:func:`_degree_cap`) the fill takes the product route.
     - **Product route** (every other fill).  Folding every ``D`` into a
       neighbouring ``W`` leaves ``2K`` dense factors, so a step costs ``2K -
@@ -432,15 +454,13 @@ class _PwmKernel:
         Row ``2k + h`` of a table holds ``T_k`` of sign half ``h`` (slot
         ``h``: ``+1``, then ``-1``, where ``dS/dw = -dS/du`` with ``u =
         |w|``).  Both halves are sampled together, on first use at
-        ``length``, at the ``J`` Chebyshev nodes ``t_j = cos(pi (j + 1/2) /
-        J)`` from the cached eigensystems and transformed by ``c_k = (2 -
-        delta_k0) / J sum_j f(t_j) cos(k pi (j + 1/2) / J)``.
+        ``length``, from the cached eigensystems at the Chebyshev nodes of
+        :func:`_chebyshev_nodes`, and transformed by its cosine transform.
         """
         tables = self._chebyshev.get(length)
         if tables is None:
-            k = np.arange(degree)
-            angles = np.pi * (k + 0.5) / degree
-            sign, u = math.copysign(1.0, length), abs(length) / 2 * (np.cos(angles) + 1)
+            nodes, cosine = _chebyshev_nodes(degree)
+            sign, u = math.copysign(1.0, length), abs(length) / 2 * (nodes + 1)
             lam0, lam, w = self._lam0, self._lam_b[:, None], self._w[:, None]
             outer = np.exp(-1j * sign * (abs(length) - u)[:, None] / 2 * lam0)
             left = outer[:, :, None] * w * np.exp(-1j * sign * u[:, None] * lam)[:, :, None, :]
@@ -453,7 +473,6 @@ class _PwmKernel:
             samples[1] -= ((lam0[:, None] + lam0) / 2 - centre) * samples[0]
             # times d|w|/dw = -1 in the negative half: the derivative table is dS/dw
             samples[1] *= -1j * sign * np.array([1, -1])[:, None, None, None]
-            cosine = np.cos(np.outer(k, angles)) * np.where(k == 0, 1, 2)[:, None] / degree
             n = self.steps.shape[1]
             coefficients = cosine @ samples.reshape(2, 2, degree, n * n)
             tables = coefficients.transpose(0, 2, 1, 3).reshape(2, 2 * degree, n * n)
@@ -468,16 +487,10 @@ class _PwmKernel:
         basis = self._basis[: 2 * degree * rows].reshape(degree, 2, rows)
         np.less(layout.signs[0], 0, out=basis[0, 1])
         np.subtract(1.0, basis[0, 1], out=basis[0, 0])
-        if degree > 1:
-            t2 = self._t2[:rows]
-            np.multiply(layout.sorted_abs[0], 4 / abs(layout.length), out=t2)
-            t2 -= 2
-            np.multiply(basis[0], t2, out=basis[1])
-            basis[1] /= 2
-            for k in range(2, degree):
-                np.multiply(basis[k - 1], t2, out=basis[k])
-                basis[k] -= basis[k - 2]
-        basis = basis.reshape(2 * degree, rows).T
+        t2 = self._t2[:rows]
+        np.multiply(layout.sorted_abs[0], 4 / abs(layout.length), out=t2)
+        t2 -= 2
+        basis = _chebyshev_basis(basis, t2).reshape(2 * degree, rows).T
         np.matmul(basis, tables[0], out=out.reshape(rows, -1).view(np.float64))
         self._spectral = basis, tables
 
@@ -601,13 +614,16 @@ def _monomial_plan(k_count: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarra
 class _PwcKernel:
     """Batched PWC steps ``exp(-i tau (H0 + sum_k u_k H_k))`` of up to ``rows`` subintervals.
 
-    Scaling and squaring around a Taylor polynomial (Al-Mohy & Higham 2009).
-    Each step Hamiltonian is shifted by ``mu = tr H / N``, which is exact:
-    ``exp(-i tau mu)`` is a scalar phase applied at the end.  One squaring
-    count ``s`` per call brings the largest 1-norm of ``A = -i tau (H - mu)
-    / 2^s`` in the stack to at most ``_TAYLOR_THETA`` (for Hermitian ``H``
-    the 1-norm bounds the 2-norm).  The degree-16 polynomial is evaluated by
-    Paterson-Stockmeyer in ``B = A^4`` (Paterson & Stockmeyer 1973),
+    At ``K = 1`` a fill of at least ``2N`` rows within the degree cap takes
+    the table route (:func:`_spectral_route`, :meth:`_fill_table`).  Every
+    other fill scales and squares around a Taylor polynomial (Al-Mohy &
+    Higham 2009): each step Hamiltonian is shifted by ``mu = tr H / N``,
+    which is exact, as ``exp(-i tau mu)`` is a scalar phase applied at the
+    end.  One squaring count ``s`` per call brings the largest 1-norm of
+    ``A = -i tau (H - mu) / 2^s`` in the stack to at most ``_TAYLOR_THETA``
+    (for Hermitian ``H`` the 1-norm bounds the 2-norm).  The degree-16
+    polynomial is evaluated by Paterson-Stockmeyer in ``B = A^4`` (Paterson
+    & Stockmeyer 1973),
 
         p(A) = C_0 + B (C_1 + B (C_2 + B (C_3 + B / 16!))),
         C_j = sum_{i<4} A^i / (4j + i)!.
@@ -626,7 +642,8 @@ class _PwcKernel:
     which is the same scale unless the terms nearly cancel.  All arrays are
     allocated once for ``rows`` rows and filled in place.  The kernel has
     the calls of :class:`_PwmKernel` (``layout``, ``fill``, ``held``,
-    ``overlap_derivative``); its steps are lab-frame, so ``v0`` is ``None``.
+    ``overlap_derivative``, first-order on both routes); its steps are
+    lab-frame, so ``v0`` is ``None``.
     """
 
     def __init__(self, system: ControlSystem, rows: int) -> None:
@@ -653,18 +670,27 @@ class _PwcKernel:
         self._table = np.empty((5, counts[-1], n * n), dtype=np.complex128)
         self._table_key = None
         self._counts = counts
+        # the table route's largest Chebyshev degree, 0 where it is not taken
+        self._cap = _degree_cap(n) if k_count == 1 else 0
         # the blocks B, C_3 + B / 16!, C_2, C_1 and C_0 of every row, in one
         # allocation with the other step-sized arrays (see _carve)
         c = np.complex128
         (self._blocks, self.steps, self.scratch, self._monomials, self._images,
-         self._brackets) = _carve(
+         self._brackets, self._basis) = _carve(
             ((5, rows * n * n), c), ((rows, n, n), c), ((_level_rows(rows), n, n), c),
             ((rows, counts[-1]), float), ((k_count, n, rows), c), ((k_count, rows), c),
+            ((self._cap * rows,), float),  # the table route's Chebyshev basis
         )
         self._monomials[:, 0] = 1.0
         self.held: _PwcPoint | None = None
         self.v0 = None
         self._controls = np.stack(system.controls)
+        # table route: the half-spread r_1 and centre m_1 - mu_1 of H_1's spectrum,
+        # and the real tables by (tau, c)
+        if self._cap:
+            low, high = np.linalg.eigvalsh(terms[1])[[0, -1]]
+            self._spread, self._centre = (high - low) / 2, (high + low) / 2
+        self._chebyshev: dict[tuple[float, float], np.ndarray] = {}
 
     def layout(self, values: np.ndarray, tau: float) -> _PwcPoint:
         """The point of ``(K, r)`` control ``values``, ``r <= rows``: a locked copy and ``tau``."""
@@ -676,6 +702,14 @@ class _PwcKernel:
         _check_finite(tau, "tau")
         _check_finite(values, "control values")
         rows, n = values.shape[1], self.steps.shape[1]
+        if self._cap:  # c: the least power of two at or above max |u| (1 if all are 0)
+            fraction, exponent = math.frexp(float(np.max(np.abs(values))))
+            exponent -= fraction == 0.5
+            c = math.ldexp(1.0, exponent) if exponent < 1024 else math.inf  # past the largest float
+            degree = _chebyshev_degree(abs(tau) * c * self._spread, self._cap)
+            if _spectral_route(rows, n, degree):
+                self.held = point
+                return self._fill_table(values[0], tau, c, degree)
         k_count, counts = len(values), self._counts
         monomials, steps = self._monomials[:rows], self.steps[:rows]
         monomials[:, 1 : k_count + 1] = values.T
@@ -711,6 +745,36 @@ class _PwcKernel:
             p, spare = spare, p
         steps *= np.exp(-1j * tau * (linear @ self._mu))[:, None, None]
         self.held = point
+        return steps
+
+    def _fill_table(self, u: np.ndarray, tau: float, c: float, degree: int) -> np.ndarray:
+        """The ``K = 1`` steps at values ``|u| <= c`` from one real GEMM against a table.
+
+        ``S = exp(-i tau (H_0 - mu_0 + u (H_1 - m_1)))``, ``m_1`` the centre of
+        ``H_1``'s spectrum, is entire in ``u / c`` and needs ``degree``
+        Chebyshev terms (Tal-Ezer & Kosloff 1984).  The table of ``S - I`` is
+        sampled by ``eigh`` at the nodes once per ``(tau, c)``, and the phase
+        ``exp(-i tau (mu_0 + m_1 u))`` is applied per row.
+        """
+        rows, n = len(u), self.steps.shape[1]
+        table = self._chebyshev.get((tau, c))
+        if table is None:
+            nodes, cosine = _chebyshev_nodes(degree)
+            eye = np.eye(n)
+            drift, control = self._terms.view(np.complex128).reshape(2, n, n)
+            control = control - self._centre * eye
+            lam, v = np.linalg.eigh(drift + c * nodes[:, None, None] * control)
+            s = (v * np.exp(-1j * tau * lam)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            # one Newton-Schulz step makes each sample unitary to rounding, and
+            # the table holds S - I, which keeps the diagonal exact near I
+            s = s @ (1.5 * eye - 0.5 * s.conj().transpose(0, 2, 1) @ s) - eye
+            table = self._chebyshev[tau, c] = (cosine @ s.reshape(degree, n * n)).view(np.float64)
+        basis, steps = self._basis[: degree * rows].reshape(degree, rows), self.steps[:rows]
+        basis[0] = 1.0
+        np.matmul(_chebyshev_basis(basis, u / c * 2).T, table,
+                  out=steps.reshape(rows, -1).view(np.float64))
+        steps.reshape(rows, -1)[:, :: n + 1] += 1.0
+        steps *= np.exp(-1j * tau * (self._mu[0] + (self._mu[1] + self._centre) * u))[:, None, None]
         return steps
 
     def overlap_derivative(self, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
@@ -921,7 +985,7 @@ def step_pwc(system: ControlSystem, control_values, tau: float) -> np.ndarray:
     """Piecewise-constant propagator ``exp(-i tau H(t_mid))`` for one subinterval.
 
     :func:`expm_hermitian` of ``H0 + sum_k u_k H_k``, the reference for
-    :func:`evolve`'s batched Taylor steps.  Raises ``ValueError`` on a
+    :func:`evolve`'s batched PWC steps.  Raises ``ValueError`` on a
     non-finite value or ``tau``.
     """
     _check_system(system)
@@ -1118,10 +1182,15 @@ def reference_propagator(
     one control.  The slice exponentials come from ``eigh``, independent of
     the PWC kernel, and are reduced pairwise in blocks sized like :func:`evolve`'s.
     """
+    return _reference(system, field, t_start, t_end - t_start, resolution)
+
+
+def _reference(system: ControlSystem, field, t_start: float, span: float, resolution: int):
+    """:func:`reference_propagator` over ``[t_start, t_start + span]``, given the span itself."""
     _check_system(system)
     if not 100 <= resolution <= _MAX_SAMPLES:
         raise ValueError(f"resolution must lie in [100, {_MAX_SAMPLES:,}], got {resolution}")
-    dt = _check_step(t_end - t_start, "t_end - t_start") / resolution
+    dt = _check_step(span, "t_end - t_start") / resolution
     mids = t_start + (np.arange(resolution) + 0.5) * dt
     u_vals = _field_values(field, mids, system.n_controls)
     controls, n = np.stack(system.controls), system.dim
@@ -1199,7 +1268,7 @@ def evolve(
     from a sequence the two outer sub-windows of a level are one call.
     A split-operator or PWC block is one ``fill(layout(values, tau))`` of the
     PWM kernel seeded with the eigenbases of the drift and of each control
-    alone, or of the Taylor kernel.  The step-by-step references are
+    alone, or of the PWC kernel.  The step-by-step references are
     :func:`step_pwm` and :func:`step_spo`, which multiply cached factors one
     by one, and :func:`step_pwc`, one :func:`expm_hermitian`.  A ``tau`` that is
     not positive and finite, or a field duration that is not a whole number
@@ -1281,9 +1350,11 @@ def error_order(
     outside the step and a zero-extended sampled field would degrade there.
     A callable receives an array of ``n`` times per use (the reference's
     slice midpoints, the step's midpoint or its quadrature nodes) and returns
-    ``(K, n)``, or ``(n,)`` for one control.  A non-finite ``t_start``
-    raises ``ValueError``, and each ``tau`` that is not positive and finite
-    :class:`~pwmctrl.pwm.GridError`, before any propagator is built.
+    ``(K, n)``, or ``(n,)`` for one control.  Before any propagator is
+    built, each ``tau`` that is not positive and finite raises
+    :class:`~pwmctrl.pwm.GridError`, and a non-finite ``t_start`` raises
+    ``ValueError``, as does one whose float spacing exceeds the slice width
+    ``min(tau) / resolution``: the slice midpoints would collapse there.
     """
     kind, level = _parse_scheme(scheme)
     if kind in ("pwm", "pwm2n") and amplitudes is None:
@@ -1292,10 +1363,11 @@ def error_order(
     taus = [_check_step(float(t), "tau") for t in tau_list]
     if len(taus) < 2:
         raise ValueError("need at least two tau values to fit a slope")
+    _check_start(t_start, taus, resolution)
     kernel = _PwmKernel(HamiltonianCache(system, amplitudes), 1) if level else None
     errors = []
     for tau in taus:
-        ref = reference_propagator(system, field, t_start, t_start + tau, resolution)
+        ref = _reference(system, field, t_start, tau, resolution)
         if kind in ("pwc", "spo"):
             u_mid = _field_values(field, [t_start + tau / 2], system.n_controls)[:, 0]
             step = (step_pwc if kind == "pwc" else step_spo)(system, u_mid, tau)

@@ -97,6 +97,15 @@ def _check_finite(value, name: str):
     return value
 
 
+def _check_start(t_start: float, taus, resolution: int) -> None:
+    """``ValueError`` when the float spacing at ``t_start`` exceeds the slice width ``min(taus) /
+    resolution`` of :func:`~pwmctrl.propagate.error_order`, whose slice midpoints collapse there."""
+    spacing, tau = float(np.spacing(abs(t_start))), float(min(taus, default=0.0))
+    if 0 < tau < spacing * resolution:
+        raise ValueError(f"t_start = {t_start!r} is too far from 0 for tau = {tau!r} at resolution"
+                         f" = {resolution}: its float spacing {spacing!r} exceeds tau / resolution")
+
+
 def _step_count(duration: float, step: float, names: tuple[str, str]) -> int:
     """The whole number M >= 1 of ``step`` in ``duration``, allowing 1e-9 relative.
 

@@ -197,6 +197,13 @@ class TestErrorContract:
             f"error:validation:tau must be positive and finite, got {shown}\n"
         )
 
+    def test_error_order_t_start_beyond_the_slice_width_is_one_validation_line(self, capsys):
+        """At 1e17 the window's span rounds to 0; the line names the flag, not ``t_end``."""
+        assert main(["error-order", "--scheme", "pwc", "--t-start", "1e17"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:validation:--t-start: t_start = 1e+17 ")
+        assert err.count("\n") == 1 and "t_end" not in err
+
     @pytest.mark.parametrize("args, message", [
         pytest.param(["error-order", "--t-start", "inf"], "t_start must be finite",
                      id="error-order-inf-t-start"),

@@ -509,6 +509,22 @@ class TestGradient:
                 expected[k, m] = -2.0 * np.real(np.conj(overlap) * dc)
         assert np.max(np.abs(grad - expected)) <= 1e-12
 
+    def test_pwc_gradient_on_the_table_route_matches_the_first_order_formula(self, rng):
+        """``K = 1`` with 8 rows at N = 3, at least 2N, so the steps come from
+        the kernel's Chebyshev table; the gradient is the same first-order rule."""
+        problem = random_problem(rng, 3, 1, total_time=1.6, tau=0.2)
+        field = rng.uniform(-0.5, 0.5, size=(1, problem.n_steps))
+        engine = pwc_engine(problem)
+        grad = engine.gradient(engine.evaluate(field)[1])[0]
+        assert engine.kernel._chebyshev
+        steps = engine.kernel.fill(engine.kernel.layout(field, problem.tau)).copy()
+        phi, chi, overlap = sequential_sweep(steps, problem.psi_initial, problem.psi_target)
+        expected = np.empty_like(field)
+        for m in range(problem.n_steps):
+            dc = -1j * problem.tau * (chi[m + 1] @ problem.system.controls[0] @ phi[m + 1])
+            expected[0, m] = -2.0 * np.real(np.conj(overlap) * dc)
+        assert np.max(np.abs(grad - expected)) <= 1e-12
+
     @given(
         k_count=st.integers(1, 3),
         dim=st.integers(2, 12),

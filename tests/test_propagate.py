@@ -394,6 +394,102 @@ class TestPwcKernel:
             kernel.fill(kernel.layout(np.array([[0.1, 0.3, 0.2]]), bad))
 
 
+class TestPwcKernelTableRoute:
+    """``K = 1`` fills of at least ``2N`` rows: a Chebyshev table in the control value."""
+
+    @staticmethod
+    def system(rng, dim: int, shift: float = 0.0) -> ControlSystem:
+        """Random terms; ``shift`` moves the control's spectrum off centre (a large trace)."""
+        control = random_hermitian(dim, rng) + shift * np.eye(dim)
+        return ControlSystem(drift=random_hermitian(dim, rng), controls=(control,))
+
+    @pytest.mark.parametrize("dim", [2, 10, 32])
+    @pytest.mark.parametrize("shift", [0.0, 40.0])
+    @pytest.mark.parametrize("tau", [0.05, 0.2])
+    def test_matches_expm_hermitian(self, rng, dim, shift, tau):
+        """Values at +-c = +-1, just above the power of two 1 (c = 2) and
+        inside a smaller interval: entries within 1e-14, unitary within 1e-14.
+        Each table has the degree of ``|tau| c r_1``, ``r_1`` the half-spread
+        of the control's spectrum, whatever its centre."""
+        system = self.system(rng, dim, shift)
+        low, high = np.linalg.eigvalsh(system.controls[0])[[0, -1]]
+        rows = 2 * dim + 3
+        kernel = propagate._PwcKernel(system, rows)
+        inside = rng.uniform(-1.0, 1.0, size=rows)
+        fills = [
+            (np.r_[1.0, -1.0, inside[2:]], 1.0),
+            (np.r_[-(1.0 + 2.0**-52), inside[1:]], 2.0),
+            (np.r_[0.3, 0.3 * inside[1:]], 0.5),
+        ]
+        for values, scale in fills:
+            steps = kernel.fill(kernel.layout(values[None], tau))
+            degree = propagate._chebyshev_degree(tau * scale * (high - low) / 2,
+                                                 propagate._degree_cap(dim))
+            assert kernel._chebyshev[tau, scale].shape[0] == degree
+            for step, u in zip(steps, values):
+                assert np.max(np.abs(step - expm_hermitian(system.drift + u * system.controls[0],
+                                                           tau))) <= 1e-14
+                assert unitarity_defect(step) <= 1e-14
+        assert len(kernel._chebyshev) == 3
+
+    @pytest.mark.parametrize("largest, scale", [
+        (0.3, 0.5), (0.5, 0.5), (1.0, 1.0), (1.0 + 2.0**-52, 2.0), (16.0, 16.0),
+        (16.0 * (1.0 + 2.0**-52), 32.0), (2.0**-40, 2.0**-40), (0.0, 1.0),
+    ])
+    def test_table_scale_is_the_least_power_of_two_at_or_above_max_abs_u(
+        self, rng, largest, scale
+    ):
+        """One table per ``(tau, c)``; all-zero values take ``c = 1``."""
+        system = self.system(rng, 2)
+        values = np.array([[largest, -largest / 3, largest / 2, 0.0]])
+        kernel = propagate._PwcKernel(system, 4)
+        steps = kernel.fill(kernel.layout(values, 0.01))
+        assert list(kernel._chebyshev) == [(0.01, scale)]
+        for step, u in zip(steps, values[0]):
+            expected = expm_hermitian(system.drift + u * system.controls[0], 0.01)
+            assert np.max(np.abs(step - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("k_count, dim, rows, tau", [
+        (1, 10, 19, 0.2),  # fewer than 2N rows
+        (1, 2, 8, 40.0),  # a degree above the cap, 3N/2 + 40
+        (2, 10, 40, 0.2),
+        (3, 10, 40, 0.2),
+    ])
+    def test_fallbacks_equal_the_taylor_fill_bit_for_bit(
+        self, rng, monkeypatch, k_count, dim, rows, tau
+    ):
+        """The same bits as a kernel whose degree rule never allows a table."""
+        system = ControlSystem(
+            drift=random_hermitian(dim, rng),
+            controls=tuple(random_hermitian(dim, rng) for _ in range(k_count)),
+        )
+        values = rng.uniform(-1.0, 1.0, size=(k_count, rows))
+        kernel = propagate._PwcKernel(system, rows)
+        steps = kernel.fill(kernel.layout(values, tau)).copy()
+        assert not kernel._chebyshev
+        monkeypatch.setattr(propagate, "_chebyshev_degree", lambda bandwidth, cap: None)
+        taylor = propagate._PwcKernel(system, rows)
+        assert np.array_equal(steps, taylor.fill(taylor.layout(values, tau)))
+
+    def test_second_fill_and_gradient_allocate_no_step_sized_array(self, rng):
+        dim, rows = 10, 200
+        system = self.system(rng, dim)
+        kernel = propagate._PwcKernel(system, rows)
+        point = kernel.layout(rng.uniform(-1.0, 1.0, size=(1, rows)), 0.1)
+        phi, chi = (rng.normal(size=(rows + 1, dim)) + 0j for _ in range(2))
+        kernel.fill(point)
+        kernel.overlap_derivative(phi, chi)
+        assert kernel._chebyshev
+        tracemalloc.start()
+        try:
+            kernel.fill(point)
+            kernel.overlap_derivative(phi, chi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * dim * dim * np.dtype(np.complex128).itemsize
+
+
 class TestPwmKernelSlots:
     """The basis changes that a PWM kernel takes from its cache, one per slot."""
 
@@ -1015,6 +1111,7 @@ class TestErrorOrder:
             raise AssertionError("reference_propagator was called")
 
         monkeypatch.setattr(propagate, "reference_propagator", unreachable)
+        monkeypatch.setattr(propagate, "_reference", unreachable)
         with pytest.raises(ValueError, match=r"^tau must be positive and finite, got "):
             error_order(scheme, two_level, np.sin, (0.1, bad), amplitudes=np.array([1.0]))
 
@@ -1026,8 +1123,28 @@ class TestErrorOrder:
             raise AssertionError("reference_propagator was called")
 
         monkeypatch.setattr(propagate, "reference_propagator", unreachable)
+        monkeypatch.setattr(propagate, "_reference", unreachable)
         with pytest.raises(ValueError, match=r"^t_start must be finite"):
             error_order("pwc", two_level, np.sin, (0.1, 0.05), t_start=t_start)
+
+    def test_a_large_t_start_keeps_the_third_order(self, ten_level):
+        """The reference spans tau itself, not ``(t_start + tau) - t_start``."""
+        fit = error_order("pwc", ten_level, np.sin, [0.1, 0.05, 0.025], t_start=1e6)
+        assert 2.7 <= fit.slope <= 3.3, f"slope = {fit.slope:.3f}"
+
+    @pytest.mark.parametrize("t_start", [1e11, -1e11, 1e17])
+    def test_rejects_a_t_start_whose_spacing_exceeds_the_slice_width(
+        self, ten_level, monkeypatch, t_start
+    ):
+        """``np.spacing(1e11)`` is 1.5e-5, above 0.025 / 10,000: the slice
+        midpoints would collapse.  Raised before any reference is built."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a reference propagator was built")
+
+        monkeypatch.setattr(propagate, "_reference", unreachable)
+        with pytest.raises(ValueError, match=r"^t_start = .* tau = 0\.025 at resolution = 10000"):
+            error_order("pwc", ten_level, np.sin, [0.1, 0.05, 0.025], t_start=t_start)
 
     def test_saturation_flagged_for_exact_scheme(self, two_level):
         """Zero field: every scheme is exact, errors sit at rounding level."""
