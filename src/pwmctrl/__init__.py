@@ -6,128 +6,14 @@ compositions), optimize pulses by exact-gradient descent, and compare the
 analytic cost of the schemes.
 """
 
-from .costmodel import (
-    GammaGrid,
-    boundary_order,
-    cost_pwc,
-    cost_pwm,
-    gamma,
-    gamma_grid,
-)
-from .grape import (
-    BenchmarkReport,
-    BenchmarkRow,
-    GrapeOptions,
-    GrapeProblem,
-    GrapeResult,
-    OptimizationError,
-    gradient,
-    infidelity,
-    objective,
-    optimize,
-    optimize_pwc,
-    random_initial_widths,
-    run_fig5_benchmark,
-    ten_level_problem,
-)
-from .model import (
-    ControlSystem,
-    SystemValidation,
-    basis_state,
-    build_ten_level_system,
-    validate_system,
-)
-from .propagate import (
-    ErrorOrderFit,
-    HamiltonianCache,
-    PulseFrame,
-    TermCache,
-    build_frame,
-    error_order,
-    evolve,
-    expm_hermitian,
-    frame_from_widths,
-    reference_propagator,
-    step_pwc,
-    step_pwm,
-    step_pwm_higher,
-    step_spo,
-    suzuki_coefficient,
-)
-from .pwm import (
-    AmplitudeBoundError,
-    CutoffError,
-    GridError,
-    PWMSequence,
-    SampledField,
-    Spectrum,
-    default_amplitudes,
-    dominant_peaks,
-    gaussian_train,
-    inverse_pwm_pwc,
-    lowpass_reconstruct,
-    pulse_count_for_cutoff,
-    pwm_approximate,
-    pwm_signal,
-    spectrum,
-)
+from . import costmodel, grape, model, propagate, pwm
+from .costmodel import *  # noqa: F403
+from .grape import *  # noqa: F403
+from .model import *  # noqa: F403
+from .propagate import *  # noqa: F403
+from .pwm import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeBoundError",
-    "BenchmarkReport",
-    "BenchmarkRow",
-    "ControlSystem",
-    "CutoffError",
-    "ErrorOrderFit",
-    "GammaGrid",
-    "GrapeOptions",
-    "GrapeProblem",
-    "GrapeResult",
-    "GridError",
-    "HamiltonianCache",
-    "OptimizationError",
-    "PWMSequence",
-    "PulseFrame",
-    "SampledField",
-    "Spectrum",
-    "SystemValidation",
-    "TermCache",
-    "basis_state",
-    "boundary_order",
-    "build_frame",
-    "build_ten_level_system",
-    "cost_pwc",
-    "cost_pwm",
-    "default_amplitudes",
-    "dominant_peaks",
-    "error_order",
-    "evolve",
-    "expm_hermitian",
-    "frame_from_widths",
-    "gamma",
-    "gamma_grid",
-    "gaussian_train",
-    "gradient",
-    "infidelity",
-    "inverse_pwm_pwc",
-    "lowpass_reconstruct",
-    "objective",
-    "optimize",
-    "optimize_pwc",
-    "pulse_count_for_cutoff",
-    "pwm_approximate",
-    "pwm_signal",
-    "random_initial_widths",
-    "reference_propagator",
-    "run_fig5_benchmark",
-    "spectrum",
-    "step_pwc",
-    "step_pwm",
-    "step_pwm_higher",
-    "step_spo",
-    "suzuki_coefficient",
-    "ten_level_problem",
-    "validate_system",
-]
+__all__ = sorted({*costmodel.__all__, *grape.__all__, *model.__all__, *propagate.__all__,
+                  *pwm.__all__})

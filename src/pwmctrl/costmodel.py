@@ -6,17 +6,18 @@ product per factor plus the diagonal phase work; it counts scalar
 multiplications per time step.  These are closed-form estimates for
 comparing scheme cost across Hilbert-space dimension ``N``, Taylor order
 ``p``, and control count ``K`` — not measured FLOPs of the kernels.
-The PWC side is now the code's own kernel too: a degree-16 Taylor
-polynomial by Paterson-Stockmeyer, whose blocks in ``A``, ``A^2``, ``A^3``
-and ``A^4`` come from one product of the control monomials against a
-precomputed table, then three matrix products per step plus one per
-squaring, where this model's plain Horner form charges ``p - 1 = 15``.
-The PWM kernel's product route multiplies the ``2K`` factors out by
-``2K - 1`` batched products.  At ``K = 1`` a step may instead be one
-row of a ``(rows, 2J) @ (2J, 2N^2)`` real GEMM against a Chebyshev table in
-the pulse width, which does ``4 J N^2`` real multiplications per step for a
-degree ``J`` set by ``tau`` times the spectral spread.  This analytic model
-counts the product form and is unchanged, and so is criterion 10.
+The code's own kernels differ.  The PWC kernel's Taylor route is a
+degree-16 polynomial by Paterson-Stockmeyer, whose blocks in ``A``,
+``A^2``, ``A^3`` and ``A^4`` come from one product of the control monomials
+against a precomputed table, then three matrix products per step plus one
+per squaring, where this model's plain Horner form charges ``p - 1 = 15``.
+The PWM kernel's product route multiplies the ``2K`` factors out by ``2K -
+1`` batched products.  At ``K = 1`` either kernel's step may instead be one
+row of a real GEMM against a Chebyshev table, in the pulse width (``(rows,
+2J) @ (2J, 2N^2)``) or in the control value (``(rows, J) @ (J, 2N^2)``),
+with a degree ``J`` set by ``tau`` times the spectral spread.  This
+analytic model counts the product form and the Taylor polynomial and is
+unchanged, and so is criterion 10.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ __all__ = [
     "boundary_order",
     "cost_pwc",
     "cost_pwm",
-    "default_dims",
-    "default_orders",
     "gamma",
     "gamma_grid",
 ]

@@ -66,17 +66,17 @@ __all__ = [
     "evolve",
     "expm_hermitian",
     "frame_from_widths",
-    "frobenius_distance",
     "reference_propagator",
     "step_pwc",
     "step_pwm",
     "step_pwm_higher",
     "step_spo",
     "suzuki_coefficient",
-    "unitarity_defect",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+def _eigen_exponential(lam: np.ndarray, basis: np.ndarray, theta) -> np.ndarray:
+    """``V exp(-i theta lambda) V^dagger`` of eigensystems ``(lambda, V)`` stacked on leading axes."""
+    return (basis * np.exp(-1j * theta * lam)[..., None, :]) @ np.swapaxes(basis.conj(), -1, -2)
 
 
 def expm_hermitian(matrix: np.ndarray, theta: float) -> np.ndarray:
@@ -88,8 +88,7 @@ def expm_hermitian(matrix: np.ndarray, theta: float) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0
     if float(np.max(np.abs(h - h.conj().T))) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian")
-    lam, basis = np.linalg.eigh(h)
-    return (basis * np.exp(-1j * theta * lam)) @ basis.conj().T
+    return _eigen_exponential(*np.linalg.eigh(h), theta)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -159,8 +158,7 @@ class HamiltonianCache:
 
     def factor(self, prefix, theta: float) -> np.ndarray:
         """``exp(-i * theta * G_prefix)`` assembled from the cached entry."""
-        lam, basis = self.entry(prefix)
-        return (basis * np.exp(-1j * theta * lam)) @ basis.conj().T
+        return _eigen_exponential(*self.entry(prefix), theta)
 
     @property
     def size(self) -> int:
@@ -246,25 +244,39 @@ def _chebyshev_degree(bandwidth: float, cap: int) -> int | None:
     return None
 
 
-def _chebyshev_nodes(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``J = degree`` nodes ``t_j = cos(pi (j + 1/2) / J)`` and the cosine transform ``C``.
+def _chebyshev_fill(tables: dict, key, sample, basis: np.ndarray, t2: np.ndarray,
+                    out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps ``out`` by one real GEMM against a Chebyshev table: every ``K = 1`` table fill.
 
-    With the samples ``f(t_j)`` on the second-to-last axis, ``(C @ f(t))_k =
-    (2 - delta_k0) / J sum_j f(t_j) cos(k pi (j + 1/2) / J)`` is ``T_k``'s coefficient.
+    ``basis`` is ``(J, H, rows)``, ``J`` the degree and ``H`` the halves of
+    the table, with row 0 written by the kernel (each row's weight in its
+    half); the recurrence in ``t2 = 2t`` fills ``basis[k] = basis[0]
+    T_k(t)``.  On a miss at ``key``, ``sample(nodes)`` gives ``(T, H, J, N,
+    N)`` samples at the nodes ``t_j = cos(pi (j + 1/2) / J)``, and their
+    cosine transform, ``(2 - delta_k0) / J sum_j f(t_j) cos(k pi (j + 1/2) /
+    J)`` for ``T_k``, is stored in ``tables[key]`` as ``T`` real ``(H J,
+    2N^2)`` tables whose row ``H k + h`` holds ``T_k`` of half ``h``.
+    Returns the ``(rows, H J)`` basis and the tables; table 0 makes ``out``.
     """
-    k = np.arange(degree)
-    angles = np.pi * (k + 0.5) / degree
-    return np.cos(angles), np.cos(np.outer(k, angles)) * np.where(k == 0, 1, 2)[:, None] / degree
-
-
-def _chebyshev_basis(basis: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Fills ``basis[k] = basis[0] T_k(t)``, ``k >= 1``, by the recurrence in ``t2 = 2t``."""
-    if len(basis) > 1:
+    degree, halves, rows = basis.shape
+    table = tables.get(key)
+    if table is None:
+        k = np.arange(degree)
+        angles = np.pi * (k + 0.5) / degree
+        cosine = np.cos(np.outer(k, angles)) * np.where(k == 0, 1, 2)[:, None] / degree
+        samples = sample(np.cos(angles))
+        kinds, n = len(samples), samples.shape[-1]
+        coefficients = cosine @ samples.reshape(kinds, halves, degree, n * n)
+        table = coefficients.transpose(0, 2, 1, 3).reshape(kinds, halves * degree, n * n)
+        table = tables[key] = table.view(np.float64)
+    if degree > 1:
         np.multiply(basis[0], t2 / 2, out=basis[1])
-        for k in range(2, len(basis)):
+        for k in range(2, degree):
             np.multiply(basis[k - 1], t2, out=basis[k])
             basis[k] -= basis[k - 2]
-    return basis
+    basis = basis.reshape(halves * degree, rows).T
+    np.matmul(basis, table[0], out=out.reshape(rows, -1).view(np.float64))
+    return basis, table
 
 
 def _carve(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
@@ -316,13 +328,12 @@ class _PwmKernel:
       Chebyshev series in ``t = 2u/|L| - 1`` converges geometrically: ``J``
       terms suffice at the smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``,
       ``b = |L|/2 max |lambda_1c - (lambda_0a + lambda_0b)/2|`` over both
-      sign slots (:func:`_chebyshev_degree`).  Per signed length ``L`` the
-      kernel samples ``S`` and the exact ``dS/du`` of both sign slots at the
-      nodes of :func:`_chebyshev_nodes` when a fill at ``L`` first takes
-      this route.  A fill evaluates ``T_k(t)`` (:func:`_chebyshev_basis`)
-      into the row's sign half of a ``(rows, 2J)`` basis and makes all
-      steps by one real GEMM against both signs' tables.  Above ``J = 3N/2
-      + 40`` (:func:`_degree_cap`) the fill takes the product route.
+      sign slots (:func:`_chebyshev_degree`).  The row's sign half of the
+      basis and its ``t`` go to :func:`_chebyshev_fill`, which on the first
+      fill at ``L`` tabulates ``S`` and the exact ``dS/dw`` of both sign
+      slots from :meth:`_chebyshev_samples` and makes all steps by one real
+      GEMM.  Above ``J = 3N/2 + 40`` (:func:`_degree_cap`) the fill takes
+      the product route.
     - **Product route** (every other fill).  Folding every ``D`` into a
       neighbouring ``W`` leaves ``2K`` dense factors, so a step costs ``2K -
       1`` batched matrix products.
@@ -448,41 +459,31 @@ class _PwmKernel:
             acc = out
         return steps
 
-    def _chebyshev_tables(self, length: float, degree: int) -> np.ndarray:
-        """The ``(2, 2J, 2N^2)`` real Chebyshev coefficients of ``S`` and ``dS/dw`` at ``length``.
+    def _chebyshev_samples(self, length: float, nodes: np.ndarray) -> np.ndarray:
+        """``S`` and ``dS/dw`` of both sign slots at the Chebyshev ``nodes`` in ``t``.
 
-        Row ``2k + h`` of a table holds ``T_k`` of sign half ``h`` (slot
-        ``h``: ``+1``, then ``-1``, where ``dS/dw = -dS/du`` with ``u =
-        |w|``).  Both halves are sampled together, on first use at
-        ``length``, from the cached eigensystems at the Chebyshev nodes of
-        :func:`_chebyshev_nodes`, and transformed by its cosine transform.
+        The ``(2, 2, J, N, N)`` samples of :func:`_chebyshev_fill`, from the
+        cached eigensystems: sign half ``h`` is slot ``h``, ``+1`` then
+        ``-1``, where ``dS/dw = -dS/du`` with ``u = |w|``.
         """
-        tables = self._chebyshev.get(length)
-        if tables is None:
-            nodes, cosine = _chebyshev_nodes(degree)
-            sign, u = math.copysign(1.0, length), abs(length) / 2 * (nodes + 1)
-            lam0, lam, w = self._lam0, self._lam_b[:, None], self._w[:, None]
-            outer = np.exp(-1j * sign * (abs(length) - u)[:, None] / 2 * lam0)
-            left = outer[:, :, None] * w * np.exp(-1j * sign * u[:, None] * lam)[:, :, None, :]
-            right = self._w_adjoint[:, None] * outer[:, None, :]
-            # dS/du = -i sign (D_0 W (lambda_1 - c) D_1 W^dagger D_0
-            #                 - ((lambda_0a + lambda_0b)/2 - c) S), centred on c
-            # to keep the two terms small
-            centre = lam0.mean()
-            samples = np.stack([left @ right, (left * (lam[..., None, :] - centre)) @ right])
-            samples[1] -= ((lam0[:, None] + lam0) / 2 - centre) * samples[0]
-            # times d|w|/dw = -1 in the negative half: the derivative table is dS/dw
-            samples[1] *= -1j * sign * np.array([1, -1])[:, None, None, None]
-            n = self.steps.shape[1]
-            coefficients = cosine @ samples.reshape(2, 2, degree, n * n)
-            tables = coefficients.transpose(0, 2, 1, 3).reshape(2, 2 * degree, n * n)
-            tables = self._chebyshev[length] = tables.view(np.float64)
-        return tables
+        sign, u = math.copysign(1.0, length), abs(length) / 2 * (nodes + 1)
+        lam0, lam, w = self._lam0, self._lam_b[:, None], self._w[:, None]
+        outer = np.exp(-1j * sign * (abs(length) - u)[:, None] / 2 * lam0)
+        left = outer[:, :, None] * w * np.exp(-1j * sign * u[:, None] * lam)[:, :, None, :]
+        right = self._w_adjoint[:, None] * outer[:, None, :]
+        # dS/du = -i sign (D_0 W (lambda_1 - c) D_1 W^dagger D_0
+        #                 - ((lambda_0a + lambda_0b)/2 - c) S), centred on c
+        # to keep the two terms small
+        centre = lam0.mean()
+        samples = np.stack([left @ right, (left * (lam[..., None, :] - centre)) @ right])
+        samples[1] -= ((lam0[:, None] + lam0) / 2 - centre) * samples[0]
+        # times d|w|/dw = -1 in the negative half: the derivative table is dS/dw
+        samples[1] *= -1j * sign * np.array([1, -1])[:, None, None, None]
+        return samples
 
     def _fill_spectral(self, layout: _Layout, degree: int, out: np.ndarray) -> None:
         """The ``K = 1`` steps of ``layout`` into ``out``: one GEMM against the tables."""
         rows = len(out)
-        tables = self._chebyshev_tables(layout.length, degree)
         # T_k(t) of each row in its sign half, zero in the other
         basis = self._basis[: 2 * degree * rows].reshape(degree, 2, rows)
         np.less(layout.signs[0], 0, out=basis[0, 1])
@@ -490,9 +491,8 @@ class _PwmKernel:
         t2 = self._t2[:rows]
         np.multiply(layout.sorted_abs[0], 4 / abs(layout.length), out=t2)
         t2 -= 2
-        basis = _chebyshev_basis(basis, t2).reshape(2 * degree, rows).T
-        np.matmul(basis, tables[0], out=out.reshape(rows, -1).view(np.float64))
-        self._spectral = basis, tables
+        sample = functools.partial(self._chebyshev_samples, layout.length)
+        self._spectral = _chebyshev_fill(self._chebyshev, layout.length, sample, basis, t2, out)
 
     def overlap_derivative(self, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """Exact ``d<chi_0|phi_0>`` with respect to every width of the held layout.
@@ -577,8 +577,23 @@ _BLOCK_COEFFS = np.array(
 )
 
 
+#: Most squarings the Taylor route takes: its steps leave unitarity by about
+#: ``2^s 1e-16``, and measured fills stayed within 1e-8 of it up to s = 24
+#: (README "Invariants").
+_MAX_SQUARINGS = 24
+
+
 def _squarings(norm: float) -> int:
-    """Squarings that bring a 1-norm ``norm`` down to ``_TAYLOR_THETA``."""
+    """Squarings that bring a 1-norm ``norm`` down to ``_TAYLOR_THETA``.
+
+    Raises ``ValueError`` when that takes more than :data:`_MAX_SQUARINGS`,
+    or ``norm`` is not finite.
+    """
+    if not norm <= _TAYLOR_THETA * 2.0**_MAX_SQUARINGS:
+        raise ValueError(
+            f"tau * ||H - mu||_1 = {norm:.6g} needs more than {_MAX_SQUARINGS} squarings "
+            "of the PWC step; use a smaller tau"
+        )
     return max(0, math.ceil(math.log2(norm / _TAYLOR_THETA))) if norm > 0 else 0
 
 
@@ -615,13 +630,15 @@ class _PwcKernel:
     """Batched PWC steps ``exp(-i tau (H0 + sum_k u_k H_k))`` of up to ``rows`` subintervals.
 
     At ``K = 1`` a fill of at least ``2N`` rows within the degree cap takes
-    the table route (:func:`_spectral_route`, :meth:`_fill_table`).  Every
+    the table route (:func:`_spectral_route`, :meth:`_fill_table`), whose
+    table :func:`_chebyshev_fill` builds from :meth:`_table_samples`.  Every
     other fill scales and squares around a Taylor polynomial (Al-Mohy &
     Higham 2009): each step Hamiltonian is shifted by ``mu = tr H / N``,
     which is exact, as ``exp(-i tau mu)`` is a scalar phase applied at the
     end.  One squaring count ``s`` per call brings the largest 1-norm of
     ``A = -i tau (H - mu) / 2^s`` in the stack to at most ``_TAYLOR_THETA``
-    (for Hermitian ``H`` the 1-norm bounds the 2-norm).  The degree-16
+    (for Hermitian ``H`` the 1-norm bounds the 2-norm); more than
+    :data:`_MAX_SQUARINGS` raise ``ValueError``.  The degree-16
     polynomial is evaluated by Paterson-Stockmeyer in ``B = A^4`` (Paterson
     & Stockmeyer 1973),
 
@@ -697,7 +714,7 @@ class _PwcKernel:
         return _PwcPoint(_locked(np.array(values, dtype=np.float64)), tau)
 
     def fill(self, point: _PwcPoint) -> np.ndarray:
-        """The step stack of ``point``; raises ``ValueError`` on a non-finite value or ``tau``."""
+        """The step stack of ``point``; ``ValueError`` on a non-finite value or ``tau`` (or norm)."""
         values, tau = point
         _check_finite(tau, "tau")
         _check_finite(values, "control values")
@@ -752,30 +769,29 @@ class _PwcKernel:
 
         ``S = exp(-i tau (H_0 - mu_0 + u (H_1 - m_1)))``, ``m_1`` the centre of
         ``H_1``'s spectrum, is entire in ``u / c`` and needs ``degree``
-        Chebyshev terms (Tal-Ezer & Kosloff 1984).  The table of ``S - I`` is
-        sampled by ``eigh`` at the nodes once per ``(tau, c)``, and the phase
-        ``exp(-i tau (mu_0 + m_1 u))`` is applied per row.
+        Chebyshev terms (Tal-Ezer & Kosloff 1984).  :func:`_chebyshev_fill`
+        tabulates ``S - I`` once per ``(tau, c)``; the identity and the phase
+        ``exp(-i tau (mu_0 + m_1 u))`` are added per row.
         """
         rows, n = len(u), self.steps.shape[1]
-        table = self._chebyshev.get((tau, c))
-        if table is None:
-            nodes, cosine = _chebyshev_nodes(degree)
-            eye = np.eye(n)
-            drift, control = self._terms.view(np.complex128).reshape(2, n, n)
-            control = control - self._centre * eye
-            lam, v = np.linalg.eigh(drift + c * nodes[:, None, None] * control)
-            s = (v * np.exp(-1j * tau * lam)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-            # one Newton-Schulz step makes each sample unitary to rounding, and
-            # the table holds S - I, which keeps the diagonal exact near I
-            s = s @ (1.5 * eye - 0.5 * s.conj().transpose(0, 2, 1) @ s) - eye
-            table = self._chebyshev[tau, c] = (cosine @ s.reshape(degree, n * n)).view(np.float64)
-        basis, steps = self._basis[: degree * rows].reshape(degree, rows), self.steps[:rows]
+        basis, steps = self._basis[: degree * rows].reshape(degree, 1, rows), self.steps[:rows]
         basis[0] = 1.0
-        np.matmul(_chebyshev_basis(basis, u / c * 2).T, table,
-                  out=steps.reshape(rows, -1).view(np.float64))
+        sample = functools.partial(self._table_samples, tau, c)
+        _chebyshev_fill(self._chebyshev, (tau, c), sample, basis, u / c * 2, steps)
         steps.reshape(rows, -1)[:, :: n + 1] += 1.0
         steps *= np.exp(-1j * tau * (self._mu[0] + (self._mu[1] + self._centre) * u))[:, None, None]
         return steps
+
+    def _table_samples(self, tau: float, c: float, nodes: np.ndarray) -> np.ndarray:
+        """``S - I`` at the values ``c t`` of the Chebyshev ``nodes``, ``(1, 1, J, N, N)``."""
+        n = self.steps.shape[1]
+        eye = np.eye(n)
+        drift, control = self._terms.view(np.complex128).reshape(2, n, n)
+        control = control - self._centre * eye
+        s = _eigen_exponential(*np.linalg.eigh(drift + c * nodes[:, None, None] * control), tau)
+        # one Newton-Schulz step makes each sample unitary to rounding, and
+        # the table holds S - I, which keeps the diagonal exact near I
+        return (s @ (1.5 * eye - 0.5 * s.conj().transpose(0, 2, 1) @ s) - eye)[None, None]
 
     def overlap_derivative(self, phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """First-order ``d<chi_0|phi_0>`` with respect to every held control value.
@@ -848,8 +864,7 @@ class TermCache:
         return found
 
     def factor(self, index: int | None, theta: float) -> np.ndarray:
-        lam, basis = self.entry(index)
-        return (basis * np.exp(-1j * theta * lam)) @ basis.conj().T
+        return _eigen_exponential(*self.entry(index), theta)
 
     def _slot_stacks(self) -> tuple:
         """The ``K`` slots ``V_j^dagger V_{j+1}`` (drift ``j = 0``) as for a
@@ -968,6 +983,7 @@ def step_pwm(
     Multiplies the factors one by one, the reference for the batched kernel.
     A ``cache`` must have been built for ``system`` and ``amplitudes``.
     """
+    _check_controls("frame", frame.widths.size, system.n_controls)
     cache = _checked_cache(cache, system, amplitudes)
     return functools.reduce(np.matmul, _pwm_factors(cache, frame))
 
@@ -1029,12 +1045,17 @@ def suzuki_coefficient(n: int) -> float:
     return 1.0 / (2.0 - 2.0 ** (1.0 / (2 * n - 1)))
 
 
+def _check_controls(name: str, count: int, n_controls: int) -> None:
+    """``ValueError`` unless per-control data ``name`` has the system's ``n_controls`` controls."""
+    if count != n_controls:
+        raise ValueError(f"{name} has {count} controls, system has {n_controls}")
+
+
 def _is_sampled(field, n_controls: int) -> bool:
     """Whether ``field`` is a :class:`SampledField`; ``ValueError`` on a wrong control count."""
     if not isinstance(field, SampledField):
         return False
-    if field.n_controls != n_controls:
-        raise ValueError(f"field has {field.n_controls} controls, system has {n_controls}")
+    _check_controls("field", field.n_controls, n_controls)
     return True
 
 
@@ -1058,6 +1079,12 @@ def _field_values(field, times, n_controls: int) -> np.ndarray:
     return values
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, ...]:
+    """The 64 read-only Gauss-Legendre nodes and weights of :func:`_field_integral`, built once."""
+    return tuple(map(_locked, np.polynomial.legendre.leggauss(64)))
+
+
 def _field_integral(field, a: np.ndarray, b: np.ndarray, n_controls: int) -> np.ndarray:
     """Signed integral of each control over the windows ``[a, b]``, shape ``(K, len(a))``.
 
@@ -1069,9 +1096,10 @@ def _field_integral(field, a: np.ndarray, b: np.ndarray, n_controls: int) -> np.
         return field.integral(a, b)
     half = (b - a) / 2
     mid = (a + b) / 2
-    times = mid[:, None] + half[:, None] * _GL_NODES
+    nodes, weights = _gauss_legendre()
+    times = mid[:, None] + half[:, None] * nodes
     values = _field_values(field, times, n_controls).reshape(n_controls, *times.shape)
-    return (values @ _GL_WEIGHTS) * half
+    return (values @ weights) * half
 
 
 def _suzuki_steps(
@@ -1108,12 +1136,15 @@ def _suzuki_steps(
     return last @ middle @ first
 
 
-def _check_sequence(seq: PWMSequence, tau: float | None, amplitudes=None) -> float:
+def _check_sequence(seq: PWMSequence, system: ControlSystem, tau: float | None,
+                    amplitudes=None) -> float:
     """``tau``, or ``seq.tau`` when it is ``None``.
 
-    Raises ``ValueError`` when a given ``tau`` or ``amplitudes`` disagree
-    with the sequence's own (beyond 1e-12 relative).
+    Raises ``ValueError`` when the sequence has another control count than
+    ``system``, or a given ``tau`` or ``amplitudes`` disagree with the
+    sequence's own (beyond 1e-12 relative).
     """
+    _check_controls("sequence", seq.n_controls, system.n_controls)
     if tau is not None and not math.isclose(tau, seq.tau, rel_tol=1e-12):
         raise ValueError("tau disagrees with the sequence subinterval")
     if amplitudes is not None and not np.allclose(
@@ -1151,7 +1182,7 @@ def step_pwm_higher(
     if n < 2:
         raise ValueError(f"order index n must be >= 2, got {n}")
     if isinstance(source, PWMSequence):
-        tau = _check_sequence(source, tau, amplitudes)
+        tau = _check_sequence(source, system, tau, amplitudes)
         if not 1 <= m <= source.n_pulses:
             raise ValueError(f"subinterval index m={m} outside 1..{source.n_pulses}")
         base_widths = source.widths[:, m - 1 : m]
@@ -1199,8 +1230,7 @@ def _reference(system: ControlSystem, field, t_start: float, span: float, resolu
     def steps(block: slice) -> np.ndarray:
         h = np.einsum("kr,kab->rab", u_vals[:, block], controls)
         h += system.drift
-        lam, basis = np.linalg.eigh(h)
-        return (basis * np.exp(-1j * dt * lam)[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+        return _eigen_exponential(*np.linalg.eigh(h), dt)
 
     scratch = np.empty((_level_rows(rows), n, n), dtype=np.complex128)
     return _block_product(steps, resolution, rows, scratch)
@@ -1294,8 +1324,8 @@ def evolve(
 
     if isinstance(source, PWMSequence):
         seq, field = source, None
-        _check_sequence(seq, tau, amplitudes)
-    elif not isinstance(source, SampledField):
+        _check_sequence(seq, system, tau, amplitudes)
+    elif not _is_sampled(source, system.n_controls):
         raise ValueError(
             f"scheme {scheme!r} takes a PWMSequence, or a SampledField with amplitudes and tau"
         )

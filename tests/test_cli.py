@@ -6,8 +6,8 @@ import pytest
 
 from pwmctrl import cli
 from pwmctrl.cli import main
-from pwmctrl.grape import GrapeOptions, GrapeProblem, optimize
-from pwmctrl.model import basis_state
+from pwmctrl.grape import GrapeOptions, GrapeProblem, optimize, run_fig5_benchmark
+from pwmctrl.model import ControlSystem, basis_state
 from pwmctrl.io import (
     read_field_csv,
     read_gamma_grid_csv,
@@ -17,8 +17,23 @@ from pwmctrl.io import (
     read_system_json,
     read_trace_csv,
 )
-from pwmctrl.pwm import SampledField, inverse_pwm_pwc
-from pwmctrl.io import write_field_csv
+from pwmctrl.propagate import evolve
+from pwmctrl.pwm import SampledField, inverse_pwm_pwc, lowpass_reconstruct, pwm_signal
+from pwmctrl.io import (
+    write_field_csv,
+    write_propagator_csv,
+    write_spectrum_csv,
+    write_system_json,
+)
+
+from conftest import random_hermitian
+
+
+def library_bytes(tmp_path, writer, value) -> bytes:
+    """The bytes ``writer`` puts in a file for ``value``: what the command must write."""
+    path = tmp_path / "library.out"
+    writer(path, value)
+    return path.read_bytes()
 
 
 def write_sine_field(path, n_samples=200, duration=2.0):
@@ -248,6 +263,33 @@ class TestSignalAndReconstruct:
         expected = inverse_pwm_pwc(read_sequence_csv(sequence_path))
         assert np.array_equal(recon.values, expected.values)
 
+    def test_signal_without_rate_samples_at_512_over_tau(self, tmp_path, sequence_path):
+        out = tmp_path / "signal.csv"
+        assert main(["signal", "--sequence", str(sequence_path), "--out", str(out)]) == 0
+        seq = read_sequence_csv(sequence_path)
+        expected = pwm_signal(seq, 0, 512.0 / seq.tau)
+        assert out.read_bytes() == library_bytes(tmp_path, write_field_csv, expected)
+
+    def test_lowpass_from_a_sequence_matches_library(self, tmp_path, sequence_path):
+        out = tmp_path / "recon.csv"
+        assert main([
+            "reconstruct", "--sequence", str(sequence_path), "--cutoff", "10",
+            "--out", str(out),
+        ]) == 0
+        seq = read_sequence_csv(sequence_path)
+        expected = lowpass_reconstruct(pwm_signal(seq, 0, 512.0 / seq.tau), 10.0)
+        assert out.read_bytes() == library_bytes(tmp_path, write_field_csv, expected)
+
+    def test_lowpass_from_a_field_matches_library(self, tmp_path, sequence_path):
+        signal, out = tmp_path / "signal.csv", tmp_path / "recon.csv"
+        assert main(["signal", "--sequence", str(sequence_path), "--rate", "200",
+                     "--out", str(signal)]) == 0
+        assert main([
+            "reconstruct", "--field", str(signal), "--cutoff", "10", "--out", str(out),
+        ]) == 0
+        expected = lowpass_reconstruct(read_field_csv(signal), 10.0)
+        assert out.read_bytes() == library_bytes(tmp_path, write_field_csv, expected)
+
     def test_unknown_kind_from_config_is_validation_error(self, tmp_path, sequence_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"kind": "triangle"}))
@@ -300,6 +342,33 @@ class TestPropagate:
         capsys.readouterr()
         assert main([*argv, "--xi", "3", "--out", str(tmp_path / "u3.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:validation:amplitudes disagree")
+
+    def test_field_without_tau_is_one_step_over_the_record(self, tmp_path):
+        field_path, out = write_sine_field(tmp_path / "field.csv"), tmp_path / "u.csv"
+        assert main([
+            "propagate", "--builtin", "two-level", "--scheme", "pwc",
+            "--field", str(field_path), "--out", str(out),
+        ]) == 0
+        field = read_field_csv(field_path)
+        expected = evolve(cli._builtin("two-level"), "pwc", field, tau=field.dt * field.n_samples)
+        assert out.read_bytes() == library_bytes(tmp_path, write_propagator_csv, expected)
+
+    def test_sequence_of_another_control_count_is_one_validation_line(self, tmp_path, capsys,
+                                                                      rng):
+        system, seq = tmp_path / "system.json", tmp_path / "seq.csv"
+        write_system_json(system, ControlSystem(
+            drift=random_hermitian(3, rng),
+            controls=(random_hermitian(3, rng), random_hermitian(3, rng)),
+        ))
+        field = write_sine_field(tmp_path / "field.csv")
+        assert main(["approximate", "--field", str(field), "--tau", "0.25",
+                     "--out", str(seq)]) == 0
+        capsys.readouterr()
+        assert main(["propagate", "--system", str(system), "--sequence", str(seq),
+                     "--out", str(tmp_path / "u.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error:validation:sequence has 1 controls, system has 2"]
+        assert not (tmp_path / "u.csv").exists()
 
     def test_system_round_trip_through_json(self, tmp_path):
         system_path = tmp_path / "system.json"
@@ -432,6 +501,18 @@ class TestBenchmarkCommand:
         # two iterations converge neither run: the medians are NaN, without a unit
         assert out[0] == "converged pwm=0/1 pwc=0/1"
         assert out[1] == "median_wall pwm=nan pwc=nan ratio=nan"
+
+    def test_converged_run_writes_the_library_spectrum(self, tmp_path, capsys):
+        """One full-size fig5 pair converges, and the optimized field's
+        spectrum file holds the library's bytes."""
+        assert main([
+            "benchmark-fig5", "--repeats", "1", "--seed", "1", "--out-dir", str(tmp_path),
+        ]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "converged pwm=1/1 pwc=1/1"
+        [spectrum] = run_fig5_benchmark(repeats=1, seed=1).spectra
+        written = (tmp_path / "optimized_spectrum_00.csv").read_bytes()
+        assert written == library_bytes(tmp_path, write_spectrum_csv, spectrum)
+        assert not (tmp_path / "optimized_spectrum_01.csv").exists()
 
     def test_prints_the_iteration_maximum_and_mean_wall(self, tmp_path, capsys):
         assert main([

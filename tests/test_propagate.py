@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,33 @@ class TestPwcKernel:
         with pytest.raises(ValueError, match="finite"):
             kernel.fill(kernel.layout(np.array([[0.1, 0.3, 0.2]]), bad))
 
+    @pytest.mark.parametrize("u", [1.0, 1e6])
+    def test_squarings_stop_at_the_cap(self, ten_level, u):
+        """A one-row fill of the ten-level system whose ``tau ||H - mu||_1``
+        takes the cap's squarings stays within 1e-8 of unitary; at twice that
+        ``tau`` (one squaring more) the fill raises."""
+        h = ten_level.drift + u * ten_level.controls[0]
+        norm = np.max(np.abs(h - np.trace(h).real / 10 * np.eye(10)).sum(axis=0))
+        tau = propagate._TAYLOR_THETA * 2.0**propagate._MAX_SQUARINGS / norm * (1 - 1e-9)
+        assert propagate._squarings(tau * norm) == propagate._MAX_SQUARINGS == 24
+        kernel = propagate._PwcKernel(ten_level, 1)
+        step = kernel.fill(kernel.layout([[u]], tau))[0]
+        assert unitarity_defect(step) <= 1e-8
+        with pytest.raises(ValueError, match=r"needs more than 24 squarings.*smaller tau"):
+            kernel.fill(kernel.layout([[u]], 2 * tau))
+
+    @pytest.mark.parametrize("norm", [np.inf, np.nan])
+    def test_squaring_count_rejects_a_non_finite_norm(self, norm):
+        with pytest.raises(ValueError, match="smaller tau"):
+            propagate._squarings(norm)
+
+    def test_evolve_beyond_the_cap_raises_without_a_runtime_warning(self, ten_level):
+        field = SampledField(dt=0.1, values=[[1e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="smaller tau"):
+                evolve(ten_level, "pwc", field, tau=0.1)
+
 
 class TestPwcKernelTableRoute:
     """``K = 1`` fills of at least ``2N`` rows: a Chebyshev table in the control value."""
@@ -425,7 +453,7 @@ class TestPwcKernelTableRoute:
             steps = kernel.fill(kernel.layout(values[None], tau))
             degree = propagate._chebyshev_degree(tau * scale * (high - low) / 2,
                                                  propagate._degree_cap(dim))
-            assert kernel._chebyshev[tau, scale].shape[0] == degree
+            assert kernel._chebyshev[tau, scale].shape[1] == degree
             for step, u in zip(steps, values):
                 assert np.max(np.abs(step - expm_hermitian(system.drift + u * system.controls[0],
                                                            tau))) <= 1e-14
@@ -829,6 +857,33 @@ class TestCacheOwnership:
                 step_pwm_higher(ten_level, xi, seq, 1, 2, cache=cache)
         with pytest.raises(ValueError, match="another system"):
             step_spo(ten_level, [0.8], 0.1, TermCache(other))
+
+
+class TestControlCount:
+    """Per-control input with another control count than the system raises
+    one ``ValueError`` instead of giving a propagator or an indexing error."""
+
+    @pytest.fixture()
+    def system(self, rng):
+        return ControlSystem(drift=random_hermitian(4, rng),
+                             controls=(random_hermitian(4, rng), random_hermitian(4, rng)))
+
+    @pytest.mark.parametrize("widths", [[0.05], [0.05, 0.01, 0.02]])
+    def test_step_pwm_rejects_a_frame_of_another_count(self, system, widths):
+        with pytest.raises(ValueError, match=f"frame has {len(widths)} controls, system has 2"):
+            step_pwm(system, [1.0, 1.0], frame_from_widths(widths, 0.1))
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda system, seq, field: evolve(system, "pwm", seq), "sequence"),
+        (lambda system, seq, field: evolve(system, "pwm4", seq), "sequence"),
+        (lambda system, seq, field: step_pwm_higher(system, [1.0], seq, 1, 2), "sequence"),
+        (lambda system, seq, field: evolve(system, "pwm", field, tau=0.1, amplitudes=[1.0]),
+         "field"),
+    ], ids=["evolve-pwm", "evolve-pwm4", "step_pwm_higher", "evolve-field"])
+    def test_one_control_input_on_a_two_control_system(self, system, call, name):
+        field = SampledField(dt=0.1, values=[[0.2, 0.3]])
+        with pytest.raises(ValueError, match=f"^{name} has 1 controls, system has 2$"):
+            call(system, pwm_approximate(field, [1.0], 0.1), field)
 
 
 class TestHermiticity:
