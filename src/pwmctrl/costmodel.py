@@ -13,11 +13,10 @@ against a precomputed table, then three matrix products per step plus one
 per squaring, where this model's plain Horner form charges ``p - 1 = 15``.
 The PWM kernel's product route multiplies the ``2K`` factors out by ``2K -
 1`` batched products.  At ``K = 1`` either kernel's step may instead be one
-row of a real GEMM against a Chebyshev table, in the pulse width (``(rows,
-2J) @ (2J, 2N^2)``) or in the control value (``(rows, J) @ (J, 2N^2)``),
-with a degree ``J`` set by ``tau`` times the spectral spread.  This
-analytic model counts the product form and the Taylor polynomial and is
-unchanged, and so is criterion 10.
+row of a real GEMM against a Chebyshev table in the pulse width or the
+control value, ``(rows, 2J) @ (2J, 2N^2)`` or ``(rows, J) @ (J, 2N^2)``,
+of a degree ``J`` set by ``tau`` times the spectral spread.  This model
+counts the product form and the Taylor polynomial, unchanged, as is criterion 10.
 """
 
 from __future__ import annotations
