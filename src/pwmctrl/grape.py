@@ -51,6 +51,7 @@ techniques; above one control it is a scaling-and-squaring Taylor polynomial.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -580,18 +581,23 @@ def run_fig5_benchmark(
     iterations, final objective, and wall time.  Per-run seeds are spawned
     deterministically from ``seed``, so results are reproducible for any
     ``jobs`` value (runs are independent; each worker executes the PWM and
-    PWC halves of a run back to back for fair timing).
+    PWC halves of a run back to back for fair timing).  ``jobs`` must be at
+    least 1; the process pool gets ``min(jobs, repeats, os.cpu_count())``
+    workers, and a single worker runs the pairs in this process.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     problem = problem or ten_level_problem()
     options = options or GrapeOptions()
     child_seeds = [s.generate_state(1)[0] for s in np.random.SeedSequence(seed).spawn(repeats)]
     tasks = [(problem, options, run, int(child_seeds[run])) for run in range(repeats)]
-    if jobs > 1:
+    workers = min(jobs, repeats, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fig5_single_run, tasks))
     else:
         results = [_fig5_single_run(t) for t in tasks]

@@ -1,5 +1,6 @@
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -558,3 +559,297 @@ class TestDemos:
         train = read_field_csv(tmp_path / "fig4_train.csv")
         spec = read_spectrum_csv(tmp_path / "fig4_spectrum.csv")
         assert train.n_samples == spec.n_samples
+
+
+# --------------------------------------------------------------- --config
+
+@pytest.fixture()
+def inputs(tmp_path):
+    """A sine field, its pulse sequence and a two-level system JSON, written once."""
+    field = write_sine_field(tmp_path / "field.csv")
+    seq, system = tmp_path / "seq.csv", tmp_path / "system.json"
+    assert main(["approximate", "--field", str(field), "--tau", "0.25", "--xi", "1.2",
+                 "--out", str(seq)]) == 0
+    assert main(["system", "--name", "two-level", "--out", str(system)]) == 0
+    return {"field": str(field), "sequence": str(seq), "system": str(system)}
+
+
+#: For each subcommand, option values (config keys) given once as flags and once
+#: in a config; a value named by ``inputs`` is replaced by that file's path.
+CONFIG_CASES = {
+    "approximate": {"field": "field", "tau": 0.25, "xi": [1.3]},
+    "signal": {"sequence": "sequence", "kind": "gauss", "rate": 200},
+    "reconstruct": {"sequence": "sequence", "mode": "lowpass", "cutoff": 10, "rate": 300.0},
+    "spectrum": {"field": "field", "control": 1},
+    "propagate": {"system": "system", "scheme": "pwm4", "field": "field", "tau": 0.25,
+                  "xi": "1.2"},
+    "error-order": {"scheme": "pwc", "taus": [0.2, 0.1], "resolution": 500, "t_start": 0.25},
+    "optimize": {"builtin": "two-level", "initial": 0, "target": 1, "total_time": 5.0,
+                 "tau": 0.25, "xi": [1.0], "scheme": "pwm", "seed": 3, "max_iterations": 50,
+                 "tolerance": 0.01, "initial_step": 0.5, "width_bound": 0.2},
+    "benchmark-fig5": {"repeats": 1, "seed": 1, "jobs": 1, "total_time": 1.0, "tau": 0.1,
+                       "max_iterations": 2, "tolerance": 0.01, "initial_step": 1.0,
+                       "width_bound": 0.1},
+    "complexity": {"K": 2, "Nmin": 4, "Nmax": 20, "pmin": 2, "pmax": 8, "dims_count": 5},
+    "demo-fig1": {},
+    "demo-fig4": {},
+    "system": {"name": "two-level"},
+}
+DIRECTORY_OUTPUT = {"optimize", "benchmark-fig5", "complexity", "demo-fig1", "demo-fig4"}
+
+
+def flag_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def written_files(directory) -> dict:
+    """Each file under ``directory`` by name; ``benchmark.csv`` without its wall-time column."""
+    files = {}
+    for path in sorted(directory.rglob("*")):
+        data = path.read_bytes()
+        if path.name == "benchmark.csv":
+            data = b"\n".join(b",".join(row.split(b",")[:4] + row.split(b",")[5:])
+                              for row in data.splitlines())
+        files[path.relative_to(directory).as_posix()] = data
+    return files
+
+
+class TestConfigMeansTheFlags:
+    @pytest.mark.parametrize("command", list(CONFIG_CASES))
+    def test_config_writes_what_the_flags_write(self, tmp_path, inputs, command, capsys):
+        options = {key: inputs.get(value, value) if isinstance(value, str) else value
+                   for key, value in CONFIG_CASES[command].items()}
+        out_key = "out_dir" if command in DIRECTORY_OUTPUT else "out"
+        runs = {}
+        for how in ("flags", "config"):
+            target = tmp_path / how
+            if out_key == "out":
+                target.mkdir()
+            out = {out_key: str(target if out_key == "out_dir" else target / "result")}
+            if how == "flags":
+                argv = [command]
+                for key, value in {**options, **out}.items():
+                    argv += [f"--{key.replace('_', '-')}", flag_text(value)]
+            else:
+                config = tmp_path / f"{command}.json"
+                config.write_text(json.dumps({**options, **out}))
+                argv = [command, "--config", str(config)]
+            assert main(argv) == 0, capsys.readouterr().err
+            runs[how] = written_files(target)
+        assert runs["flags"] and runs["config"] == runs["flags"]
+
+
+class TestConfigPrecedence:
+    """flag > config > declared default, for one option of each kind."""
+
+    @pytest.fixture()
+    def error_order_calls(self, monkeypatch):
+        calls = []
+
+        def record(scheme, system, field, taus, **kwargs):
+            calls.append({"taus": list(taus), **kwargs})
+            return SimpleNamespace(scheme=scheme, slope=3.0, intercept=0.0, saturated=False)
+
+        monkeypatch.setattr(cli, "error_order", record)
+        return calls
+
+    @pytest.mark.parametrize("key, flag, default, config_value, flag_value", [
+        pytest.param("t_start", "0.375", 0.5, 0.25, 0.375, id="float"),
+        pytest.param("resolution", "300", 10_000, 400, 300, id="int"),
+        pytest.param("taus", "0.3,0.15", [0.2, 0.1, 0.05, 0.025], [0.4, 0.2], [0.3, 0.15],
+                     id="comma-list"),
+    ])
+    def test_error_order_option(self, tmp_path, error_order_calls, key, flag, default,
+                                config_value, flag_value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: config_value}))
+        option = f"--{key.replace('_', '-')}"
+        for argv in (["error-order"], ["error-order", "--config", str(config)],
+                     ["error-order", "--config", str(config), option, flag]):
+            assert main(argv) == 0
+        assert [call[key] for call in error_order_calls] == [default, config_value, flag_value]
+
+    def test_choice(self, tmp_path, inputs, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "gauss"}))
+        argv = ["signal", "--sequence", inputs["sequence"], "--out", str(tmp_path / "s.csv")]
+        for extra in ([], ["--config", str(config)], ["--config", str(config), "--kind", "rect"]):
+            assert main([*argv, *extra]) == 0
+        kinds = re.findall(r"kind=(\w+)", capsys.readouterr().out)
+        assert kinds == ["rect", "gauss", "rect"]
+
+    def test_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": "from_config"}))
+        assert main(["demo-fig4"]) == 0
+        assert main(["demo-fig4", "--config", str(config)]) == 0
+        assert main(["demo-fig4", "--config", str(config), "--out-dir", "from_flag"]) == 0
+        for directory in (".", "from_config", "from_flag"):
+            assert (tmp_path / directory / "fig4_train.csv").exists()
+
+    def test_a_later_call_without_config_uses_the_declared_defaults(self, tmp_path, inputs,
+                                                                    capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "gauss", "rate": 100}))
+        argv = ["signal", "--sequence", inputs["sequence"], "--out", str(tmp_path / "s.csv")]
+        assert main([*argv, "--config", str(config)]) == 0
+        gauss = (tmp_path / "s.csv").read_bytes()
+        assert main(argv) == 0
+        assert re.findall(r"kind=(\w+)", capsys.readouterr().out) == ["gauss", "rect"]
+        seq = read_sequence_csv(inputs["sequence"])
+        expected = pwm_signal(seq, 0, 512.0 / seq.tau)
+        assert (tmp_path / "s.csv").read_bytes() == library_bytes(tmp_path, write_field_csv,
+                                                                  expected)
+        assert gauss != (tmp_path / "s.csv").read_bytes()
+
+
+class TestConfigValueIsReadByItsOption:
+    """A config value means its flag's text, or is one ``validation`` line naming the
+    option; it never reaches the library unread, nor stdout or stdin as a file number."""
+
+    def run(self, tmp_path, argv, config, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        status = main([*argv, "--config", str(path)])
+        return status, *capsys.readouterr()
+
+    def test_rate_text_is_the_flag_text(self, tmp_path, inputs, capsys):
+        out = tmp_path / "s.csv"
+        status, stdout, err = self.run(
+            tmp_path, ["signal", "--sequence", inputs["sequence"], "--out", str(out)],
+            {"rate": "1000"}, capsys)
+        assert (status, err) == (0, "")
+        expected = pwm_signal(read_sequence_csv(inputs["sequence"]), 0, 1000.0)
+        assert out.read_bytes() == library_bytes(tmp_path, write_field_csv, expected)
+
+    def test_scheme_number_is_the_flag_text(self, tmp_path, inputs, capsys):
+        argv = ["propagate", "--builtin", "two-level", "--sequence", inputs["sequence"],
+                "--out", str(tmp_path / "u.csv")]
+        status, stdout, err = self.run(tmp_path, argv, {"scheme": 5}, capsys)
+        assert main([*argv, "--scheme", "5"]) == status == 1
+        assert err == capsys.readouterr().err == "error:validation:unknown scheme '5'\n"
+        assert stdout == ""
+
+    def test_out_dir_number_is_a_directory_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        status, stdout, err = self.run(tmp_path, ["demo-fig4"], {"out_dir": 5}, capsys)
+        assert (status, err) == (0, "")
+        assert stdout == "wrote fig4_train.csv fig4_spectrum.csv in 5\n"
+        assert (tmp_path / "5" / "fig4_spectrum.csv").exists()
+
+    def test_array_for_a_single_value_is_its_joined_text(self, tmp_path, inputs, capsys):
+        argv = ["approximate", "--field", inputs["field"]]
+        status, _, err = self.run(tmp_path, [*argv, "--out", str(tmp_path / "a.csv")],
+                                  {"tau": [0.25]}, capsys)
+        assert (status, err) == (0, "")
+        status, _, err = self.run(tmp_path, [*argv, "--out", str(tmp_path / "b.csv")],
+                                  {"tau": [0.25, 0.5]}, capsys)
+        assert status == 1
+        assert err == ("error:validation:--tau: could not convert string to float: "
+                       "'0.25,0.5'\n")
+        assert read_sequence_csv(tmp_path / "a.csv").tau == 0.25
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_out_number_is_a_file_name(self, tmp_path, inputs, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        status, stdout, err = self.run(
+            tmp_path, ["approximate", "--field", inputs["field"], "--tau", "0.25"],
+            {"out": 1}, capsys)
+        assert (status, err) == (0, "")
+        assert stdout == "wrote 1: 8 subintervals, 1 control(s)\n"
+        assert read_sequence_csv(tmp_path / "1").n_pulses == 8
+
+    def test_field_number_is_a_file_name(self, tmp_path, inputs, monkeypatch, capsys):
+        """Read from the file ``0``, not from file descriptor 0 (stdin)."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "0").write_bytes((tmp_path / "field.csv").read_bytes())
+        status, _, err = self.run(tmp_path, ["spectrum", "--out", "s.csv"], {"field": 0}, capsys)
+        assert (status, err) == (0, "")
+        assert main(["spectrum", "--field", "field.csv", "--out", "t.csv"]) == 0
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, config, message", [
+        pytest.param("benchmark-fig5", {"seed": 1.5},
+                     "--seed: invalid literal for int() with base 10: '1.5'", id="int-fraction"),
+        pytest.param("benchmark-fig5", {"repeats": 2.0},
+                     "--repeats: invalid literal for int() with base 10: '2.0'",
+                     id="int-float-form"),
+        pytest.param("benchmark-fig5", {"tau": True},
+                     "--tau: expected a string, a number or an array of them, got true",
+                     id="boolean"),
+        pytest.param("benchmark-fig5", {"out_dir": {"a": 1}},
+                     '--out-dir: expected a string, a number or an array of them, '
+                     'got {"a": 1}', id="object"),
+        pytest.param("error-order", {"taus": [0.1, [0.05]]},
+                     "--taus: expected a string, a number or an array of them, got [0.05]",
+                     id="nested-array"),
+        pytest.param("error-order", {"taus": "0.1,x"},
+                     "--taus: could not convert string to float: 'x'", id="list-text"),
+        pytest.param("error-order", {"resolution": "many"},
+                     "--resolution: invalid literal for int() with base 10: 'many'",
+                     id="int-text"),
+    ])
+    def test_unreadable_value_is_one_validation_line(self, tmp_path, monkeypatch, capsys,
+                                                     command, config, message):
+        monkeypatch.chdir(tmp_path)
+        status, stdout, err = self.run(tmp_path, [command], config, capsys)
+        assert (status, stdout) == (1, "")
+        assert err == f"error:validation:{message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_null_and_unknown_keys_are_not_given(self, tmp_path, inputs, capsys):
+        out = tmp_path / "s.csv"
+        status, stdout, err = self.run(
+            tmp_path, ["signal", "--sequence", inputs["sequence"], "--out", str(out)],
+            {"kind": None, "rate": None, "cutoff": 3, "handler": 1, "config": 2}, capsys)
+        assert (status, err) == (0, "")
+        assert stdout.endswith("kind=rect\n")
+
+    def test_required_option_from_config(self, tmp_path, inputs, capsys):
+        out = tmp_path / "seq.csv"
+        status, _, err = self.run(tmp_path, ["approximate", "--field", inputs["field"]],
+                                  {"tau": 0.25, "out": str(out)}, capsys)
+        assert (status, err) == (0, "")
+        status, _, err = self.run(tmp_path, ["approximate", "--field", inputs["field"]],
+                                  {"tau": 0.25, "out": None}, capsys)
+        assert (status, err) == (1, "error:validation:missing required option --out\n")
+
+
+class TestRejectionMessages:
+    """CLI rejections the other tests never reach, each one line with its message."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        pytest.param(["error-order", "--taus", "0.1,x"], None,
+                     "--taus: could not convert string to float: 'x'", id="taus-text"),
+        pytest.param(["propagate", "--sequence", "{sequence}", "--out", "u.csv"],
+                     {"builtin": "three-level"}, "unknown built-in system 'three-level'",
+                     id="builtin-from-config"),
+        pytest.param(["system", "--out", "s.json"], {"name": "three-level"},
+                     "unknown built-in system 'three-level'", id="name-from-config"),
+        pytest.param(["propagate", "--sequence", "{sequence}", "--out", "u.csv"], None,
+                     "a system is required: --system FILE or --builtin NAME", id="no-system"),
+        pytest.param(["reconstruct", "--mode", "pwc", "--field", "{field}", "--out", "r.csv"],
+                     None, "--mode pwc requires --sequence", id="pwc-from-a-field"),
+        pytest.param(["reconstruct", "--sequence", "{sequence}", "--out", "r.csv"],
+                     {"mode": "cubic"}, "unknown mode 'cubic'", id="mode-from-config"),
+        pytest.param(["optimize", "--builtin", "two-level", "--initial", "0", "--target", "1",
+                      "--total-time", "5", "--tau", "0.25", "--scheme", "x",
+                      "--out-dir", "run"], None, "--scheme must be pwm or pwc, got 'x'",
+                     id="optimize-scheme"),
+        pytest.param(["benchmark-fig5", "--jobs", "0", "--repeats", "1", "--total-time", "1",
+                      "--max-iterations", "2", "--out-dir", "bench"], None,
+                     "jobs must be at least 1", id="zero-jobs"),
+    ])
+    def test_one_validation_line(self, tmp_path, inputs, monkeypatch, capsys, argv, config,
+                                 message):
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.format(**inputs) for arg in argv]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", "config.json"]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error:validation:{message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before

@@ -119,3 +119,15 @@ class TestGammaGrid:
         grid = gamma_grid(1)
         assert np.any(grid.values < 1.0)
         assert np.any(grid.values > 1.0)
+
+
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda: boundary_order(1, 1), "dim must be >= 2", id="boundary-order-dim-1"),
+    pytest.param(lambda: default_orders(5, 3), "need 2 <= low <= high", id="orders-reversed"),
+    pytest.param(lambda: gamma_grid(1, dims=[], orders=[2, 3]),
+                 "dims and orders must be non-empty", id="grid-empty-dims"),
+])
+def test_bad_input_raises_naming_it(call, named):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and named in str(info.value)

@@ -918,6 +918,55 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             run_fig5_benchmark(repeats=0)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_fewer_than_one_job(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_fig5_benchmark(repeats=1, problem=two_level_problem(), jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, repeats, cpus, workers", [
+        pytest.param(10**6, 2, 64, 2, id="bounded-by-repeats"),
+        pytest.param(10**6, 3, 2, 2, id="bounded-by-cpus"),
+        pytest.param(3, 4, 64, 3, id="jobs-within-both"),
+    ])
+    def test_pool_gets_at_most_repeats_and_cpus_workers(self, monkeypatch, jobs, repeats,
+                                                        cpus, workers):
+        """A stub pool records its size and maps serially, so no process starts."""
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        problem = two_level_problem()
+        report = run_fig5_benchmark(repeats=repeats, seed=5, problem=problem, jobs=jobs)
+        serial = run_fig5_benchmark(repeats=repeats, seed=5, problem=problem)
+        assert sizes == [workers]
+        key = lambda rep: [dataclasses.replace(r, wall_seconds=0.0) for r in rep.rows]
+        assert key(report) == key(serial)
+
+    def test_one_worker_runs_without_a_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(**kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        report = run_fig5_benchmark(repeats=1, seed=5, problem=two_level_problem(), jobs=4)
+        assert len(report.rows) == 2
+
     def test_package_import_leaves_the_process_pool_unloaded(self):
         paths = [str(Path(grape.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}

@@ -586,3 +586,37 @@ class TestReaderAtDepth:
         field = read_field_csv(path)
         assert field.dt == 0.1
         assert np.array_equal(field.values, [[1.0, 2.0]])
+
+
+def _write(path, text: str):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda p: read_trace_csv(_write(p, "iteration,objective\n")),
+                 "empty trace", id="trace-header-only"),
+    pytest.param(lambda p: read_field_csv(_write(p, "t\n0.5\n")),
+                 "no control columns", id="field-without-a-control-column"),
+    pytest.param(lambda p: read_propagator_csv(_write(p, "i,j,re,im\n0.5,0,1.0,0.0\n")),
+                 "bad index cell", id="non-integer-index-cell"),
+    pytest.param(lambda p: read_system_json(_write(
+        p, '{"dim": 2, "drift": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "controls": []}')),
+        "at least one control matrix is required", id="system-without-controls"),
+])
+def test_malformed_file_raises_naming_it(tmp_path, call, named):
+    path = tmp_path / "input.csv"
+    with pytest.raises(FileFormatError) as info:
+        call(path)
+    assert str(info.value).startswith(f"{path}: ") and named in str(info.value)
+
+
+def test_write_propagator_rejects_a_non_square_matrix(tmp_path):
+    with pytest.raises(ValueError, match="propagator must be a square matrix"):
+        write_propagator_csv(tmp_path / "u.csv", np.zeros((2, 3)))
+    assert not (tmp_path / "u.csv").exists()
+
+
+def test_one_row_field_without_dt_comment_takes_twice_its_midpoint(tmp_path):
+    field = read_field_csv(_write(tmp_path / "f.csv", "t,u_1\n0.125,0.5\n"))
+    assert field.dt == 0.25 and field.values.tolist() == [[0.5]]

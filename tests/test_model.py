@@ -130,3 +130,12 @@ class TestTenLevelSystem:
         assert levels[2] - levels[1] == pytest.approx(2.0)  # not targeted
         assert levels[1] - levels[0] == pytest.approx(4.0)
         assert levels[3] - levels[1] == pytest.approx(3.0)
+
+
+def test_one_level_system_fails_validation():
+    system = ControlSystem(drift=np.eye(1), controls=(np.eye(1),))
+    report = validate_system(system)
+    assert not report.ok
+    assert report.issues == ("dimension must be at least 2, got N=1",)
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        _check_system(system)

@@ -22,7 +22,6 @@ from pwmctrl.propagate import (
     step_pwm_higher,
     step_spo,
     suzuki_coefficient,
-    unitarity_defect,
     _pwm_factors,
 )
 from pwmctrl.pwm import GridError, PWMSequence, SampledField, pwm_approximate
@@ -1282,3 +1281,52 @@ class TestCallableField:
         fit = error_order(scheme, two_level, np.sin, *args)
         per_point = error_order(scheme, two_level, _per_point(np.sin, 1), *args)
         assert max(abs(a - b) for a, b in zip(fit.errors, per_point.errors)) == 0.0
+
+
+def _qubit() -> ControlSystem:
+    return ControlSystem(drift=SIGMA_Z, controls=(SIGMA_X,))
+
+
+def _four_pulses() -> PWMSequence:
+    return PWMSequence(tau=0.5, amplitudes=[1.0], widths=[[0.1, -0.2, 0.3, 0.0]])
+
+
+@pytest.mark.parametrize("call, error, named", [
+    pytest.param(lambda s: expm_hermitian(np.ones((2, 3)), 0.1), ValueError,
+                 "square matrix, got shape (2, 3)", id="expm-non-square"),
+    pytest.param(lambda s: expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1), ValueError,
+                 "matrix is not Hermitian", id="expm-non-hermitian"),
+    pytest.param(lambda s: frame_from_widths(np.zeros((2, 2)), 0.5), ValueError,
+                 "widths must be one-dimensional", id="frame-two-dimensional-widths"),
+    pytest.param(lambda s: step_pwc(s, [0.1, 0.2], 0.5), ValueError,
+                 "expected 1 control values", id="step-pwc-value-count"),
+    pytest.param(lambda s: step_spo(s, [0.1, 0.2], 0.5), ValueError,
+                 "expected 1 control values", id="step-spo-value-count"),
+    pytest.param(lambda s: step_pwm_higher(s, [1.0], _four_pulses(), 5, 2), ValueError,
+                 "subinterval index m=5 outside 1..4", id="higher-m-out-of-range"),
+    pytest.param(lambda s: step_pwm_higher(s, [1.0], np.sin, 1, 2), ValueError,
+                 "tau is required with a field source", id="higher-field-without-tau"),
+    pytest.param(lambda s: evolve(s, "pwmx", _four_pulses()), ValueError,
+                 "unknown scheme 'pwmx'", id="scheme-pwmx"),
+    pytest.param(lambda s: evolve(s, "pwc", _four_pulses(), tau=0.5), ValueError,
+                 "scheme 'pwc' requires a SampledField input", id="pwc-from-a-sequence"),
+    pytest.param(lambda s: evolve(s, "pwm", SampledField(dt=0.25, values=[[0.1, 0.2]]),
+                                  tau=0.5), ValueError,
+                 "scheme 'pwm' with a field input requires amplitudes", id="pwm-field-no-xi"),
+    pytest.param(lambda s: error_order("pwm", s, np.sin, [0.2, 0.1]), ValueError,
+                 "scheme 'pwm' requires amplitudes", id="error-order-without-amplitudes"),
+    pytest.param(lambda s: error_order("pwc", s, np.sin, [0.2]), ValueError,
+                 "need at least two tau values", id="error-order-one-tau"),
+])
+def test_bad_input_raises_naming_it(call, error, named):
+    with pytest.raises(error) as info:
+        call(_qubit())
+    assert info.type is error and named in str(info.value)
+
+
+def test_library_unitarity_defect_is_the_frobenius_norm_of_the_gram_deviation():
+    """The library's helper, not this module's largest-entry ``unitarity_defect``."""
+    assert propagate.unitarity_defect(np.array([[0.0, 1.0j], [1.0, 0.0]])) == 0.0
+    a = np.array([[1.0, 0.5j], [0.2, 2.0]])  # U^dag U - I = [[0.04, 0.4+0.5i], [0.4-0.5i, 3.25]]
+    expected = np.sqrt(0.04**2 + 2 * (0.4**2 + 0.5**2) + 3.25**2)
+    assert propagate.unitarity_defect(a) == pytest.approx(expected, rel=1e-14)

@@ -404,3 +404,30 @@ class TestGaussianTrainSpectrum:
         mags = gauss[1].magnitude
         assert mags[15] / mags[1] == pytest.approx(0.03667, abs=5e-6)
         assert mags[17] / mags[1] == pytest.approx(0.15698, abs=5e-6)
+
+
+@pytest.mark.parametrize("make, named", [
+    pytest.param(lambda: PWMSequence(tau=0.5, amplitudes=[1.0, 2.0, 3.0],
+                                     widths=np.zeros((2, 4))),
+                 "expected 2 amplitudes, got shape (3,)", id="amplitude-count"),
+    pytest.param(lambda: SampledField(dt=0.1, values=np.zeros((1, 2, 3))),
+                 "values must be a K x S array, got shape (1, 2, 3)", id="three-d-field"),
+    pytest.param(lambda: Spectrum(omega=np.zeros(3), magnitude=np.zeros(3), phase=np.zeros(3),
+                                  duration=1.0, n_samples=10),
+                 "10 samples produce 6 one-sided bins, got 3", id="bin-count"),
+])
+def test_bad_input_raises_naming_it(make, named):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert info.type is ValueError and named in str(info.value)
+
+
+def test_one_bin_without_sample_count_is_one_sample():
+    spec = Spectrum(omega=[0.0], magnitude=[2.0], phase=[0.0], duration=1.0)
+    assert spec.n_samples == 1
+
+
+def test_amp_round_trips_from_complex():
+    amp = np.array([1.0, 0.5 - 0.25j, -2.0j])
+    spec = Spectrum.from_complex(np.arange(3.0), amp, duration=1.0, n_samples=4)
+    assert np.allclose(spec.amp, amp, rtol=0, atol=1e-15)
