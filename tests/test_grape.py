@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -931,8 +932,6 @@ class TestBenchmark:
     def test_pool_gets_at_most_repeats_and_cpus_workers(self, monkeypatch, jobs, repeats,
                                                         cpus, workers):
         """A stub pool records its size and maps serially, so no process starts."""
-        import concurrent.futures
-
         sizes = []
 
         class SerialPool:
@@ -958,8 +957,6 @@ class TestBenchmark:
         assert key(report) == key(serial)
 
     def test_one_worker_runs_without_a_pool(self, monkeypatch):
-        import concurrent.futures
-
         def no_pool(**kwargs):
             raise AssertionError("a pool was started")
 
