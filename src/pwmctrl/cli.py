@@ -9,7 +9,8 @@ ignored.  Errors are reported as one line ``error:<category>:<message>`` and
 exit status 1: ``usage`` when the command line does not parse, ``io`` for an
 ``OSError``, a ``FileFormatError`` or a config file that is unreadable or not
 JSON, and ``validation`` for a missing or inconsistent option, a config value
-its option cannot read (``--seed: …``) and any other ``ValueError``.
+its option cannot read or does not list among its choices (``--seed: …``) and
+any other ``ValueError``.
 ``numeric`` failures (``OptimizationError``, ``FloatingPointError``,
 ``LinAlgError``) exit with status 2.
 """
@@ -100,7 +101,7 @@ def _flag_text(value) -> str:
 
 
 def _config_defaults(command: argparse.ArgumentParser, config: dict) -> dict:
-    """``config``'s values for ``command``'s options, each read by the option's own type."""
+    """``config``'s values for ``command``'s options, each read and checked as its flag is."""
     defaults = {}
     for action in command._actions:
         value = config.get(action.dest)
@@ -109,7 +110,11 @@ def _config_defaults(command: argparse.ArgumentParser, config: dict) -> dict:
         try:
             items = value if isinstance(value, list) else [value]
             text = ",".join(map(_flag_text, items))
-            defaults[action.dest] = action.type(text) if action.type else text
+            value = action.type(text) if action.type else text
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"invalid choice {value!r} (choose from "
+                                 f"{', '.join(action.choices)})")
+            defaults[action.dest] = value
         except (TypeError, ValueError) as exc:
             raise _CliError("validation", f"{action.option_strings[0]}: {exc}") from exc
     return defaults
@@ -157,19 +162,13 @@ def _demo_two_level() -> ControlSystem:
 _BUILTIN = {"ten-level": build_ten_level_system, "two-level": _demo_two_level}
 
 
-def _builtin(name: str) -> ControlSystem:
-    if name not in _BUILTIN:
-        raise _CliError("validation", f"unknown built-in system {name!r}")
-    return _BUILTIN[name]()
-
-
 def _load_system(args: argparse.Namespace) -> ControlSystem:
     if args.system is not None and args.builtin is not None:
         raise _CliError("validation", "give either --system or --builtin, not both")
     if args.system is not None:
         system = artifacts.read_system_json(args.system)
     elif args.builtin is not None:
-        system = _builtin(args.builtin)
+        system = _BUILTIN[args.builtin]()
     else:
         raise _CliError("validation", "a system is required: --system FILE or --builtin NAME")
     report = validate_system(system)
@@ -183,13 +182,11 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return args.out_dir
 
 
-#: Pulse makers by ``--kind``: the flag's choices and the check of a config value.
+#: Pulse makers by ``--kind``, whose choices they are.
 _PULSE_MAKERS = {"rect": pwm_signal, "gauss": gaussian_train}
 
 
 def _sequence_signal(seq: PWMSequence, kind: str, rate: float | None) -> SampledField:
-    if kind not in _PULSE_MAKERS:
-        raise _CliError("validation", f"unknown pulse kind {kind!r}")
     if rate is None:
         rate = 512.0 / seq.tau
     parts = [_PULSE_MAKERS[kind](seq, k, rate) for k in range(seq.n_controls)]
@@ -221,13 +218,11 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         if not isinstance(source, PWMSequence):
             raise _CliError("validation", "--mode pwc requires --sequence")
         recon = inverse_pwm_pwc(source)
-    elif args.mode == "lowpass":
+    else:
         _require(args, "cutoff")
         if isinstance(source, PWMSequence):
             source = _sequence_signal(source, "rect", args.rate)
         recon = lowpass_reconstruct(source, args.cutoff)
-    else:
-        raise _CliError("validation", f"unknown mode {args.mode!r}")
     artifacts.write_field_csv(args.out, recon)
     print(f"wrote {args.out}: {recon.n_samples} samples, mode={args.mode}")
     return 0
@@ -262,7 +257,7 @@ def _cmd_error_order(args: argparse.Namespace) -> int:
         raise _CliError("validation", f"--t-start: {exc}") from exc
     fit = error_order(
         args.scheme,
-        _builtin("two-level"),
+        _BUILTIN["two-level"](),
         np.sin,
         args.taus,
         amplitudes=np.array([1.0]),
@@ -286,8 +281,6 @@ def _grape_options(args: argparse.Namespace, **extra) -> GrapeOptions:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     system = _load_system(args)
-    if not (0 <= args.initial < system.dim and 0 <= args.target < system.dim):
-        raise _CliError("validation", f"basis indices must be in 0..{system.dim - 1}")
     problem = GrapeProblem(
         system=system,
         psi_initial=basis_state(system.dim, args.initial),
@@ -296,11 +289,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         tau=args.tau,
         amplitudes=args.xi,
     )
-    grape_options = _grape_options(args, rng_seed=args.seed)
-    optimizer = {"pwm": optimize, "pwc": optimize_pwc}.get(args.scheme)
-    if optimizer is None:
-        raise _CliError("validation", f"--scheme must be pwm or pwc, got {args.scheme!r}")
-    result = optimizer(problem, options=grape_options)
+    optimizer = {"pwm": optimize, "pwc": optimize_pwc}[args.scheme]
+    result = optimizer(problem, options=_grape_options(args, rng_seed=args.seed))
     out = _out_dir(args)
     if args.scheme == "pwm":
         seq = PWMSequence(tau=problem.tau, amplitudes=problem.amplitudes, widths=result.widths)
@@ -400,7 +390,7 @@ def _cmd_demo_fig4(args: argparse.Namespace) -> int:
 
 
 def _cmd_system(args: argparse.Namespace) -> int:
-    system = _builtin(args.name)
+    system = _BUILTIN[args.name]()
     artifacts.write_system_json(args.out, system)
     print(f"wrote {args.out}: dim={system.dim}, controls={system.n_controls}")
     return 0
@@ -490,7 +480,8 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--total-time", type=float, help="control horizon")
     p.add_argument("--tau", type=float, help="subinterval length")
     p.add_argument("--xi", type=xi, default="1.0", help="pulse amplitudes, comma-separated")
-    p.add_argument("--scheme", default="pwm", help="%(default)s (default) or pwc baseline")
+    p.add_argument("--scheme", choices=["pwm", "pwc"], default="pwm",
+                   help="%(default)s (default) or pwc baseline")
     p.add_argument("--seed", type=int, default=GrapeOptions.rng_seed,
                    help="seed for the random initial field")
     grape_knobs(p)

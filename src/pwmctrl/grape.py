@@ -61,7 +61,7 @@ import numpy as np
 from .model import ControlSystem, _check_system, basis_state, build_ten_level_system
 from .propagate import HamiltonianCache, _chain, _level_rows, _PwcKernel, _PwmKernel
 from .pwm import PWMSequence, Spectrum, dominant_peaks, inverse_pwm_pwc, spectrum
-from .pwm import _as_amplitudes, _as_widths, _step_count
+from .pwm import _as_amplitudes, _as_widths, _check_int, _step_count
 
 __all__ = [
     "BenchmarkReport",
@@ -157,8 +157,7 @@ class GrapeOptions:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        _check_int(self.max_iterations, "max_iterations", 1)
         if not 0 < self.initial_step < math.inf:
             raise ValueError("initial_step must be positive and finite")
         if not 0 < self.tolerance < 1:
@@ -550,8 +549,10 @@ class BenchmarkReport:
 
 
 def _fig5_single_run(args) -> tuple[BenchmarkRow, BenchmarkRow, np.ndarray]:
-    problem, options, run, child_seed = args
-    rng = np.random.default_rng(child_seed)
+    problem, options, run, seed = args
+    # child ``run`` of SeedSequence(seed).spawn(repeats), drawn when the run starts
+    child = np.random.SeedSequence(seed, spawn_key=(run,))
+    rng = np.random.default_rng(int(child.generate_state(1)[0]))
     eps0 = _random_field(problem, rng)
     w0 = eps0 * problem.tau / problem.amplitudes[:, None]
     res_pwm = optimize(problem, w0, options)
@@ -579,20 +580,19 @@ def run_fig5_benchmark(
     Each run draws one random initial field, optimizes it with the PWM
     propagator and with the piecewise-constant baseline, and records
     iterations, final objective, and wall time.  Per-run seeds are spawned
-    deterministically from ``seed``, so results are reproducible for any
-    ``jobs`` value (runs are independent; each worker executes the PWM and
-    PWC halves of a run back to back for fair timing).  ``jobs`` must be at
-    least 1; the process pool gets ``min(jobs, repeats, os.cpu_count())``
-    workers, and a single worker runs the pairs in this process.
+    deterministically from ``seed``, each when its run starts, so results
+    are reproducible for any ``jobs`` value (runs are independent; each
+    worker executes the PWM and PWC halves of a run back to back for fair
+    timing).  ``repeats`` and ``jobs`` must be integers of at least 1; the
+    process pool gets ``min(jobs, repeats, os.cpu_count())`` workers, and a
+    single worker runs the pairs in this process.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    _check_int(repeats, "repeats", 1)
+    _check_int(jobs, "jobs", 1)
     problem = problem or ten_level_problem()
     options = options or GrapeOptions()
-    child_seeds = [s.generate_state(1)[0] for s in np.random.SeedSequence(seed).spawn(repeats)]
-    tasks = [(problem, options, run, int(child_seeds[run])) for run in range(repeats)]
+    entropy = np.random.SeedSequence(seed).entropy  # drawn once when seed is None
+    tasks = ((problem, options, run, entropy) for run in range(repeats))
     workers = min(jobs, repeats, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -125,10 +125,10 @@ def _check_system(system: ControlSystem) -> None:
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> of an N-level system (0-based)."""
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} out of range for dimension {dim}")
+    from .pwm import _check_int  # pwm imports this module
+
     state = np.zeros(dim, dtype=np.complex128)
-    state[index] = 1.0
+    state[_check_int(index, "basis index", 0, dim)] = 1.0
     return state
 
 

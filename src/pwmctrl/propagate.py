@@ -54,7 +54,7 @@ import numpy as np
 
 from .model import ControlSystem, _check_system, _locked
 from .pwm import PWMSequence, SampledField, _as_amplitudes, _as_widths, pwm_approximate
-from .pwm import _MAX_SAMPLES, _check_finite, _check_start, _check_step, _step_count
+from .pwm import _MAX_SAMPLES, _check_finite, _check_int, _check_start, _check_step, _step_count
 
 __all__ = [
     "ErrorOrderFit",
@@ -216,29 +216,21 @@ _Layout = namedtuple("_Layout", "order signs sorted_abs dwell slots length")
 _PwcPoint = namedtuple("_PwcPoint", "values tau")
 
 
-def _spectral_route(rows: int, dim: int, degree: int | None) -> bool:
-    """Whether a ``K = 1`` fill of ``rows`` rows takes a Chebyshev table (either kernel).
+def _table_degree(bandwidth: float, rows: int, dim: int) -> int | None:
+    """The Chebyshev degree of a ``K = 1`` table fill (either kernel); ``None`` for the other route.
 
-    It does at ``2N`` rows or more (for PWM ``N`` per sign slot) and a
-    ``degree`` within :func:`_degree_cap`.  A PWM fill whose widths all have
-    one sign counts both slots too, in this rule, its degree and its tables;
-    ``evolve`` on such sequences stayed within 4% or got faster
-    (``BENCH_22.json`` ``single_signed_k1``).
+    At ``2N`` rows or more (PWM: ``N`` per sign slot, both counted even when
+    all widths have one sign, ``BENCH_22.json`` ``single_signed_k1``) it is
+    the smallest ``J`` within :func:`_degree_cap` with ``2 (b/2)^J / J! <=
+    2^-53``, ``b = bandwidth``: the Chebyshev coefficients of ``exp(i b t)``
+    are ``2 i^k J_k(b)`` and ``|J_k(b)| <= (b/2)^k / k!`` (Bessel).
     """
-    return degree is not None and rows >= 2 * dim
-
-
-def _chebyshev_degree(bandwidth: float, cap: int) -> int | None:
-    """Smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``, ``b = bandwidth``; ``None`` above ``cap``.
-
-    The Chebyshev coefficients of ``exp(i b t)`` on ``[-1, 1]`` are ``2 i^k
-    J_k(b)`` (Bessel), and ``|J_k(b)| <= (b/2)^k / k!``, so ``J`` terms leave
-    out about that bound.
-    """
+    if rows < 2 * dim:
+        return None
     if bandwidth == 0.0:
         return 1
     log_half = math.log(bandwidth / 2)
-    for degree in range(1, cap + 1):
+    for degree in range(1, _degree_cap(dim) + 1):
         if degree * log_half - math.lgamma(degree + 1) <= -54 * math.log(2):
             return degree
     return None
@@ -320,7 +312,7 @@ class _PwmKernel:
     ``+1`` and slot 1 sign ``-1``.  A fill takes one of two routes:
 
     - **Spectral route** (``K = 1``, with at least ``2N`` rows and a
-      degree within the cap, :func:`_spectral_route`).  A step ``S(u)
+      degree within the cap, :func:`_table_degree`).  A step ``S(u)
       = D_0 W D_1 W^dagger D_0`` depends on the one width ``u = |w|`` in
       ``[0, |L|]`` through ``d_0 = (L - u)/2`` and ``d_1 = u`` (both negated
       when ``L < 0``), and entry ``(a, b)`` is a sum of ``exp(-i u
@@ -328,12 +320,12 @@ class _PwmKernel:
       Chebyshev series in ``t = 2u/|L| - 1`` converges geometrically: ``J``
       terms suffice at the smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``,
       ``b = |L|/2 max |lambda_1c - (lambda_0a + lambda_0b)/2|`` over both
-      sign slots (:func:`_chebyshev_degree`).  The row's sign half of the
-      basis and its ``t`` go to :func:`_chebyshev_fill`, which on the first
-      fill at ``L`` tabulates ``S`` and the exact ``dS/dw`` of both sign
-      slots from :meth:`_chebyshev_samples` and makes all steps by one real
-      GEMM.  Above ``J = 3N/2 + 40`` (:func:`_degree_cap`) the fill takes
-      the product route.
+      sign slots.  The row's sign half of the basis and its ``t`` go to
+      :func:`_chebyshev_fill`, which on the first fill at ``L`` tabulates
+      ``S`` and the exact ``dS/dw`` of both sign slots from
+      :meth:`_chebyshev_samples` and makes all steps by one real GEMM.
+      Above ``J = 3N/2 + 40`` (:func:`_degree_cap`) the fill takes the
+      product route.
     - **Product route** (every other fill).  Folding every ``D`` into a
       neighbouring ``W`` leaves ``2K`` dense factors, so a step costs ``2K -
       1`` batched matrix products.
@@ -426,16 +418,15 @@ class _PwmKernel:
     def fill(self, layout: _Layout) -> np.ndarray:
         """Gather the factors of ``layout`` and multiply out its step stack ``S``.
 
-        At ``K = 1`` the fill first asks :func:`_spectral_route`, from the
-        rows and the Chebyshev degree at the layout's length.
+        At ``K = 1`` the fill first asks :func:`_table_degree`, from the
+        rows and the bandwidth at the layout's length.
         """
         rows = layout.dwell.shape[1]
         steps = self.steps[:rows]
         self.held, self._spectral = layout, None
         if self._cap:
-            bandwidth = abs(layout.length) / 2 * self._spread
-            degree = _chebyshev_degree(bandwidth, self._cap)
-            if _spectral_route(rows, steps.shape[1], degree):
+            degree = _table_degree(abs(layout.length) / 2 * self._spread, rows, steps.shape[1])
+            if degree is not None:
                 self._fill_spectral(layout, degree, steps)
                 return steps
         lam, angle, phase = self._lam[:, :rows], self._angle[:, :rows], self._phase[:, :rows]
@@ -630,7 +621,7 @@ class _PwcKernel:
     """Batched PWC steps ``exp(-i tau (H0 + sum_k u_k H_k))`` of up to ``rows`` subintervals.
 
     At ``K = 1`` a fill of at least ``2N`` rows within the degree cap takes
-    the table route (:func:`_spectral_route`, :meth:`_fill_table`), whose
+    the table route (:func:`_table_degree`, :meth:`_fill_table`), whose
     table :func:`_chebyshev_fill` builds from :meth:`_table_samples`.  Every
     other fill scales and squares around a Taylor polynomial (Al-Mohy &
     Higham 2009): each step Hamiltonian is shifted by ``mu = tr H / N``,
@@ -723,8 +714,8 @@ class _PwcKernel:
             fraction, exponent = math.frexp(float(np.max(np.abs(values))))
             exponent -= fraction == 0.5
             c = math.ldexp(1.0, exponent) if exponent < 1024 else math.inf  # past the largest float
-            degree = _chebyshev_degree(abs(tau) * c * self._spread, self._cap)
-            if _spectral_route(rows, n, degree):
+            degree = _table_degree(abs(tau) * c * self._spread, rows, n)
+            if degree is not None:
                 self.held = point
                 return self._fill_table(values[0], tau, c, degree)
         k_count, counts = len(values), self._counts
@@ -944,8 +935,7 @@ def frame_from_widths(widths, tau: float) -> PulseFrame:
 
 def build_frame(seq: PWMSequence, m: int) -> PulseFrame:
     """Frame for subinterval ``m`` (1-based) of a pulse sequence."""
-    if not 1 <= m <= seq.n_pulses:
-        raise ValueError(f"subinterval index m={m} outside 1..{seq.n_pulses}")
+    m = _check_int(m, "subinterval index m", 1, seq.n_pulses + 1)
     return frame_from_widths(seq.widths[:, m - 1], seq.tau)
 
 
@@ -1040,8 +1030,7 @@ def suzuki_coefficient(n: int) -> float:
     The real odd root gives ``s = 1 / (2 - 2^(1/(2n-1)))``, the unique real
     solution of ``2 s^(2n-1) + (1 - 2s)^(2n-1) = 0`` with ``s > 1``.
     """
-    if n < 2:
-        raise ValueError(f"order index n must be >= 2, got {n}")
+    n = _check_int(n, "order index n", 2)
     return 1.0 / (2.0 - 2.0 ** (1.0 / (2 * n - 1)))
 
 
@@ -1179,12 +1168,10 @@ def step_pwm_higher(
     sequence, ``amplitudes`` or a ``tau`` that disagree with its own raise
     ``ValueError``, as does a field's ``tau`` that is not positive and finite.
     """
-    if n < 2:
-        raise ValueError(f"order index n must be >= 2, got {n}")
+    n = _check_int(n, "order index n", 2)
     if isinstance(source, PWMSequence):
         tau = _check_sequence(source, system, tau, amplitudes)
-        if not 1 <= m <= source.n_pulses:
-            raise ValueError(f"subinterval index m={m} outside 1..{source.n_pulses}")
+        m = _check_int(m, "subinterval index m", 1, source.n_pulses + 1)
         base_widths = source.widths[:, m - 1 : m]
         field = None
     else:
@@ -1383,16 +1370,17 @@ def error_order(
     ``(K, n)``, or ``(n,)`` for one control.  Before any propagator is
     built, each ``tau`` that is not positive and finite raises
     :class:`~pwmctrl.pwm.GridError`, and a non-finite ``t_start`` raises
-    ``ValueError``, as does one whose float spacing exceeds the slice width
-    ``min(tau) / resolution``: the slice midpoints would collapse there.
+    ``ValueError``, as do fewer than two distinct ``tau`` and a ``t_start``
+    whose float spacing exceeds the slice width ``min(tau) / resolution``,
+    where the slice midpoints would collapse.
     """
     kind, level = _parse_scheme(scheme)
     if kind in ("pwm", "pwm2n") and amplitudes is None:
         raise ValueError(f"scheme {scheme!r} requires amplitudes")
     _check_finite(t_start, "t_start")
     taus = [_check_step(float(t), "tau") for t in tau_list]
-    if len(taus) < 2:
-        raise ValueError("need at least two tau values to fit a slope")
+    if len(set(taus)) < 2:
+        raise ValueError(f"need at least two tau values to fit a slope, got {sorted(set(taus))}")
     _check_start(t_start, taus, resolution)
     kernel = _PwmKernel(HamiltonianCache(system, amplitudes), 1) if level else None
     errors = []

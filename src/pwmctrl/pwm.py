@@ -90,6 +90,17 @@ def _check_step(step: float, name: str) -> float:
     return step
 
 
+def _check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value``, an integer but not a ``bool``, in ``low .. high - 1`` (no upper end at
+    ``None``) as an ``int``; ``ValueError``, naming it by ``name``, otherwise."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value < (math.inf if high is None else high):
+        bound = f"at least {low}" if high is None else f"in {low}..{high - 1}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 def _check_finite(value, name: str):
     """``value``; ``ValueError``, naming it by ``name``, unless every entry is finite."""
     if not np.all(np.isfinite(value)):
@@ -224,6 +235,8 @@ class PWMSequence:
 
     def __post_init__(self) -> None:
         widths = _as_widths(np.atleast_2d(self.widths), _check_step(self.tau, "tau"))
+        if widths.ndim != 2 or widths.size == 0:
+            raise ValueError(f"widths must be a K x M array, M >= 1, got shape {widths.shape}")
         xi = _as_amplitudes(self.amplitudes, widths.shape[0])
         object.__setattr__(self, "amplitudes", _locked(xi))
         object.__setattr__(self, "widths", _locked(widths))
@@ -396,7 +409,7 @@ def pwm_signal(seq: PWMSequence, control_index: int = 0, sample_rate: float = 10
     pulse edge takes the pulse value.  The grid is chosen commensurate with
     the subintervals (``round(sample_rate * tau)`` samples per subinterval).
     """
-    xi = seq.amplitudes[control_index]
+    xi = seq.amplitudes[_check_int(control_index, "control_index", 0, seq.n_controls)]
     dt, times = _signal_grid(seq, sample_rate)
     # sample i lies in subinterval i // n_sub, and no pulse leaves its own (|w| <= tau)
     cell = np.arange(times.size) // (times.size // seq.n_pulses)
@@ -414,8 +427,8 @@ def gaussian_train(seq: PWMSequence, control_index: int = 0, sample_rate: float 
     pulse.  Tails are truncated at ``|t - t_m| > 6 |w|`` where they are
     below ``exp(-36 pi)``.
     """
-    xi = seq.amplitudes[control_index]
-    widths = seq.widths[control_index]
+    control_index = _check_int(control_index, "control_index", 0, seq.n_controls)
+    xi, widths = seq.amplitudes[control_index], seq.widths[control_index]
     dt, times = _signal_grid(seq, sample_rate)
     out = np.zeros_like(times)
     for center, w in zip(seq.centers, widths):
@@ -463,7 +476,7 @@ def spectrum(field: SampledField, control_index: int = 0) -> Spectrum:
     magnitude 1 at its bin.  Phases refer to the actual sample times, so the
     half-cell offset of the midpoint grid is compensated.
     """
-    x = field.values[control_index]
+    x = field.values[_check_int(control_index, "control_index", 0, field.n_controls)]
     s = field.n_samples
     omega = 2 * np.pi * np.fft.rfftfreq(s, field.dt)
     coeff = np.fft.rfft(x) / s
@@ -483,6 +496,7 @@ def dominant_peaks(spec: Spectrum, count: int = 2) -> list[tuple[float, float]]:
     Returns ``count`` pairs ``(omega, magnitude)``; endpoints (DC, Nyquist)
     are not eligible.
     """
+    _check_int(count, "count", 0)
     mag = spec.magnitude
     interior = np.arange(1, mag.size - 1)
     is_peak = (mag[interior] > mag[interior - 1]) & (mag[interior] >= mag[interior + 1])

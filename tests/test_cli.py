@@ -213,6 +213,14 @@ class TestErrorContract:
             f"error:validation:tau must be positive and finite, got {shown}\n"
         )
 
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_error_order_tau_is_one_validation_line(self, capsys):
+        """A slope through one distinct step size is no fit: rejected before any
+        propagator, with no numpy warning first (a warning fails this test)."""
+        assert main(["error-order", "--scheme", "pwc", "--taus", "0.1,0.1"]) == 1
+        assert capsys.readouterr() == (
+            "", "error:validation:need at least two tau values to fit a slope, got [0.1]\n")
+
     def test_error_order_t_start_beyond_the_slice_width_is_one_validation_line(self, capsys):
         """At 1e17 the window's span rounds to 0; the line names the flag, not ``t_end``."""
         assert main(["error-order", "--scheme", "pwc", "--t-start", "1e17"]) == 1
@@ -299,7 +307,8 @@ class TestSignalAndReconstruct:
             "signal", "--sequence", str(sequence_path), "--config", str(config),
             "--out", str(out),
         ]) == 1
-        assert capsys.readouterr().err.startswith("error:validation:unknown pulse kind")
+        assert capsys.readouterr() == (
+            "", "error:validation:--kind: invalid choice 'triangle' (choose from rect, gauss)\n")
         assert not out.exists()
 
     def test_lowpass_needs_cutoff(self, tmp_path, sequence_path, capsys):
@@ -351,7 +360,8 @@ class TestPropagate:
             "--field", str(field_path), "--out", str(out),
         ]) == 0
         field = read_field_csv(field_path)
-        expected = evolve(cli._builtin("two-level"), "pwc", field, tau=field.dt * field.n_samples)
+        expected = evolve(cli._BUILTIN["two-level"](), "pwc", field,
+                          tau=field.dt * field.n_samples)
         assert out.read_bytes() == library_bytes(tmp_path, write_propagator_csv, expected)
 
     def test_sequence_of_another_control_count_is_one_validation_line(self, tmp_path, capsys,
@@ -448,7 +458,7 @@ class TestOptimizeCommand:
         assert main(self.OPTIMIZE_ARGS + ["--out-dir", str(tmp_path)]) == 0
         result = optimize(
             GrapeProblem(
-                system=cli._builtin("two-level"), psi_initial=basis_state(2, 0),
+                system=cli._BUILTIN["two-level"](), psi_initial=basis_state(2, 0),
                 psi_target=basis_state(2, 1), total_time=5.0, tau=0.25, amplitudes=[1.0],
             ),
             options=GrapeOptions(rng_seed=7),
@@ -823,23 +833,29 @@ class TestRejectionMessages:
         pytest.param(["error-order", "--taus", "0.1,x"], None,
                      "--taus: could not convert string to float: 'x'", id="taus-text"),
         pytest.param(["propagate", "--sequence", "{sequence}", "--out", "u.csv"],
-                     {"builtin": "three-level"}, "unknown built-in system 'three-level'",
+                     {"builtin": "three-level"},
+                     "--builtin: invalid choice 'three-level' (choose from ten-level, two-level)",
                      id="builtin-from-config"),
         pytest.param(["system", "--out", "s.json"], {"name": "three-level"},
-                     "unknown built-in system 'three-level'", id="name-from-config"),
+                     "--name: invalid choice 'three-level' (choose from ten-level, two-level)",
+                     id="name-from-config"),
         pytest.param(["propagate", "--sequence", "{sequence}", "--out", "u.csv"], None,
                      "a system is required: --system FILE or --builtin NAME", id="no-system"),
         pytest.param(["reconstruct", "--mode", "pwc", "--field", "{field}", "--out", "r.csv"],
                      None, "--mode pwc requires --sequence", id="pwc-from-a-field"),
         pytest.param(["reconstruct", "--sequence", "{sequence}", "--out", "r.csv"],
-                     {"mode": "cubic"}, "unknown mode 'cubic'", id="mode-from-config"),
+                     {"mode": "cubic"}, "--mode: invalid choice 'cubic' (choose from lowpass, pwc)",
+                     id="mode-from-config"),
         pytest.param(["optimize", "--builtin", "two-level", "--initial", "0", "--target", "1",
-                      "--total-time", "5", "--tau", "0.25", "--scheme", "x",
-                      "--out-dir", "run"], None, "--scheme must be pwm or pwc, got 'x'",
+                      "--total-time", "5", "--tau", "0.25", "--out-dir", "run"], {"scheme": "x"},
+                     "--scheme: invalid choice 'x' (choose from pwm, pwc)",
                      id="optimize-scheme"),
+        pytest.param(["optimize", "--builtin", "two-level", "--initial", "0", "--target", "2",
+                      "--total-time", "5", "--tau", "0.25", "--out-dir", "run"], None,
+                     "basis index must be in 0..1, got 2", id="optimize-target-past-n"),
         pytest.param(["benchmark-fig5", "--jobs", "0", "--repeats", "1", "--total-time", "1",
                       "--max-iterations", "2", "--out-dir", "bench"], None,
-                     "jobs must be at least 1", id="zero-jobs"),
+                     "jobs must be at least 1, got 0", id="zero-jobs"),
     ])
     def test_one_validation_line(self, tmp_path, inputs, monkeypatch, capsys, argv, config,
                                  message):
@@ -853,3 +869,15 @@ class TestRejectionMessages:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error:validation:{message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["signal", "--kind", "x"], ["reconstruct", "--mode", "x"],
+        ["propagate", "--builtin", "x"], ["optimize", "--scheme", "x"], ["system", "--name", "x"],
+    ], ids=["kind", "mode", "builtin", "optimize-scheme", "name"])
+    def test_bad_choice_flag_is_one_usage_line(self, capsys, argv):
+        """As a flag, a value outside the choices does not parse: argparse's message."""
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"error:usage:argument {argv[1]}: invalid choice: 'x'")
+        assert err.count("\n") == 1

@@ -301,7 +301,7 @@ class TestBatchedKernel:
         value, point = engine.evaluate(widths)
         grad = engine.gradient(point)[0]
         assert engine.kernel._spectral is not None
-        monkeypatch.setattr(propagate, "_spectral_route", lambda rows, dim, degree: False)
+        monkeypatch.setattr(propagate, "_table_degree", lambda bandwidth, rows, dim: None)
         engine = _pwm_engine(problem)
         expected, point = engine.evaluate(widths)
         expected_grad = engine.gradient(point)[0]
@@ -914,6 +914,27 @@ class TestBenchmark:
         parallel = run_fig5_benchmark(repeats=2, seed=5, problem=problem, jobs=2)
         key = lambda rep: [dataclasses.replace(r, wall_seconds=0.0) for r in rep.rows]
         assert key(parallel) == key(serial)
+
+    def test_each_run_draws_its_seed_when_it_starts(self, monkeypatch):
+        """The rows of seed 5 are those of seeds spawned before the call, with
+        ``SeedSequence.spawn`` raising inside it: no run waits for all seeds."""
+        problem = two_level_problem()
+        expected = []
+        for run, child in enumerate(np.random.SeedSequence(5).spawn(3)):
+            rng = np.random.default_rng(int(child.generate_state(1)[0]))
+            eps0 = grape._random_field(problem, rng)
+            pwm = optimize(problem, eps0 * problem.tau / problem.amplitudes[:, None])
+            for scheme, result in (("pwm", pwm), ("pwc", optimize_pwc(problem, eps0))):
+                expected.append((run, scheme, result.iterations, float(result.trace[-1]),
+                                 result.converged))
+
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("the seeds were spawned up front")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        rows = run_fig5_benchmark(repeats=3, seed=5, problem=problem).rows
+        assert [(r.run, r.scheme, r.iterations, r.final_j, r.converged) for r in rows] == expected
 
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError):

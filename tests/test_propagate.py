@@ -450,8 +450,7 @@ class TestPwcKernelTableRoute:
         ]
         for values, scale in fills:
             steps = kernel.fill(kernel.layout(values[None], tau))
-            degree = propagate._chebyshev_degree(tau * scale * (high - low) / 2,
-                                                 propagate._degree_cap(dim))
+            degree = propagate._table_degree(tau * scale * (high - low) / 2, rows, dim)
             assert kernel._chebyshev[tau, scale].shape[1] == degree
             for step, u in zip(steps, values):
                 assert np.max(np.abs(step - expm_hermitian(system.drift + u * system.controls[0],
@@ -494,7 +493,7 @@ class TestPwcKernelTableRoute:
         kernel = propagate._PwcKernel(system, rows)
         steps = kernel.fill(kernel.layout(values, tau)).copy()
         assert not kernel._chebyshev
-        monkeypatch.setattr(propagate, "_chebyshev_degree", lambda bandwidth, cap: None)
+        monkeypatch.setattr(propagate, "_table_degree", lambda bandwidth, rows, dim: None)
         taylor = propagate._PwcKernel(system, rows)
         assert np.array_equal(steps, taylor.fill(taylor.layout(values, tau)))
 
@@ -718,11 +717,12 @@ class TestPwmKernelSpectralRoute:
             phi[m + 1] = step @ phi[m]
         for m in range(39, -1, -1):
             chi[m] = chi[m + 1] @ steps[m]
-        results = []
+        results, table_degree = [], propagate._table_degree
         for route in (True, False):
             layout = kernel.layout(widths, 0.2)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(propagate, "_spectral_route", lambda rows, dim, degree: route)
+                patch.setattr(propagate, "_table_degree", lambda bandwidth, rows, dim:
+                              table_degree(bandwidth, 2 * dim, dim) if route else None)
                 kernel.fill(layout)
             assert (kernel._spectral is not None) == route
             with pytest.warns(UserWarning, match="zero width"):
@@ -742,7 +742,7 @@ class TestPwmKernelSpectralRoute:
         s = suzuki_coefficient(2)
         assert set(kernels[-1]._chebyshev) == {s * 0.2, (1 - 2 * s) * 0.2}
         assert kernels[-1]._spectral is not None
-        monkeypatch.setattr(propagate, "_spectral_route", lambda rows, dim, degree: False)
+        monkeypatch.setattr(propagate, "_table_degree", lambda bandwidth, rows, dim: None)
         product = evolve(system, "pwm4", field, tau=0.2, amplitudes=[1.4])
         assert kernels[-1]._spectral is None
         assert np.max(np.abs(spectral - product)) <= 1e-13
@@ -763,18 +763,23 @@ class TestPwmKernelSpectralRoute:
         assert system.dim < degrees[0] <= cap
         # the longer window falls back because its degree is above the cap
         assert degrees[1] is None
-        assert propagate._chebyshev_degree(6.0 / 2 * kernel._spread, cap) is None
+        assert propagate._table_degree(6.0 / 2 * kernel._spread, 40, system.dim) is None
 
     def test_degree_rule_boundary(self, rng):
-        """The degree is the smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``;
-        the route takes the cap's degree and falls back one degree above it,
-        with ``b`` over both sign slots when a fill uses one."""
+        """The degree is the smallest ``J`` with ``2 (b/2)^J / J! <= 2^-53``,
+        at ``2N`` rows or more; the route takes the cap's degree and falls
+        back one degree above it, with ``b`` over both sign slots when a fill
+        uses one."""
         for bandwidth in (0.0, 1e-3, 0.571, 1.24, 7.0):
-            degree = propagate._chebyshev_degree(bandwidth, 100)
+            degree = propagate._table_degree(bandwidth, 80, 40)  # cap 100
             bound = [2 * (bandwidth / 2) ** j / math.factorial(j) for j in (degree - 1, degree)]
             assert bound[1] <= 2.0**-53
             assert degree == 1 or bound[0] > 2.0**-53
-        assert propagate._chebyshev_degree(7.0, 21) is None
+        # degree 31 at b = 7 and 53 at b = 20, against the cap 43 at N = 2
+        assert propagate._table_degree(7.0, 4, 2) == 31
+        assert propagate._table_degree(7.0, 3, 2) is None
+        assert propagate._table_degree(20.0, 4, 2) is None
+        assert propagate._table_degree(20.0, 80, 40) == 53
         base = self.one_control_system(rng)
         cap = propagate._degree_cap(base.dim)
         widths = np.abs(self.widths(rng, 40, 1.0))  # one sign slot
@@ -1169,6 +1174,18 @@ class TestErrorOrder:
         with pytest.raises(ValueError, match=r"^tau must be positive and finite, got "):
             error_order(scheme, two_level, np.sin, (0.1, bad), amplitudes=np.array([1.0]))
 
+    def test_rejects_repeated_taus_before_any_propagator(self, two_level, monkeypatch):
+        """One distinct step size has no slope: not numpy's rank warning and a
+        line through one point."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a reference propagator was built")
+
+        monkeypatch.setattr(propagate, "_reference", unreachable)
+        with pytest.raises(ValueError, match=r"^need at least two tau values to fit a slope, "
+                           r"got \[0\.1\]$"):
+            error_order("pwc", two_level, np.sin, (0.1, 0.1))
+
     @pytest.mark.parametrize("t_start", [math.inf, math.nan])
     def test_rejects_a_non_finite_t_start(self, two_level, monkeypatch, t_start):
         """Named as the caller gave it, not as the reference's window."""
@@ -1303,7 +1320,7 @@ def _four_pulses() -> PWMSequence:
     pytest.param(lambda s: step_spo(s, [0.1, 0.2], 0.5), ValueError,
                  "expected 1 control values", id="step-spo-value-count"),
     pytest.param(lambda s: step_pwm_higher(s, [1.0], _four_pulses(), 5, 2), ValueError,
-                 "subinterval index m=5 outside 1..4", id="higher-m-out-of-range"),
+                 "subinterval index m must be in 1..4, got 5", id="higher-m-out-of-range"),
     pytest.param(lambda s: step_pwm_higher(s, [1.0], np.sin, 1, 2), ValueError,
                  "tau is required with a field source", id="higher-field-without-tau"),
     pytest.param(lambda s: evolve(s, "pwmx", _four_pulses()), ValueError,

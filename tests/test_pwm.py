@@ -3,6 +3,8 @@ import pytest
 from scipy.integrate import simpson
 
 from pwmctrl import pwm
+from pwmctrl.grape import GrapeOptions, run_fig5_benchmark
+from pwmctrl.model import basis_state
 from pwmctrl.pwm import (
     AmplitudeBoundError,
     CutoffError,
@@ -417,6 +419,43 @@ class TestGaussianTrainSpectrum:
                  "10 samples produce 6 one-sided bins, got 3", id="bin-count"),
 ])
 def test_bad_input_raises_naming_it(make, named):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert info.type is ValueError and named in str(info.value)
+
+
+def _one_pulse_sequence() -> PWMSequence:
+    return PWMSequence(tau=0.1, amplitudes=[1.0], widths=[[0.05]])
+
+
+@pytest.mark.parametrize("make, named", [
+    pytest.param(lambda: pwm_signal(_one_pulse_sequence(), -1),
+                 "control_index must be in 0..0, got -1", id="signal-negative-index"),
+    pytest.param(lambda: pwm_signal(_one_pulse_sequence(), 1),
+                 "control_index must be in 0..0, got 1", id="signal-index-past-k"),
+    pytest.param(lambda: pwm_signal(_one_pulse_sequence(), True),
+                 "control_index must be an integer, got True", id="signal-boolean-index"),
+    pytest.param(lambda: gaussian_train(_one_pulse_sequence(), -1),
+                 "control_index must be in 0..0, got -1", id="gauss-negative-index"),
+    pytest.param(lambda: spectrum(SampledField(dt=0.1, values=np.ones((1, 8))), -1),
+                 "control_index must be in 0..0, got -1", id="spectrum-negative-index"),
+    pytest.param(lambda: spectrum(SampledField(dt=0.1, values=np.ones((1, 8))), 1),
+                 "control_index must be in 0..0, got 1", id="spectrum-index-past-k"),
+    pytest.param(lambda: PWMSequence(tau=0.1, amplitudes=[1.0], widths=np.zeros((1, 0))),
+                 "widths must be a K x M array, M >= 1, got shape (1, 0)", id="sequence-without-pulses"),
+    pytest.param(lambda: GrapeOptions(max_iterations=2.5),
+                 "max_iterations must be an integer, got 2.5", id="fractional-iterations"),
+    pytest.param(lambda: GrapeOptions(max_iterations=True),
+                 "max_iterations must be an integer, got True", id="boolean-iterations"),
+    pytest.param(lambda: run_fig5_benchmark(repeats=2.5),
+                 "repeats must be an integer, got 2.5", id="fractional-repeats"),
+    pytest.param(lambda: basis_state(3, 1.5), "basis index must be an integer, got 1.5",
+                 id="fractional-basis-index"),
+    pytest.param(lambda: dominant_peaks(spectrum(sine_field()[0]), count=-1),
+                 "count must be at least 0, got -1", id="negative-peak-count"),
+])
+def test_bad_index_or_count_raises_naming_it(make, named):
+    """Index and count arguments are checked where they enter the library."""
     with pytest.raises(ValueError) as info:
         make()
     assert info.type is ValueError and named in str(info.value)
