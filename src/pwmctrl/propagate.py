@@ -1169,9 +1169,10 @@ def step_pwm_higher(
     ``ValueError``, as does a field's ``tau`` that is not positive and finite.
     """
     n = _check_int(n, "order index n", 2)
-    if isinstance(source, PWMSequence):
+    sequence = isinstance(source, PWMSequence)
+    m = _check_int(m, "subinterval index m", 1, source.n_pulses + 1 if sequence else None)
+    if sequence:
         tau = _check_sequence(source, system, tau, amplitudes)
-        m = _check_int(m, "subinterval index m", 1, source.n_pulses + 1)
         base_widths = source.widths[:, m - 1 : m]
         field = None
     else:

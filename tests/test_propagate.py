@@ -1321,6 +1321,10 @@ def _four_pulses() -> PWMSequence:
                  "expected 1 control values", id="step-spo-value-count"),
     pytest.param(lambda s: step_pwm_higher(s, [1.0], _four_pulses(), 5, 2), ValueError,
                  "subinterval index m must be in 1..4, got 5", id="higher-m-out-of-range"),
+    pytest.param(lambda s: step_pwm_higher(s, [1.0], np.sin, 1.5, 2, tau=0.1), ValueError,
+                 "subinterval index m must be an integer, got 1.5", id="higher-fractional-m"),
+    pytest.param(lambda s: step_pwm_higher(s, [1.0], np.sin, 0, 2, tau=0.1), ValueError,
+                 "subinterval index m must be at least 1, got 0", id="higher-field-m-zero"),
     pytest.param(lambda s: step_pwm_higher(s, [1.0], np.sin, 1, 2), ValueError,
                  "tau is required with a field source", id="higher-field-without-tau"),
     pytest.param(lambda s: evolve(s, "pwmx", _four_pulses()), ValueError,

@@ -408,6 +408,10 @@ class TestGaussianTrainSpectrum:
         assert mags[17] / mags[1] == pytest.approx(0.15698, abs=5e-6)
 
 
+def _one_pulse_sequence() -> PWMSequence:
+    return PWMSequence(tau=0.1, amplitudes=[1.0], widths=[[0.05]])
+
+
 @pytest.mark.parametrize("make, named", [
     pytest.param(lambda: PWMSequence(tau=0.5, amplitudes=[1.0, 2.0, 3.0],
                                      widths=np.zeros((2, 4))),
@@ -417,18 +421,6 @@ class TestGaussianTrainSpectrum:
     pytest.param(lambda: Spectrum(omega=np.zeros(3), magnitude=np.zeros(3), phase=np.zeros(3),
                                   duration=1.0, n_samples=10),
                  "10 samples produce 6 one-sided bins, got 3", id="bin-count"),
-])
-def test_bad_input_raises_naming_it(make, named):
-    with pytest.raises(ValueError) as info:
-        make()
-    assert info.type is ValueError and named in str(info.value)
-
-
-def _one_pulse_sequence() -> PWMSequence:
-    return PWMSequence(tau=0.1, amplitudes=[1.0], widths=[[0.05]])
-
-
-@pytest.mark.parametrize("make, named", [
     pytest.param(lambda: pwm_signal(_one_pulse_sequence(), -1),
                  "control_index must be in 0..0, got -1", id="signal-negative-index"),
     pytest.param(lambda: pwm_signal(_one_pulse_sequence(), 1),
@@ -442,7 +434,8 @@ def _one_pulse_sequence() -> PWMSequence:
     pytest.param(lambda: spectrum(SampledField(dt=0.1, values=np.ones((1, 8))), 1),
                  "control_index must be in 0..0, got 1", id="spectrum-index-past-k"),
     pytest.param(lambda: PWMSequence(tau=0.1, amplitudes=[1.0], widths=np.zeros((1, 0))),
-                 "widths must be a K x M array, M >= 1, got shape (1, 0)", id="sequence-without-pulses"),
+                 "widths must be a K x M array, M >= 1, got shape (1, 0)",
+                 id="sequence-without-pulses"),
     pytest.param(lambda: GrapeOptions(max_iterations=2.5),
                  "max_iterations must be an integer, got 2.5", id="fractional-iterations"),
     pytest.param(lambda: GrapeOptions(max_iterations=True),
@@ -454,8 +447,7 @@ def _one_pulse_sequence() -> PWMSequence:
     pytest.param(lambda: dominant_peaks(spectrum(sine_field()[0]), count=-1),
                  "count must be at least 0, got -1", id="negative-peak-count"),
 ])
-def test_bad_index_or_count_raises_naming_it(make, named):
-    """Index and count arguments are checked where they enter the library."""
+def test_bad_input_raises_naming_it(make, named):
     with pytest.raises(ValueError) as info:
         make()
     assert info.type is ValueError and named in str(info.value)
