@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pwm import _check_int
+
 __all__ = [
     "GammaGrid",
     "boundary_order",
@@ -35,13 +37,10 @@ __all__ = [
 ]
 
 
-def _check(dim: int, order: int, n_controls: int) -> None:
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    if n_controls < 1:
-        raise ValueError("n_controls must be at least 1")
+def _check(dim: int, order: int, n_controls: int) -> tuple[int, int, int]:
+    """The three as ints; ``dim`` and ``order`` must be at least 2, ``n_controls`` at least 1."""
+    return (_check_int(dim, "dim", 2), _check_int(order, "order", 2),
+            _check_int(n_controls, "n_controls", 1))
 
 
 def cost_pwc(dim: int, order: int, n_controls: int) -> int:
@@ -51,7 +50,7 @@ def cost_pwc(dim: int, order: int, n_controls: int) -> int:
     order-``p`` Taylor exponential costs ``p - 1`` matrix products of
     ``N^3`` multiplications each.
     """
-    _check(dim, order, n_controls)
+    dim, order, n_controls = _check(dim, order, n_controls)
     return (order - 1) * dim**3 + n_controls * dim**2
 
 
@@ -62,7 +61,7 @@ def cost_pwm(dim: int, order: int, n_controls: int) -> int:
     matrix products of ``N^3``, diagonal phase application at ``N^2`` per
     product, and ``(p - 1) K N`` scalar work for the phase exponentials.
     """
-    _check(dim, order, n_controls)
+    dim, order, n_controls = _check(dim, order, n_controls)
     return (
         (2 * n_controls - 1) * dim**3
         + (2 * n_controls - 1) * dim**2
@@ -84,9 +83,7 @@ def boundary_order(dim: int, n_controls: int) -> float:
 
     Returns ``nan`` when ``N^2 <= K`` (no crossing: the ratio cannot reach 1).
     """
-    if dim < 2 or n_controls < 1:
-        raise ValueError("dim must be >= 2 and n_controls >= 1")
-    n, k = float(dim), float(n_controls)
+    n, k = float(_check_int(dim, "dim", 2)), float(_check_int(n_controls, "n_controls", 1))
     if n**2 <= k:
         return float("nan")
     return 1.0 + ((2 * k - 1) * n**2 + (k - 1) * n) / (n**2 - k)
@@ -94,19 +91,15 @@ def boundary_order(dim: int, n_controls: int) -> float:
 
 def default_dims(count: int = 40, low: int = 2, high: int = 200) -> np.ndarray:
     """Log-spaced unique integer dimensions in ``[low, high]``."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if not 2 <= low <= high:
-        raise ValueError("need 2 <= low <= high")
-    raw = np.geomspace(low, high, num=count)
+    count, low = _check_int(count, "count", 1), _check_int(low, "low", 2)
+    raw = np.geomspace(low, _check_int(high, "high", low), num=count)
     return np.unique(np.rint(raw).astype(int))
 
 
 def default_orders(low: int = 2, high: int = 30) -> np.ndarray:
     """All integer Taylor orders in ``[low, high]``."""
-    if not 2 <= low <= high:
-        raise ValueError("need 2 <= low <= high")
-    return np.arange(low, high + 1)
+    low = _check_int(low, "low", 2)
+    return np.arange(low, _check_int(high, "high", low) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +123,15 @@ def gamma_grid(
     orders: np.ndarray | None = None,
 ) -> GammaGrid:
     """Evaluate the cost ratio on a grid, with the equal-cost boundary."""
-    dims = default_dims() if dims is None else np.asarray(dims, dtype=int)
-    orders = default_orders() if orders is None else np.asarray(orders, dtype=int)
+    dims = default_dims() if dims is None else np.asarray(dims)
+    orders = default_orders() if orders is None else np.asarray(orders)
     if dims.ndim != 1 or orders.ndim != 1 or dims.size == 0 or orders.size == 0:
         raise ValueError("dims and orders must be non-empty 1-d arrays")
     values = np.empty((dims.size, orders.size))
-    for i, n in enumerate(dims):
-        for j, p in enumerate(orders):
-            values[i, j] = gamma(int(n), int(p), n_controls)
-    boundary = np.array([boundary_order(int(n), n_controls) for n in dims])
+    for i, n in enumerate(dims.tolist()):
+        for j, p in enumerate(orders.tolist()):
+            values[i, j] = gamma(n, p, n_controls)
+    boundary = np.array([boundary_order(n, n_controls) for n in dims.tolist()])
     return GammaGrid(
         n_controls=n_controls, dims=dims, orders=orders, values=values, boundary=boundary
     )

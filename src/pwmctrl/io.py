@@ -24,7 +24,7 @@ import numpy as np
 
 from .costmodel import GammaGrid
 from .model import ControlSystem
-from .pwm import PWMSequence, SampledField, Spectrum
+from .pwm import PWMSequence, SampledField, Spectrum, _check_int
 
 __all__ = [
     "read_benchmark_csv",
@@ -303,9 +303,7 @@ def read_system_json(path) -> ControlSystem:
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        dim = payload["dim"]
-        if type(dim) is not int:
-            raise ValueError(f"dim {dim!r} is not a JSON integer")
+        dim = _check_int(payload["dim"], "dim", 1)
         drift = _matrix_from_json(payload["drift"], dim, "drift")
         controls = tuple(
             _matrix_from_json(c, dim, f"controls[{i}]")

@@ -127,7 +127,7 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> of an N-level system (0-based)."""
     from .pwm import _check_int  # pwm imports this module
 
-    state = np.zeros(dim, dtype=np.complex128)
+    state = np.zeros(_check_int(dim, "dim", 1), dtype=np.complex128)
     state[_check_int(index, "basis index", 0, dim)] = 1.0
     return state
 

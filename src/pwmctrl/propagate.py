@@ -1207,8 +1207,7 @@ def reference_propagator(
 def _reference(system: ControlSystem, field, t_start: float, span: float, resolution: int):
     """:func:`reference_propagator` over ``[t_start, t_start + span]``, given the span itself."""
     _check_system(system)
-    if not 100 <= resolution <= _MAX_SAMPLES:
-        raise ValueError(f"resolution must lie in [100, {_MAX_SAMPLES:,}], got {resolution}")
+    resolution = _check_int(resolution, "resolution", 100, _MAX_SAMPLES + 1)
     dt = _check_step(span, "t_end - t_start") / resolution
     mids = t_start + (np.arange(resolution) + 0.5) * dt
     u_vals = _field_values(field, mids, system.n_controls)
@@ -1371,9 +1370,9 @@ def error_order(
     ``(K, n)``, or ``(n,)`` for one control.  Before any propagator is
     built, each ``tau`` that is not positive and finite raises
     :class:`~pwmctrl.pwm.GridError`, and a non-finite ``t_start`` raises
-    ``ValueError``, as do fewer than two distinct ``tau`` and a ``t_start``
-    whose float spacing exceeds the slice width ``min(tau) / resolution``,
-    where the slice midpoints would collapse.
+    ``ValueError``, as do fewer than two distinct ``tau``, a ``resolution``
+    not an integer in ``100..10**7``, and a ``t_start`` whose float spacing
+    exceeds the slice width ``min(tau) / resolution``, where midpoints collapse.
     """
     kind, level = _parse_scheme(scheme)
     if kind in ("pwm", "pwm2n") and amplitudes is None:
@@ -1382,6 +1381,7 @@ def error_order(
     taus = [_check_step(float(t), "tau") for t in tau_list]
     if len(set(taus)) < 2:
         raise ValueError(f"need at least two tau values to fit a slope, got {sorted(set(taus))}")
+    resolution = _check_int(resolution, "resolution", 100, _MAX_SAMPLES + 1)
     _check_start(t_start, taus, resolution)
     kernel = _PwmKernel(HamiltonianCache(system, amplitudes), 1) if level else None
     errors = []

@@ -293,7 +293,7 @@ class Spectrum:
         n_samples = self.n_samples
         if n_samples is None:
             n_samples = 2 * (omega.size - 1) if omega.size > 1 else 1
-        n_samples = int(n_samples)
+        n_samples = _check_int(n_samples, "n_samples", 0)
         if n_samples // 2 + 1 != omega.size:
             raise ValueError(
                 f"{n_samples} samples produce {n_samples // 2 + 1} one-sided "

@@ -122,8 +122,10 @@ class TestGammaGrid:
 
 
 @pytest.mark.parametrize("call, named", [
-    pytest.param(lambda: boundary_order(1, 1), "dim must be >= 2", id="boundary-order-dim-1"),
-    pytest.param(lambda: default_orders(5, 3), "need 2 <= low <= high", id="orders-reversed"),
+    pytest.param(lambda: boundary_order(1, 1), "dim must be at least 2, got 1",
+                 id="boundary-order-dim-1"),
+    pytest.param(lambda: default_orders(5, 3), "high must be at least 5, got 3",
+                 id="orders-reversed"),
     pytest.param(lambda: gamma_grid(1, dims=[], orders=[2, 3]),
                  "dims and orders must be non-empty", id="grid-empty-dims"),
 ])

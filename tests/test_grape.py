@@ -977,6 +977,34 @@ class TestBenchmark:
         key = lambda rep: [dataclasses.replace(r, wall_seconds=0.0) for r in rep.rows]
         assert key(report) == key(serial)
 
+    def test_pool_is_handed_at_most_four_tasks_per_worker_at_a_time(self, monkeypatch):
+        """The stub pool records how many tasks each ``map`` call gets."""
+        batches = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                batches.append(len(tasks))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        problem = two_level_problem()
+        report = run_fig5_benchmark(repeats=10, seed=5, problem=problem, jobs=2)
+        serial = run_fig5_benchmark(repeats=10, seed=5, problem=problem)
+        assert sum(batches) == 10 and max(batches) <= 4 * 2
+        key = lambda rep: [dataclasses.replace(r, wall_seconds=0.0) for r in rep.rows]
+        assert key(report) == key(serial)
+
     def test_one_worker_runs_without_a_pool(self, monkeypatch):
         def no_pool(**kwargs):
             raise AssertionError("a pool was started")

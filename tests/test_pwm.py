@@ -1,10 +1,25 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from pwmctrl import pwm
+from pwmctrl.costmodel import (
+    boundary_order,
+    cost_pwc,
+    cost_pwm,
+    default_dims,
+    default_orders,
+    gamma,
+    gamma_grid,
+)
 from pwmctrl.grape import GrapeOptions, run_fig5_benchmark
-from pwmctrl.model import basis_state
+from pwmctrl.io import FileFormatError, read_system_json
+from pwmctrl.model import ControlSystem, basis_state
+from pwmctrl.propagate import error_order, reference_propagator
 from pwmctrl.pwm import (
     AmplitudeBoundError,
     CutoffError,
@@ -22,6 +37,8 @@ from pwmctrl.pwm import (
     pwm_signal,
     spectrum,
 )
+
+from conftest import SIGMA_X, SIGMA_Z
 
 
 def sine_field(n_per: int = 256, m_count: int = 20) -> tuple[SampledField, float]:
@@ -451,6 +468,106 @@ def test_bad_input_raises_naming_it(make, named):
     with pytest.raises(ValueError) as info:
         make()
     assert info.type is ValueError and named in str(info.value)
+
+
+def _read_system_with_dim(dim) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "system.json")
+        path.write_text(json.dumps({"dim": dim, "drift": [], "controls": []}))
+        read_system_json(path)
+
+
+def _spectrum_of(bins: int, n_samples) -> Spectrum:
+    return Spectrum(omega=np.zeros(bins), magnitude=np.zeros(bins), phase=np.zeros(bins),
+                    duration=1.0, n_samples=n_samples)
+
+
+def _qubit() -> ControlSystem:
+    return ControlSystem(drift=SIGMA_Z, controls=(SIGMA_X,))
+
+
+def _reference(resolution) -> np.ndarray:
+    return reference_propagator(_qubit(), np.sin, 0.0, 1.0, resolution)
+
+
+# one boolean, one fraction and one out-of-range integer at each place an integer enters
+@pytest.mark.parametrize("make, error, named", [
+    pytest.param(lambda: gamma(10, 3, True), ValueError,
+                 "n_controls must be an integer, got True", id="cost-boolean"),
+    pytest.param(lambda: cost_pwc(10.5, 3, 1), ValueError,
+                 "dim must be an integer, got 10.5", id="cost-fraction"),
+    pytest.param(lambda: cost_pwm(10, 1, 1), ValueError,
+                 "order must be at least 2, got 1", id="cost-order-1"),
+    pytest.param(lambda: boundary_order(10, True), ValueError,
+                 "n_controls must be an integer, got True", id="boundary-boolean"),
+    pytest.param(lambda: boundary_order(10.5, 1), ValueError,
+                 "dim must be an integer, got 10.5", id="boundary-fraction"),
+    pytest.param(lambda: boundary_order(10, 0), ValueError,
+                 "n_controls must be at least 1, got 0", id="boundary-no-controls"),
+    pytest.param(lambda: default_dims(True), ValueError,
+                 "count must be an integer, got True", id="dims-boolean"),
+    pytest.param(lambda: default_dims(5, 2.5, 10), ValueError,
+                 "low must be an integer, got 2.5", id="dims-fraction"),
+    pytest.param(lambda: default_dims(5, 10, 5), ValueError,
+                 "high must be at least 10, got 5", id="dims-reversed"),
+    pytest.param(lambda: default_orders(True), ValueError,
+                 "low must be an integer, got True", id="orders-boolean"),
+    pytest.param(lambda: default_orders(2, 5.5), ValueError,
+                 "high must be an integer, got 5.5", id="orders-fraction"),
+    pytest.param(lambda: default_orders(1), ValueError,
+                 "low must be at least 2, got 1", id="orders-low-1"),
+    pytest.param(lambda: gamma_grid(True), ValueError,
+                 "n_controls must be an integer, got True", id="grid-boolean"),
+    pytest.param(lambda: gamma_grid(1, dims=[2.5, 10], orders=[2, 3]), ValueError,
+                 "dim must be an integer, got 2.5", id="grid-fraction"),
+    pytest.param(lambda: gamma_grid(1, dims=[1, 10], orders=[2, 3]), ValueError,
+                 "dim must be at least 2, got 1", id="grid-dim-1"),
+    pytest.param(lambda: _reference(True), ValueError,
+                 "resolution must be an integer, got True", id="reference-boolean"),
+    pytest.param(lambda: _reference(150.5), ValueError,
+                 "resolution must be an integer, got 150.5", id="reference-fraction"),
+    pytest.param(lambda: _reference(99), ValueError,
+                 "resolution must be in 100..10000000, got 99", id="reference-99"),
+    pytest.param(lambda: error_order("pwc", _qubit(), np.sin, [0.1, 0.05], resolution="x"),
+                 ValueError, "resolution must be an integer, got 'x'", id="error-order-text"),
+    pytest.param(lambda: _spectrum_of(1, True), ValueError,
+                 "n_samples must be an integer, got True", id="spectrum-boolean"),
+    pytest.param(lambda: _spectrum_of(6, 10.7), ValueError,
+                 "n_samples must be an integer, got 10.7", id="spectrum-fraction"),
+    pytest.param(lambda: _spectrum_of(1, -1), ValueError,
+                 "n_samples must be at least 0, got -1", id="spectrum-negative"),
+    pytest.param(lambda: _read_system_with_dim(True), FileFormatError,
+                 "system.json: missing or malformed field (dim must be an integer, got True)",
+                 id="system-file-boolean"),
+    pytest.param(lambda: _read_system_with_dim(2.5), FileFormatError,
+                 "system.json: missing or malformed field (dim must be an integer, got 2.5)",
+                 id="system-file-fraction"),
+    pytest.param(lambda: _read_system_with_dim(-2), FileFormatError,
+                 "system.json: missing or malformed field (dim must be at least 1, got -2)",
+                 id="system-file-negative"),
+    pytest.param(lambda: GrapeOptions(rng_seed=True), ValueError,
+                 "rng_seed must be an integer, got True", id="rng-seed-boolean"),
+    pytest.param(lambda: GrapeOptions(rng_seed=1.5), ValueError,
+                 "rng_seed must be an integer, got 1.5", id="rng-seed-fraction"),
+    pytest.param(lambda: GrapeOptions(rng_seed=-1), ValueError,
+                 "rng_seed must be at least 0, got -1", id="rng-seed-negative"),
+    pytest.param(lambda: run_fig5_benchmark(1, True, options=GrapeOptions(max_iterations=1)),
+                 ValueError, "seed must be an integer, got True", id="fig5-seed-boolean"),
+    pytest.param(lambda: run_fig5_benchmark(1, 1.5), ValueError,
+                 "seed must be an integer, got 1.5", id="fig5-seed-fraction"),
+    pytest.param(lambda: run_fig5_benchmark(1, -3), ValueError,
+                 "seed must be at least 0, got -3", id="fig5-seed-negative"),
+    pytest.param(lambda: basis_state(True, 0), ValueError,
+                 "dim must be an integer, got True", id="basis-dim-boolean"),
+    pytest.param(lambda: basis_state(2.5, 0), ValueError,
+                 "dim must be an integer, got 2.5", id="basis-dim-fraction"),
+    pytest.param(lambda: basis_state(0, 0), ValueError,
+                 "dim must be at least 1, got 0", id="basis-dim-0"),
+])
+def test_integer_rule_names_the_argument(make, error, named):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert info.type is error and str(info.value).endswith(named)
 
 
 def test_one_bin_without_sample_count_is_one_sample():
