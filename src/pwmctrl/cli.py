@@ -48,7 +48,7 @@ from .pwm import (
     pwm_signal,
     spectrum,
 )
-from .pwm import _check_start
+from .pwm import _check_int, _check_start
 
 __all__ = ["main"]
 
@@ -343,6 +343,9 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def _cmd_complexity(args: argparse.Namespace) -> int:
+    for name, low in (("Nmin", 2), ("Nmax", args.Nmin), ("pmin", 2), ("pmax", args.pmin),
+                      ("dims_count", 1), ("K", 1)):
+        _check_int(getattr(args, name), "--" + name.replace("_", "-"), low)
     dims = default_dims(count=args.dims_count, low=args.Nmin, high=args.Nmax)
     grid = gamma_grid(args.K, dims=dims, orders=default_orders(low=args.pmin, high=args.pmax))
     out = _out_dir(args)

@@ -101,31 +101,29 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-#: Most controls that PWM propagation takes: the first PWM kernel on a cache
+#: Most controls that PWM propagation takes: a :class:`HamiltonianCache`
 #: builds all 3^K eigendecompositions and 2K 3^(K-1) basis changes, 12.7 MiB at
 #: K = 4, N = 32 and about three times more per control (README "PWM kernel").
 _MAX_PWM_CONTROLS = 4
 
 
-def _basis_changes(entries, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``W_ab``, ``W_ab^dagger`` and ``lambda_b`` of the slots ``a -> b``, read-only."""
-    lam, bases = map(np.stack, zip(*entries))
+def _basis_changes(lam, bases, a, b) -> tuple[np.ndarray, ...]:
+    """Read-only ``W_ab``, ``W_ab^dagger`` and ``lambda_b`` of the slots ``a -> b``."""
     w = bases[a].conj().transpose(0, 2, 1) @ bases[b]
     return _locked(w), _locked(w.conj().transpose(0, 2, 1).copy()), _locked(lam[b])
 
 
 class HamiltonianCache:
-    """Eigendecompositions of the signed cumulative Hamiltonians.
+    """Eigendecompositions of the signed cumulative Hamiltonians, built whole.
 
-    Entries are keyed by the *set* of signed active controls
-    ``{(k, delta_k)}`` -- the cumulative sum does not depend on the order in
-    which pulses were added -- so at most ``3^K`` entries ever exist.  Each
-    entry is computed on first use.  The first PWM kernel built on the cache
-    fills all ``3^K`` and the basis changes of every slot
-    (:meth:`_slot_stacks`), and every later kernel on it shares them; the
-    kernel takes at most :data:`_MAX_PWM_CONTROLS` controls.  The cache is
-    not synchronized: share it within one thread, and let each worker
-    process build its own (a pickled copy carries what was filled so far).
+    Row ``c`` holds ``H0 + sum_k delta_k xi_k H_k`` for the base-3 code ``c``
+    of the signed controls ``{(k, delta_k)}`` (digit 1 for ``+1``, 2 for
+    ``-1`` at control ``k``'s place), whatever order the pulses were added
+    in; the drift is row 0.  Above :data:`_MAX_PWM_CONTROLS` controls, the
+    bound of every PWM entry point, the constructor raises ``ValueError``;
+    else it builds all ``3^K`` rows by one batched ``eigh`` and the basis
+    changes of every slot (``_slots``).  Every array is read-only, so threads
+    may share a cache.
 
     A cache belongs to one system object and one amplitude vector: the
     constructor rejects a system that fails ``validate_system`` (such as a
@@ -138,23 +136,37 @@ class HamiltonianCache:
         _check_system(system)
         self.system = system
         self.amplitudes = _as_amplitudes(amplitudes, system.n_controls)
-        self._entries: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._slots: tuple | None = None
-
-    def hamiltonian(self, prefix) -> np.ndarray:
-        """The matrix ``H0 + sum_{(k, delta) in prefix} delta * xi_k * H_k``."""
-        h = self.system.drift.copy()
-        for k, delta in prefix:
-            h = h + delta * self.amplitudes[k] * self.system.controls[k]
-        return h
+        k_count = system.n_controls
+        if k_count > _MAX_PWM_CONTROLS:
+            raise ValueError(f"PWM propagation takes at most {_MAX_PWM_CONTROLS} controls, got "
+                             f"{k_count}: it diagonalizes all 3^K signed Hamiltonians up front")
+        place = 3 ** np.arange(k_count)
+        digits = np.arange(3**k_count)[:, None] // place % 3
+        stack = np.repeat(system.drift[None], len(digits), axis=0)
+        for k, control in enumerate(system.controls):
+            for digit, delta in ((1, 1), (2, -1)):
+                stack[digits[:, k] == digit] += delta * self.amplitudes[k] * control
+        self._lam, self._bases = map(_locked, np.linalg.eigh(stack))
+        # slot table[a, k, h] joins code a to the code that adds control k with
+        # sign +1 (h = 0) or -1 (h = 1); it is -1 where a holds k
+        table = np.full((len(digits), k_count, 2), -1)
+        a, k, h = np.nonzero(np.broadcast_to((digits == 0)[..., None], table.shape))
+        table[a, k, h] = np.arange(len(a))
+        b = a + (h + 1) * place[k]
+        self._slots = (*_basis_changes(self._lam, self._bases, a, b), _locked(table))
 
     def entry(self, prefix) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvector matrix for one cumulative Hamiltonian."""
-        key = tuple(sorted(prefix))
-        found = self._entries.get(key)
-        if found is None:
-            found = self._entries[key] = np.linalg.eigh(self.hamiltonian(key))
-        return found
+        """Eigenvalues and eigenvectors for the ``(k, delta)`` pairs of ``prefix``, in any
+        order; ``ValueError`` unless each ``k`` in ``0..K-1`` appears once, ``delta = +-1``."""
+        code = 0
+        for k, delta in prefix:
+            k = _check_int(k, "prefix control", 0, self.system.n_controls)
+            if delta not in (1, -1):
+                raise ValueError(f"prefix sign of control {k} must be +1 or -1, got {delta!r}")
+            if code // 3**k % 3:
+                raise ValueError(f"prefix names control {k} twice")
+            code += (1 if delta == 1 else 2) * 3**k
+        return self._lam[code], self._bases[code]
 
     def factor(self, prefix, theta: float) -> np.ndarray:
         """``exp(-i * theta * G_prefix)`` assembled from the cached entry."""
@@ -162,32 +174,7 @@ class HamiltonianCache:
 
     @property
     def size(self) -> int:
-        return len(self._entries)
-
-    def _slot_stacks(self) -> tuple:
-        """Every slot's ``W_ab``, ``W_ab^dagger`` and ``lambda_b``, and ``table``, built once.
-
-        Slot ``table[a, k, h]`` joins prefix code ``a`` to the code that adds
-        control ``k`` with sign ``+1`` (``h = 0``, digit 1) or ``-1`` (``h =
-        1``, digit 2); it is -1 where ``a`` holds ``k``.  Fills all ``3^K``
-        entries; raises ``ValueError`` above :data:`_MAX_PWM_CONTROLS` controls.
-        """
-        if self._slots is None:
-            k_count = self.system.n_controls
-            if k_count > _MAX_PWM_CONTROLS:
-                raise ValueError(
-                    f"PWM propagation takes at most {_MAX_PWM_CONTROLS} controls, got "
-                    f"{k_count}: it diagonalizes all 3^K signed Hamiltonians up front"
-                )
-            place = 3 ** np.arange(k_count)
-            digits = np.arange(3**k_count)[:, None] // place % 3
-            entries = [self.entry([(k, 3 - 2 * d) for k, d in enumerate(row) if d])
-                       for row in digits.tolist()]
-            table = np.full((len(digits), k_count, 2), -1)
-            a, k, h = np.nonzero(np.broadcast_to((digits == 0)[..., None], table.shape))
-            table[a, k, h] = np.arange(len(a))
-            self._slots = (*_basis_changes(entries, a, a + (h + 1) * place[k]), _locked(table))
-        return self._slots
+        return len(self._lam)
 
 
 #: Complex entries in :func:`evolve`'s step stacks at once: its blocks of
@@ -306,10 +293,10 @@ class _PwmKernel:
 
     diagonal phases ``D_j = exp(-i d_j lambda_j)`` and basis changes
     ``W_ab = V_a^dagger V_b``.  ``W_ab``, its adjoint and ``lambda_b`` of
-    every pair of adjacent prefix codes -- a slot -- come from the cache
-    (:meth:`HamiltonianCache._slot_stacks`), and ``_slot_of[code_a, k, h]``
-    gives a layout all its slots by one index.  At ``K = 1`` slot 0 is sign
-    ``+1`` and slot 1 sign ``-1``.  A fill takes one of two routes:
+    every pair of adjacent prefix codes -- a slot -- come built from the
+    cache (``_slots``), as do ``V_0`` and ``lambda_0`` (row 0), and
+    ``_slot_of[code_a, k, h]`` gives a layout all its slots by one index.
+    At ``K = 1`` slot 0 is sign ``+1`` and slot 1 sign ``-1``.  A fill takes one of two routes:
 
     - **Spectral route** (``K = 1``, with at least ``2N`` rows and a
       degree within the cap, :func:`_table_degree`).  A step ``S(u)
@@ -347,11 +334,10 @@ class _PwmKernel:
         self.cache = cache
         k_count, n = cache.system.n_controls, cache.system.dim
         self._place = 3 ** np.arange(k_count)
-        split = isinstance(cache, TermCache)
-        self._w, self._w_adjoint, self._lam_b, self._slot_of = cache._slot_stacks()
-        self._lam0, self.v0 = cache.entry(None if split else ())
+        self._w, self._w_adjoint, self._lam_b, self._slot_of = cache._slots
+        self._lam0, self.v0 = cache._lam[0], cache._bases[0]
         # the largest Chebyshev degree of the spectral route, 0 where it is not taken
-        self._cap = _degree_cap(n) if k_count == 1 and not split else 0
+        self._cap = _degree_cap(n) if k_count == 1 and self._slot_of is not None else 0
         step, c = (rows, n, n), np.complex128
         (self._forward, self._backward, self.steps, self.scratch, self._lam, self._angle,
          self._phase, self._kets, self._bras, self._brackets, self._basis, self._t2) = _carve(
@@ -833,7 +819,9 @@ class TermCache:
     Used by the split-operator scheme, whose factors are single-term
     exponentials with a per-step scalar in the exponent: :func:`step_spo`
     builds them one by one, and :func:`evolve` seeds a batched kernel's
-    ``K`` basis changes ``V_j^dagger V_{j+1}`` from them.  Like
+    ``K`` basis changes ``V_j^dagger V_{j+1}`` (``_slots``, no table) from
+    them.  The constructor builds them, and by one batched ``eigh`` the
+    drift's (row 0) and each control's eigensystem, all read-only.  Like
     :class:`HamiltonianCache` it belongs to one system object (it holds no
     amplitudes): the constructor rejects a system that fails
     ``validate_system`` and :func:`step_spo` rejects a cache built for
@@ -843,28 +831,18 @@ class TermCache:
     def __init__(self, system: ControlSystem) -> None:
         _check_system(system)
         self.system = system
-        self._entries: dict[int | None, tuple[np.ndarray, np.ndarray]] = {}
-        self._slots: tuple | None = None
+        stack = np.stack([system.drift, *system.controls])
+        self._lam, self._bases = map(_locked, np.linalg.eigh(stack))
+        j = np.arange(system.n_controls)
+        self._slots = (*_basis_changes(self._lam, self._bases, j, j + 1), None)
 
     def entry(self, index: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of the drift (``None``) or control ``index``."""
-        found = self._entries.get(index)
-        if found is None:
-            h = self.system.drift if index is None else self.system.controls[index]
-            found = self._entries[index] = np.linalg.eigh(h)
-        return found
+        row = 0 if index is None else _check_int(index, "index", 0, self.system.n_controls) + 1
+        return self._lam[row], self._bases[row]
 
     def factor(self, index: int | None, theta: float) -> np.ndarray:
         return _eigen_exponential(*self.entry(index), theta)
-
-    def _slot_stacks(self) -> tuple:
-        """The ``K`` slots ``V_j^dagger V_{j+1}`` (drift ``j = 0``) as for a
-        :class:`HamiltonianCache`, with no table, built once."""
-        if self._slots is None:
-            entries = [self.entry(k) for k in (None, *range(self.system.n_controls))]
-            j = np.arange(len(entries) - 1)
-            self._slots = (*_basis_changes(entries, j, j + 1), None)
-        return self._slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -940,13 +918,17 @@ def build_frame(seq: PWMSequence, m: int) -> PulseFrame:
 
 
 def _checked_cache(cache, system: ControlSystem, amplitudes=None):
-    """``cache`` if it was built for this system object (and amplitudes).
+    """``cache`` if it is a :class:`HamiltonianCache` built for this system
+    object and ``amplitudes``, or without them a :class:`TermCache` built for it.
 
-    Without a ``cache`` a new one is built: a :class:`HamiltonianCache` for
-    ``amplitudes``, or a :class:`TermCache` when they are ``None``.
+    Without a ``cache`` a new one of that class is built; another class,
+    system object or amplitudes raise ``ValueError``.
     """
     if cache is None:
         return TermCache(system) if amplitudes is None else HamiltonianCache(system, amplitudes)
+    expected = TermCache if amplitudes is None else HamiltonianCache
+    if not isinstance(cache, expected):
+        raise ValueError(f"cache must be a {expected.__name__}, got {type(cache).__name__}")
     if cache.system is not system:
         raise ValueError("cache was built for another system object")
     if amplitudes is not None and not np.array_equal(
@@ -970,8 +952,10 @@ def step_pwm(
 ) -> np.ndarray:
     """Second-order PWM propagator for one subinterval.
 
-    Multiplies the factors one by one, the reference for the batched kernel.
-    A ``cache`` must have been built for ``system`` and ``amplitudes``.
+    Multiplies the factors one by one, the reference for the batched kernel;
+    at most four controls.  A ``cache`` must be a :class:`HamiltonianCache`
+    for ``system`` and ``amplitudes``; without one each call builds a whole
+    cache, so pass one cache when stepping frame by frame.
     """
     _check_controls("frame", frame.widths.size, system.n_controls)
     cache = _checked_cache(cache, system, amplitudes)

@@ -856,6 +856,18 @@ class TestRejectionMessages:
         pytest.param(["benchmark-fig5", "--jobs", "0", "--repeats", "1", "--total-time", "1",
                       "--max-iterations", "2", "--out-dir", "bench"], None,
                      "jobs must be at least 1, got 0", id="zero-jobs"),
+        *(pytest.param(["complexity", *flags, "--out-dir", "c"], None, message, id=ident)
+          for flags, message, ident in [
+              (["--Nmin", "1"], "--Nmin must be at least 2, got 1", "complexity-nmin"),
+              (["--Nmin", "9", "--Nmax", "3"], "--Nmax must be at least 9, got 3",
+               "complexity-nmax"),
+              (["--pmin", "1"], "--pmin must be at least 2, got 1", "complexity-pmin"),
+              (["--pmin", "9", "--pmax", "3"], "--pmax must be at least 9, got 3",
+               "complexity-pmax"),
+              (["--dims-count", "0"], "--dims-count must be at least 1, got 0",
+               "complexity-dims-count"),
+              (["--K", "0"], "--K must be at least 1, got 0", "complexity-k"),
+          ]),
     ])
     def test_one_validation_line(self, tmp_path, inputs, monkeypatch, capsys, argv, config,
                                  message):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -142,26 +143,79 @@ class TestHamiltonianCache:
         direct = expm_hermitian(two_level.drift - 1.3 * SIGMA_X, 0.4)
         assert np.allclose(cache.factor(prefix, 0.4), direct, atol=1e-13)
 
-    def test_entries_are_reused(self, two_level):
-        cache = HamiltonianCache(two_level, np.array([1.0]))
-        cache.factor(((0, 1),), 0.1)
-        cache.factor(((0, 1),), 0.9)
-        cache.factor((), 0.2)
-        assert cache.size == 2
+    def test_entries_are_reused(self, rng):
+        """All ``3^K`` entries exist from construction; every ``entry`` call
+        returns views of one read-only stack, whatever the prefix order."""
+        system = ControlSystem(
+            drift=random_hermitian(3, rng),
+            controls=tuple(random_hermitian(3, rng) for _ in range(2)),
+        )
+        cache = HamiltonianCache(system, [1.0, 1.3])
+        assert cache.size == 3**2
+        first = cache.entry([(1, -1), (0, 1)])
+        second = cache.entry(((0, 1), (1, -1)))
+        for a, b in zip(first, second):
+            assert np.shares_memory(a, b)
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("k_count", [1, 2, 3, 4])
+    def test_every_entry_is_the_eigensystem_of_its_hamiltonian(self, rng, k_count):
+        """Each of the ``3^K`` entries is ``eigh`` of the Hamiltonian summed
+        here, term by term, independently of the cache's code mapping."""
+        system = ControlSystem(
+            drift=random_hermitian(4, rng),
+            controls=tuple(random_hermitian(4, rng) for _ in range(k_count)),
+        )
+        xi = np.linspace(0.8, 1.6, k_count)
+        cache = HamiltonianCache(system, xi)
+        for signs in itertools.product((0, 1, -1), repeat=k_count):
+            h = system.drift + sum(d * x * c for d, x, c in zip(signs, xi, system.controls))
+            lam, basis = np.linalg.eigh(h)
+            got_lam, got_basis = cache.entry([(k, d) for k, d in enumerate(signs) if d][::-1])
+            assert np.max(np.abs(got_lam - lam)) <= 1e-13
+            assert np.max(np.abs(got_basis - basis)) <= 1e-13
+
+    @pytest.mark.parametrize("prefix, message", [
+        ([(0, 1), (0, 1)], "prefix names control 0 twice"),
+        ([(0, 1), (1, -1), (0, -1)], "prefix names control 0 twice"),
+        ([(0, 2)], r"prefix sign of control 0 must be \+1 or -1, got 2"),
+        ([(2, 1)], r"prefix control must be in 0\.\.1, got 2"),
+        ([(-1, 1)], r"prefix control must be in 0\.\.1, got -1"),
+    ], ids=["repeated", "repeated-opposite", "sign-2", "control-past-k", "negative-control"])
+    def test_entry_rejects_a_prefix_of_no_pwm_factor(self, rng, prefix, message):
+        system = ControlSystem(
+            drift=random_hermitian(3, rng),
+            controls=tuple(random_hermitian(3, rng) for _ in range(2)),
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HamiltonianCache(system, [1.0, 1.3]).entry(prefix)
+
+    @pytest.mark.parametrize("index, message", [
+        (-1, r"index must be in 0\.\.0, got -1"),
+        (1, r"index must be in 0\.\.0, got 1"),
+        (0.0, r"index must be an integer, got 0\.0"),
+    ], ids=["negative", "past-k", "float"])
+    def test_term_cache_rejects_an_index_of_no_term(self, ten_level, index, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TermCache(ten_level).entry(index)
 
     def test_size_bounded_by_signed_subsets(self, rng):
+        """Stepping frame by frame reads the ``3^K`` entries built with the
+        cache; it neither adds nor rebuilds any."""
         system = ControlSystem(
             drift=random_hermitian(3, rng),
             controls=tuple(random_hermitian(3, rng) for _ in range(2)),
         )
         cache = HamiltonianCache(system, np.ones(2))
+        stacks = cache._lam, cache._bases
         seq = PWMSequence(
             tau=0.3, amplitudes=np.ones(2),
             widths=rng.uniform(-0.3, 0.3, size=(2, 50)),
         )
         for m in range(1, 51):
             step_pwm(system, cache.amplitudes, build_frame(seq, m), cache)
-        assert cache.size <= 3**2
+        assert cache.size == 3**2
+        assert cache._lam is stacks[0] and cache._bases is stacks[1]
 
 
 class TestStepPwm:
@@ -586,32 +640,38 @@ class TestPwmKernelSlots:
             assert np.all(slots >= 0)
 
     @pytest.mark.parametrize("split", [False, True], ids=["pwm", "spo"])
-    def test_kernels_on_one_cache_share_its_slots(self, rng, split):
-        """The first kernel on a cache builds the slots; later kernels take
-        the same read-only arrays and diagonalize nothing."""
+    def test_kernels_on_one_cache_share_its_slots(self, rng, split, monkeypatch):
+        """The cache builds its slots whole; every kernel on it holds the
+        cache's own read-only stacks and diagonalizes nothing."""
         system = self.system(rng, 2)
         cache = TermCache(system) if split else HamiltonianCache(system, [1.0, 1.3])
-        first = propagate._PwmKernel(cache, 1)
-        entries = dict(cache._entries)
-        second = propagate._PwmKernel(cache, 5)
-        assert cache._entries == entries
-        for name in ("_w", "_w_adjoint", "_lam_b", "_slot_of"):
-            held = getattr(first, name)
-            assert getattr(second, name) is held
-            assert held is None or not held.flags.writeable
 
-    def test_rejects_more_controls_than_the_bound(self, rng):
-        """Above ``_MAX_PWM_CONTROLS`` every PWM kernel raises before any
-        diagonalization; the frame-by-frame reference, PWC and split-operator
-        propagation still take the system."""
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("a kernel diagonalized")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        first = propagate._PwmKernel(cache, 1)
+        second = propagate._PwmKernel(cache, 5)
+        names = ("_w", "_w_adjoint", "_lam_b", "_slot_of")
+        for kernel in (first, second):
+            for name, held in zip(names, cache._slots):
+                assert getattr(kernel, name) is held
+                assert held is None or not held.flags.writeable
+            assert np.shares_memory(kernel.v0, cache._bases) and not kernel.v0.flags.writeable
+
+    def test_rejects_more_controls_than_the_bound(self, rng, monkeypatch):
+        """Above ``_MAX_PWM_CONTROLS`` the cache, and so every PWM entry
+        point, the frame-by-frame ``step_pwm`` included, raises before any
+        diagonalization; PWC and split-operator propagation still take the
+        system."""
         k_count = propagate._MAX_PWM_CONTROLS + 1
         system = self.system(rng, k_count)
         xi = np.ones(k_count)
-        cache = HamiltonianCache(system, xi)
         message = f"at most {propagate._MAX_PWM_CONTROLS} controls, got {k_count}"
-        with pytest.raises(ValueError, match=message):
-            propagate._PwmKernel(cache, 1)
-        assert cache.size == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", None)
+            with pytest.raises(ValueError, match=message):
+                HamiltonianCache(system, xi)
         widths = rng.uniform(-0.1, 0.1, size=(k_count, 3))
         seq = PWMSequence(tau=0.2, amplitudes=xi, widths=widths)
         def smooth(t):
@@ -620,11 +680,10 @@ class TestPwmKernelSlots:
         for run in (lambda: evolve(system, "pwm", seq),
                     lambda: evolve(system, "pwm4", seq),
                     lambda: step_pwm_higher(system, xi, seq, 1, 2),
-                    lambda: error_order("pwm", system, smooth, [0.1, 0.05], amplitudes=xi)):
+                    lambda: error_order("pwm", system, smooth, [0.1, 0.05], amplitudes=xi),
+                    lambda: step_pwm(system, xi, build_frame(seq, 1))):
             with pytest.raises(ValueError, match=message):
                 run()
-        step = step_pwm(system, xi, build_frame(seq, 1))
-        assert unitarity_defect(step) < 1e-12
         field = SampledField(dt=0.2, values=widths)
         for scheme in ("pwc", "spo"):
             assert unitarity_defect(evolve(system, scheme, field, tau=0.2)) < 1e-12
@@ -861,6 +920,19 @@ class TestCacheOwnership:
                 step_pwm_higher(ten_level, xi, seq, 1, 2, cache=cache)
         with pytest.raises(ValueError, match="another system"):
             step_spo(ten_level, [0.8], 0.1, TermCache(other))
+
+    @pytest.mark.parametrize("step, expected, given", [
+        (lambda s, c: step_pwm(s, [1.0], frame_from_widths([0.05], 0.1), c),
+         "HamiltonianCache", TermCache),
+        (lambda s, c: step_pwm_higher(s, [1.0], np.sin, 1, 2, tau=0.1, cache=c),
+         "HamiltonianCache", TermCache),
+        (lambda s, c: step_spo(s, [0.8], 0.1, c), "TermCache", HamiltonianCache),
+    ], ids=["step_pwm", "step_pwm_higher", "step_spo"])
+    def test_step_functions_reject_the_other_cache_class(self, ten_level, step, expected,
+                                                          given):
+        cache = given(ten_level) if given is TermCache else given(ten_level, [1.0])
+        with pytest.raises(ValueError, match=f"^cache must be a {expected}, got {given.__name__}$"):
+            step(ten_level, cache)
 
 
 class TestControlCount:
